@@ -12,7 +12,7 @@ import click
 
 from .analysis import min_rate_bound
 from .config import ConfigError, load_config
-from .runner import emit, run as run_batch
+from .runner import emit, run as run_batch, validate_points
 
 
 @click.group()
@@ -49,9 +49,10 @@ def run_cmd(config_path, seed, trials, out_path, fmt) -> None:
 @main.command("validate")
 @click.option("--config", "config_path", required=True, type=click.Path())
 def validate_cmd(config_path) -> None:
-    """Check a config file; report applied defaults."""
+    """Check a config file and build every sweep point; report applied defaults."""
     try:
         cfg = load_config(config_path)
+        validate_points(cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

@@ -67,11 +67,7 @@ class ExperimentConfig:
             if dcfg["threshold_sigma"] is not None:
                 kwargs["threshold_sigma"] = dcfg["threshold_sigma"]
             else:
-                # absolute threshold: express it in sigma0 units
-                tau = dcfg["window"] / dcfg["n_cells"]
-                i0 = dcfg["omega_center"] * (2 * math.pi / tau) / (8 * math.pi * dcfg["length"])
-                s0 = i0 * math.sqrt(tau / dcfg["window"])
-                kwargs["threshold_sigma"] = (dcfg["threshold"] - i0) / s0
+                kwargs["threshold"] = dcfg["threshold"]
             try:
                 specs.append(make_matched_detector(**kwargs))
             except ValueError as exc:
@@ -113,8 +109,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     defaults: dict = {}
     _require_keys(data, _TOP_KEYS, "config root")
     _default(data, "units", "dimensionless", defaults, "")
-    if data["units"] not in ("dimensionless", "SI"):
-        raise ConfigError(f"units must be 'dimensionless' or 'SI', got {data['units']!r}")
+    if data["units"] != "dimensionless":
+        raise ConfigError(
+            f"units must be 'dimensionless', got {data['units']!r}; the simulator works "
+            "in hbar = c = eps0 = 1 units (for SI inputs use `zpfsim rate-bound`)")
 
     scenario = data.get("scenario")
     if not isinstance(scenario, dict):

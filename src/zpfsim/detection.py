@@ -17,17 +17,24 @@ mean I0. Under vacuum, Ibar is gaussian with mean I0 = wbar dw / (8 pi c L)
 and deviation sigma0 = I0 sqrt(tau / T); a weak signal shifts the mean by
 Ibar_s and leaves the deviation unchanged.
 
+When the modes sit on a detector's own element grid (spacing 2 pi / T
+along its axis), the sinc zeros make each element see exactly one mode and
+Ibar = sum_m scale_m^2 |alpha_m|^2 over that detector's modes. The Monte
+Carlo therefore works with diagonal intensity weights (``intensity_batch``).
+``filtered_field``, ``response_matrix`` and ``effective_intensity``
+evaluate the general geometry and serve as its test oracle.
+
 All formulas below use dimensionless units (hbar = c = eps0 = 1).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.special import j1
 
@@ -89,7 +96,7 @@ class DetectorSpec:
         ax = ax / np.linalg.norm(ax)
         object.__setattr__(self, "axis", tuple(ax))
         if self.element_omegas is None:
-            w, k = _element_grid(self)
+            w, k = _element_grid(self, max(1, round(self.window / self.tau)))
             object.__setattr__(self, "element_omegas", w)
             object.__setattr__(self, "element_kvecs", k)
         else:
@@ -118,12 +125,14 @@ class DetectorSpec:
     @property
     def I0(self) -> float:
         """Vacuum mean effective intensity wbar * dw / (8 pi c L)."""
-        return self.omega_center * self.bandwidth / (8.0 * math.pi * self.length)
+        return vacuum_moments(self.omega_center, self.bandwidth, self.length,
+                              self.tau, self.window)[0]
 
     @property
     def sigma0(self) -> float:
         """Vacuum effective-intensity deviation I0 sqrt(tau / T)."""
-        return self.I0 * math.sqrt(self.tau / self.window)
+        return vacuum_moments(self.omega_center, self.bandwidth, self.length,
+                              self.tau, self.window)[1]
 
     @property
     def zeta(self) -> float:
@@ -143,21 +152,22 @@ class DetectorSpec:
         and every k_l points along the detector axis; ``n_elements`` defaults
         to round(T / tau), the number of coherence cells in the window.
         """
-        window = kwargs["window"]
-        tau = kwargs["tau"]
-        omega_center = kwargs["omega_center"]
-        ax = np.asarray(kwargs.get("axis", (0.0, 0.0, 1.0)), dtype=float)
-        ax = ax / np.linalg.norm(ax)
+        spec = cls(**kwargs)
         if n_elements is None:
-            n_elements = max(1, round(window / tau))
-        dw = 2.0 * math.pi / window
-        w = omega_center + dw * (np.arange(n_elements) - (n_elements - 1) / 2.0)
-        k = w[:, None] * ax[None, :]
-        return cls(element_omegas=w, element_kvecs=k, **kwargs)
+            return spec
+        w, k = _element_grid(spec, n_elements)
+        return dataclasses.replace(spec, element_omegas=w, element_kvecs=k)
 
 
-def _element_grid(det: DetectorSpec):
-    n = max(1, round(det.window / det.tau))
+def vacuum_moments(omega_center: float, bandwidth: float, length: float,
+                   tau: float, window: float) -> tuple[float, float]:
+    """Vacuum mean I0 = wbar dw / (8 pi c L) and deviation sigma0 = I0 sqrt(tau / T)."""
+    i0 = omega_center * bandwidth / (8.0 * math.pi * length)
+    return i0, i0 * math.sqrt(tau / window)
+
+
+def _element_grid(det: DetectorSpec, n: int):
+    """``n`` element frequencies spaced 2 pi / T around omega_center, k along the axis."""
     dw = 2.0 * math.pi / det.window
     w = det.omega_center + dw * (np.arange(n) - (n - 1) / 2.0)
     ax = np.asarray(det.axis, dtype=float)
@@ -181,72 +191,46 @@ def _airy_disc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _element_response(det: DetectorSpec, kmat: np.ndarray, omegas: np.ndarray,
-                      el_slice: slice) -> np.ndarray:
-    """Complex response of elements in ``el_slice`` to each mode.
+def response_matrix(modes, scales, detector: DetectorSpec) -> np.ndarray:
+    """Dense (n_elements x n_modes) map from amplitudes to filtered fields.
 
-    Shape (n_sel, n_modes). The cylinder is centered at the origin with its
-    axis along ``det.axis``; the time factor carries the e^{i dw T / 2}
-    phase of the one-sided window.
+    The cylinder is centered at the origin with its axis along
+    ``detector.axis``; the time factor carries the e^{i dw T / 2} phase of
+    the one-sided window.
     """
-    el_w = det.element_omegas[el_slice]
-    el_k = det.element_kvecs[el_slice]
-    dw = omegas[None, :] - el_w[:, None]
-    time_factor = np.exp(0.5j * dw * det.window) * _sinc(0.5 * dw * det.window)
-    dk = kmat[None, :, :] - el_k[:, None, :]            # (n_sel, n_modes, 3)
-    ax = np.asarray(det.axis, dtype=float)
-    dpar = dk @ ax
+    kmat = np.array([m.k_array for m in modes])
+    omegas = np.array([m.omega for m in modes])
+    dw = omegas[None, :] - detector.element_omegas[:, None]
+    time_factor = np.exp(0.5j * dw * detector.window) * _sinc(0.5 * dw * detector.window)
+    dk = kmat[None, :, :] - detector.element_kvecs[:, None, :]     # (n_el, n_modes, 3)
+    dpar = dk @ np.asarray(detector.axis, dtype=float)
     dperp_sq = np.maximum(np.einsum("ijk,ijk->ij", dk, dk) - dpar**2, 0.0)
-    vol_factor = _sinc(0.5 * dpar * det.length) * _airy_disc(np.sqrt(dperp_sq) * det.radius)
-    return time_factor * vol_factor
+    vol_factor = (_sinc(0.5 * dpar * detector.length)
+                  * _airy_disc(np.sqrt(dperp_sq) * detector.radius))
+    return time_factor * vol_factor * np.asarray(scales, dtype=float)[None, :]
 
 
 def filtered_field(state: FieldState, element_index: int, detector: DetectorSpec) -> complex:
     """Analytic evaluation of the filtered field of one detector element."""
     if not 0 <= element_index < detector.n_elements:
         raise ValueError(f"element {element_index} not in detector (N={detector.n_elements})")
-    kmat = np.array([m.k_array for m in state.modes])
-    omegas = np.array([m.omega for m in state.modes])
-    resp = _element_response(detector, kmat, omegas, slice(element_index, element_index + 1))[0]
-    return complex(np.sum(state.scales * resp * state.amplitudes))
+    resp = response_matrix(state.modes, state.scales, detector)[element_index]
+    return complex(np.sum(resp * state.amplitudes))
 
 
-def response_matrix(modes, scales, detector: DetectorSpec,
-                    prune_rtol: float = 1e-12) -> sp.csr_matrix:
-    """Sparse (n_elements x n_modes) map from amplitudes to filtered fields.
+def intensity_batch(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Effective intensities (B, n_det) of an amplitude batch (B, n_modes).
 
-    Entries below ``prune_rtol`` of the largest mode scale are dropped; on
-    a matched element grid the sinc zeros make the matrix diagonal.
+    ``weights[m, d]`` is scale_m^2 when mode m lies on detector d's element
+    grid and 0 otherwise, so every detector is summed in one pass.
     """
-    kmat = np.array([m.k_array for m in modes])
-    omegas = np.array([m.omega for m in modes])
-    scales = np.asarray(scales, dtype=float)
-    cutoff = prune_rtol * float(np.max(scales))
-    blocks = []
-    chunk = max(1, int(4_000_000 // max(len(modes), 1)))
-    for start in range(0, detector.n_elements, chunk):
-        sl = slice(start, min(start + chunk, detector.n_elements))
-        block = _element_response(detector, kmat, omegas, sl) * scales[None, :]
-        block[np.abs(block) < cutoff] = 0.0
-        blocks.append(sp.csr_matrix(block))
-    return sp.vstack(blocks, format="csr")
-
-
-def intensity_batch(amps: np.ndarray, response: sp.csr_matrix) -> np.ndarray:
-    """Effective intensities for an amplitude batch of shape (B, n_modes)."""
-    n_el = response.shape[0]
-    out = np.empty(len(amps), dtype=float)
-    sub = max(1, int(4_000_000 // max(n_el, 1)))
-    for start in range(0, len(amps), sub):
-        f = response @ amps[start:start + sub].T     # (n_el, b)
-        out[start:start + sub] = np.sum(np.abs(f) ** 2, axis=0)
-    return out
+    return (amps.real**2 + amps.imag**2) @ weights
 
 
 def effective_intensity(state: FieldState, detector: DetectorSpec) -> float:
-    """Ibar = c eps0 sum_l |Ebar_l|^2 (c = eps0 = 1)."""
-    resp = response_matrix(state.modes, state.scales, detector)
-    return float(intensity_batch(state.amplitudes[None, :], resp)[0])
+    """Ibar = c eps0 sum_l |Ebar_l|^2 (c = eps0 = 1), in the general geometry."""
+    fields = response_matrix(state.modes, state.scales, detector) @ state.amplitudes
+    return float(np.sum(np.abs(fields) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,8 @@ class _ChunkSums:
     q2_sum: np.ndarray      # (V, D)
     i_sum: np.ndarray       # (V, D)
     i2_sum: np.ndarray      # (V, D)
-    qq_sum: np.ndarray      # (V, P)
-    qq2_sum: np.ndarray     # (V, P)
     ii_sum: np.ndarray      # (V, P)
-    u_sum: np.ndarray       # (V*P,)
+    u_sum: np.ndarray       # (V*P,) coincidence products Q_a Q_c, variant-major
     uu_sum: np.ndarray      # (V*P, V*P)
 
 
@@ -69,9 +67,8 @@ def _chunk_worker(args) -> _ChunkSums:
     i = np.empty((n_var, n_det, b))
     forced = scenario.forced_responses or (None,) * n_det
     for v, ops in enumerate(variant_ops):
-        amps = apply_ops(amps0, ops)
-        for d, (spec, resp) in enumerate(zip(scenario.detector_specs, scenario.responses)):
-            i[v, d] = intensity_batch(amps, resp)
+        i[v] = intensity_batch(apply_ops(amps0, ops), scenario.weights).T
+        for d, spec in enumerate(scenario.detector_specs):
             q[v, d] = q_model(i[v, d], spec) if forced[d] is None else forced[d]
     qq = np.empty((n_var, n_pair, b))
     for p, (a, c) in enumerate(pairs):
@@ -81,7 +78,6 @@ def _chunk_worker(args) -> _ChunkSums:
         n=b,
         q_sum=q.sum(axis=2), q2_sum=(q * q).sum(axis=2),
         i_sum=i.sum(axis=2), i2_sum=(i * i).sum(axis=2),
-        qq_sum=qq.sum(axis=2), qq2_sum=(qq * qq).sum(axis=2),
         ii_sum=np.stack([(i[:, a, :] * i[:, c, :]).sum(axis=1) for a, c in pairs], axis=1)
         if n_pair else np.zeros((n_var, 0)),
         u_sum=u.sum(axis=1),
@@ -92,8 +88,7 @@ def _chunk_worker(args) -> _ChunkSums:
 def _fold(chunks: list[_ChunkSums]) -> _ChunkSums:
     first = chunks[0]
     acc = {f: np.array(getattr(first, f), dtype=float, copy=True)
-           for f in ("q_sum", "q2_sum", "i_sum", "i2_sum",
-                     "qq_sum", "qq2_sum", "ii_sum", "u_sum", "uu_sum")}
+           for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum")}
     n = first.n
     for ch in chunks[1:]:
         n += ch.n
@@ -147,7 +142,8 @@ def mc_detect(scenario: Scenario, trials: int, seed: int,
     coinc, icorr = {}, {}
     for p, (a, c) in enumerate(scenario.coincidences):
         key = (names[a], names[c])
-        coinc[key] = _mean_se(sums.qq_sum[0, p], sums.qq2_sum[0, p], n)
+        # one variant: u_sum[p] sums Q_a Q_c and uu_sum[p, p] its square
+        coinc[key] = _mean_se(sums.u_sum[p], sums.uu_sum[p, p], n)
         cov = sums.ii_sum[0, p] / n - (sums.i_sum[0, a] / n) * (sums.i_sum[0, c] / n)
         sa = math.sqrt(max(sums.i2_sum[0, a] / n - (sums.i_sum[0, a] / n) ** 2, 0.0))
         sc = math.sqrt(max(sums.i2_sum[0, c] / n - (sums.i_sum[0, c] / n) ** 2, 0.0))
@@ -160,11 +156,10 @@ def mc_detect(scenario: Scenario, trials: int, seed: int,
 
 def mc_intensity_samples(scenario: Scenario, trials: int, seed: int) -> dict:
     """Per-detector effective-intensity samples (single worker, test helper)."""
-    out = {nm: np.empty(trials) for nm in scenario.detector_names}
+    out = np.empty((trials, len(scenario.detector_names)))
     for start in range(0, trials, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, trials)
         amps = apply_ops(sample_vacuum_batch(scenario.n_modes, seed, range(start, stop)),
                          scenario.ops)
-        for nm, resp in zip(scenario.detector_names, scenario.responses):
-            out[nm][start:stop] = intensity_batch(amps, resp)
-    return out
+        out[start:stop] = intensity_batch(amps, scenario.weights)
+    return {nm: out[:, d] for d, nm in enumerate(scenario.detector_names)}

@@ -59,7 +59,8 @@ class GeometrySpec:
             raise ValueError("distance and crystal radius must be positive")
 
 
-def _check_disjoint(pairs, n: int) -> None:
+def _pair_index(pairs, n: int):
+    """Check that ``pairs`` are disjoint and in range; return them as an index pair."""
     used = set()
     for a, b in pairs:
         for idx in (a, b):
@@ -68,24 +69,23 @@ def _check_disjoint(pairs, n: int) -> None:
             if idx in used:
                 raise ValueError(f"mode index {idx} appears in more than one pair")
             used.add(idx)
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
-def beam_splitter_transform(amps: np.ndarray, pairs, transmittance: float, phase: float = 0.0) -> np.ndarray:
+def beam_splitter_transform(amps: np.ndarray, index, transmittance: float, phase: float = 0.0) -> np.ndarray:
     """Beam splitter on amplitude array of shape (..., n_modes).
 
-    Convention: symmetric i-phase on reflection,
+    ``index`` is a pair ``(a, b)`` of equal-length mode indices (ints,
+    slices or integer arrays). Convention: symmetric i-phase on reflection,
         (a, b) -> (sqrt(t) a + i sqrt(1-t) e^{i phi} b,
                    i sqrt(1-t) e^{-i phi} a + sqrt(t) b).
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     out = np.array(amps, dtype=complex, copy=True)
-    if not len(pairs):
-        return out
     ct = math.sqrt(transmittance)
     st = math.sqrt(1.0 - transmittance)
-    a_idx = np.array([p[0] for p in pairs])
-    b_idx = np.array([p[1] for p in pairs])
+    a_idx, b_idx = index
     a = amps[..., a_idx]
     b = amps[..., b_idx]
     out[..., a_idx] = ct * a + 1j * st * np.exp(1j * phase) * b
@@ -94,21 +94,18 @@ def beam_splitter_transform(amps: np.ndarray, pairs, transmittance: float, phase
 
 
 def beam_splitter(state: FieldState, mode_pairs, transmittance: float, phase: float = 0.0) -> FieldState:
-    _check_disjoint(mode_pairs, len(state.modes))
+    index = _pair_index(mode_pairs, len(state.modes))
     return state.with_amplitudes(
-        beam_splitter_transform(state.amplitudes, mode_pairs, transmittance, phase)
+        beam_splitter_transform(state.amplitudes, index, transmittance, phase)
     )
 
 
-def rotator_transform(amps: np.ndarray, pairs, angle: float) -> np.ndarray:
-    """Polarization rotation by ``angle`` on (H, V) amplitude pairs."""
+def rotator_transform(amps: np.ndarray, index, angle: float) -> np.ndarray:
+    """Polarization rotation by ``angle`` on the (H, V) index pair ``index``."""
     out = np.array(amps, dtype=complex, copy=True)
-    if not len(pairs):
-        return out
     c = math.cos(angle)
     s = math.sin(angle)
-    h_idx = np.array([p[0] for p in pairs])
-    v_idx = np.array([p[1] for p in pairs])
+    h_idx, v_idx = index
     h = amps[..., h_idx]
     v = amps[..., v_idx]
     out[..., h_idx] = c * h + s * v
@@ -117,8 +114,8 @@ def rotator_transform(amps: np.ndarray, pairs, angle: float) -> np.ndarray:
 
 
 def polarization_rotator(state: FieldState, beam_mode_pairs, angle: float) -> FieldState:
-    _check_disjoint(beam_mode_pairs, len(state.modes))
-    return state.with_amplitudes(rotator_transform(state.amplitudes, beam_mode_pairs, angle))
+    index = _pair_index(beam_mode_pairs, len(state.modes))
+    return state.with_amplitudes(rotator_transform(state.amplitudes, index, angle))
 
 
 def lens_gain(lens: LensSpec) -> float:

@@ -76,6 +76,18 @@ class PhaseMatchedPairs:
                     raise ValueError(f"mode index {idx} appears in more than one pair")
                 used.add(idx)
 
+    @classmethod
+    def from_index(cls, index, n_modes: int) -> "PhaseMatchedPairs":
+        """The pairs a ``(signal, idler)`` index pair selects among ``n_modes`` modes."""
+        pos = np.arange(n_modes)
+        s_pos, i_pos = (np.atleast_1d(pos[idx]).tolist() for idx in index)
+        return cls(tuple(zip(s_pos, i_pos, strict=True)))
+
+    @property
+    def index(self) -> tuple[list[int], list[int]]:
+        """The pairs as the ``(signal, idler)`` index pair ``pdc_transform`` takes."""
+        return [s for s, _ in self.pairs], [i for _, i in self.pairs]
+
     def validate(self, modes: tuple[Mode, ...], pump: PumpSpec) -> None:
         n = len(modes)
         k0 = np.asarray(pump.k0, dtype=float)
@@ -90,14 +102,17 @@ class PhaseMatchedPairs:
                 raise ValueError(f"pair ({s}, {i}) violates frequency matching")
 
 
-def pdc_transform(amps: np.ndarray, pairs, g: float) -> np.ndarray:
-    """Apply the crystal map to an amplitude array of shape (..., n_modes)."""
+def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:
+    """Apply the crystal map to an amplitude array of shape (..., n_modes).
+
+    ``index`` is a pair ``(signal, idler)`` of equal-length mode indices
+    (ints, slices or integer arrays); their k-th entries form one pair.
+    """
     out = np.array(amps, dtype=complex, copy=True)
-    if g == 0 or not len(pairs):
+    if g == 0:
         return out
+    s_idx, i_idx = index
     a = 1.0 + 0.5 * g * g
-    s_idx = np.array([p[0] for p in pairs])
-    i_idx = np.array([p[1] for p in pairs])
     alpha_s = amps[..., s_idx]
     alpha_i = amps[..., i_idx]
     out[..., s_idx] = a * alpha_s + g * np.conj(alpha_i)
@@ -108,7 +123,7 @@ def pdc_transform(amps: np.ndarray, pairs, g: float) -> np.ndarray:
 def apply_pdc(state: FieldState, pump: PumpSpec, pairs: PhaseMatchedPairs) -> FieldState:
     """Crystal-transformed copy of ``state``; the input is not mutated."""
     pairs.validate(state.modes, pump)
-    return state.with_amplitudes(pdc_transform(state.amplitudes, pairs.pairs, pump.g))
+    return state.with_amplitudes(pdc_transform(state.amplitudes, pairs.index, pump.g))
 
 
 def pair_correlation(g: float) -> float:

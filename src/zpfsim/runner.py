@@ -21,7 +21,7 @@ from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
 from .engine import default_workers, mc_detect
 from .scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
-__all__ = ["RunRecord", "run", "emit"]
+__all__ = ["RunRecord", "run", "validate_points", "emit"]
 
 SCHEMA_VERSION = 1
 
@@ -75,6 +75,19 @@ def _sweep_points(data: dict):
             overrides[path] = value
         point["sweeps"] = {}
         yield overrides, point
+
+
+def validate_points(config: ExperimentConfig) -> None:
+    """Build the scenario of every sweep point, as ``run`` will.
+
+    Raises ConfigError naming the first point whose scenario cannot be built.
+    """
+    for overrides, point_data in _sweep_points(config.data):
+        try:
+            _build_scenario(point_data)
+        except ValueError as exc:
+            raise ConfigError(
+                f"sweep point {overrides or '(base)'}: cannot build scenario: {exc}") from exc
 
 
 def _point_result(data: dict, trials: int, seed: int, workers: int) -> dict:

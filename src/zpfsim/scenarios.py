@@ -1,24 +1,30 @@
 """Declarative experiment scenarios.
 
-A ``Scenario`` bundles the mode list, the calibrated scales, the ordered
-amplitude-map operations (crystal, rotators, beam splitters) and the
-per-detector response matrices. Everything is plain data so scenarios can
-be shipped to worker processes.
+A ``Scenario`` bundles the mode list, the ordered amplitude-map operations
+(crystal, rotators, beam splitters) and the diagonal intensity weights of
+its detectors. Everything is plain data so scenarios can be shipped to
+worker processes.
 
+Every builder puts each detector's modes on that detector's own element
+grid, where the filtered-field response is diagonal: detector d sees
+Ibar_d = sum_m weights[m, d] |alpha_m|^2 with weights[m, d] = scale_m^2 on
+its own modes and 0 elsewhere. The builders fill the weights by slices.
 Mode scales are calibrated so that each detector's vacuum-ensemble mean of
 the effective intensity equals its analytic value I0; this amounts to
 fixing the quantization box length per beam.
+
+Each amplitude-map op holds its mode pairs as one index pair (basic slices
+for the builders' contiguous and mirrored layouts).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .detection import DetectorSpec, response_matrix
+from .detection import DetectorSpec, vacuum_moments
 from .field import Mode, _check_distinct
 from .pdc import PhaseMatchedPairs, PumpSpec, pdc_transform
 from .optics import beam_splitter_transform, rotator_transform
@@ -35,14 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """Modes, scales, amplitude-map ops and detector responses."""
+    """Modes, amplitude-map ops and detector intensity weights."""
 
     modes: tuple[Mode, ...]
-    scales: np.ndarray
     ops: tuple[tuple, ...]
     detector_names: tuple[str, ...]
     detector_specs: tuple[DetectorSpec, ...]
-    responses: tuple[sp.csr_matrix, ...]
+    weights: np.ndarray                    # (n_modes, n_det) scale^2 on own modes
     coincidences: tuple[tuple[int, int], ...] = ()
     signal_means: tuple[float, ...] = ()   # analytic Ibar_s per detector
     # diagnostic override: constant response per detector (None = physical Q)
@@ -51,9 +56,6 @@ class Scenario:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
-
-    def detector(self, name: str) -> DetectorSpec:
-        return self.detector_specs[self.detector_names.index(name)]
 
 
 def apply_ops(amps: np.ndarray, ops) -> np.ndarray:
@@ -77,7 +79,8 @@ def make_matched_detector(
     omega_center: float,
     window: float,
     n_cells: int,
-    threshold_sigma: float,
+    threshold_sigma: float | None = None,
+    threshold: float | None = None,
     length: float = 1.0,
     radius: float = 1.0,
     eta: float = 1.0,
@@ -85,14 +88,16 @@ def make_matched_detector(
     zeta_sigma: float | None = None,
     axis=(0.0, 0.0, 1.0),
 ) -> DetectorSpec:
-    """Detector with tau = T / n_cells and threshold I0 + threshold_sigma * sigma0.
+    """Detector with tau = T / n_cells on its matched element grid.
 
-    ``zeta_sigma``, when given, sets the gain so that zeta * sigma0 equals it.
+    The threshold is given either absolutely (``threshold``) or as
+    I0 + threshold_sigma * sigma0. ``zeta_sigma``, when given, sets the gain
+    so that zeta * sigma0 equals it.
     """
+    if (threshold is None) == (threshold_sigma is None):
+        raise ValueError("give exactly one of threshold and threshold_sigma")
     tau = window / n_cells
-    bandwidth = 2.0 * math.pi / tau
-    i0 = omega_center * bandwidth / (8.0 * math.pi * length)
-    sigma0 = i0 * math.sqrt(tau / window)
+    i0, sigma0 = vacuum_moments(omega_center, 2.0 * math.pi / tau, length, tau, window)
     if zeta_sigma is not None:
         if zeta is not None:
             raise ValueError("give at most one of zeta and zeta_sigma")
@@ -103,7 +108,7 @@ def make_matched_detector(
         window=window,
         tau=tau,
         omega_center=omega_center,
-        threshold=i0 + threshold_sigma * sigma0,
+        threshold=i0 + threshold_sigma * sigma0 if threshold is None else threshold,
         eta=eta,
         zeta_override=zeta,
         axis=tuple(axis),
@@ -111,7 +116,7 @@ def make_matched_detector(
 
 
 def _matched_beam(det: DetectorSpec, n_modes: int | None, polarization: int = 0):
-    """Modes on the detector's element grid with vacuum-calibrated scales.
+    """Modes on the detector's element grid and their weights scale^2.
 
     When ``n_modes`` is smaller than the element count the central slice of
     the grid is used; the calibration always sets sum(scale^2)/2 = I0.
@@ -126,9 +131,16 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None, polarization: int = 0)
     kvecs = det.element_kvecs[start:start + n_modes]
     modes = [Mode(tuple(k), float(w), polarization) for k, w in zip(kvecs, omegas)]
     # scale^2 proportional to omega, normalized to the vacuum mean
-    raw = omegas / np.sum(omegas)
-    scales = np.sqrt(2.0 * det.I0 * raw)
-    return modes, scales
+    return modes, 2.0 * det.I0 * omegas / np.sum(omegas)
+
+
+def _own_weights(n_modes: int, parts) -> np.ndarray:
+    """(n_modes, n_det) weights; ``parts[d]`` = (index of detector d's modes, their scale^2)."""
+    weights = np.zeros((n_modes, len(parts)))
+    for d, (idx, w) in enumerate(parts):
+        weights[idx, d] = w
+    weights.setflags(write=False)
+    return weights
 
 
 def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = None,
@@ -137,31 +149,19 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
     if names is None:
         names = [f"d{i}" for i in range(len(detectors))]
     modes: list[Mode] = []
-    scales: list[np.ndarray] = []
-    masks = []
-    offset = 0
+    parts = []
     for det in detectors:
         m, s = _matched_beam(det, n_modes)
+        parts.append((slice(len(modes), len(modes) + len(m)), s))
         modes.extend(m)
-        scales.append(s)
-        masks.append((offset, offset + len(m)))
-        offset += len(m)
     _check_distinct(modes)
-    scales_all = np.concatenate(scales)
-    responses = []
-    for det, (lo, hi) in zip(detectors, masks):
-        resp = response_matrix(modes, scales_all, det)
-        mask = np.zeros(len(modes))
-        mask[lo:hi] = 1.0
-        responses.append((resp @ sp.diags(mask)).tocsr())
     coinc = tuple((i, j) for i in range(len(detectors)) for j in range(i + 1, len(detectors)))
     return Scenario(
         modes=tuple(modes),
-        scales=scales_all,
         ops=(),
         detector_names=tuple(names),
         detector_specs=tuple(detectors),
-        responses=tuple(responses),
+        weights=_own_weights(len(modes), parts),
         coincidences=coinc,
         signal_means=tuple(0.0 for _ in detectors),
     )
@@ -182,31 +182,25 @@ def pdc_scenario(det_signal: DetectorSpec, det_idler: DetectorSpec, g: float,
     if det_signal.n_elements != det_idler.n_elements:
         raise ValueError("signal and idler detectors must have equal element counts")
     n = det_signal.n_elements
-    sig_modes, sig_scales = _matched_beam(det_signal, None)
-    idl_modes, idl_scales = _matched_beam(det_idler, None)
+    sig_modes, sig_weights = _matched_beam(det_signal, None)
+    idl_modes, idl_weights = _matched_beam(det_idler, None)
     omega0 = det_signal.omega_center + det_idler.omega_center
     if abs(det_signal.omega_center - det_idler.omega_center) < 4.0 * max(
             det_signal.bandwidth, det_idler.bandwidth):
         raise ValueError("signal and idler bands must be well separated")
     ax = np.asarray(det_signal.axis, dtype=float)
     pump = PumpSpec(tuple(omega0 * ax), omega0, g)
-    # pair j: signal omega_c1 + j dw with idler omega_c2 - j dw
-    pairs = tuple((j, n + (n - 1 - j)) for j in range(n))
-    modes = list(sig_modes) + list(idl_modes)
-    scales = np.concatenate([sig_scales, idl_scales])
-    PhaseMatchedPairs(pairs).validate(tuple(modes), pump)
-    mask_sig = np.concatenate([np.ones(n), np.zeros(n)])
-    mask_idl = 1.0 - mask_sig
-    resp_sig = (response_matrix(modes, scales, det_signal) @ sp.diags(mask_sig)).tocsr()
-    resp_idl = (response_matrix(modes, scales, det_idler) @ sp.diags(mask_idl)).tocsr()
+    # pair j: signal omega_c1 + j dw (mode j) with idler omega_c2 - j dw (mode 2n-1-j)
+    signal, idler = slice(0, n), slice(2 * n - 1, n - 1, -1)
+    modes = tuple(sig_modes) + tuple(idl_modes)
+    PhaseMatchedPairs.from_index((signal, idler), len(modes)).validate(modes, pump)
     excess = g * g + g**4 / 8.0
     return Scenario(
-        modes=tuple(modes),
-        scales=scales,
-        ops=(("pdc", pairs, g),),
+        modes=modes,
+        ops=(("pdc", (signal, idler), g),),
         detector_names=tuple(names),
         detector_specs=(det_signal, det_idler),
-        responses=(resp_sig, resp_idl),
+        weights=_own_weights(2 * n, [(signal, sig_weights), (slice(n, 2 * n), idl_weights)]),
         coincidences=((0, 1),),
         signal_means=(2.0 * det_signal.I0 * excess, 2.0 * det_idler.I0 * excess),
     )
@@ -219,8 +213,9 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     crystal couples (1H, 2V) and (1V, 2H) slot-wise. Each station splits
     into '+' (H after rotation) and '-' (V after rotation) detectors.
 
-    Returns (scenario, rotator_pairs_station1, rotator_pairs_station2);
-    rotator ops for a concrete analyzer setting are appended per variant.
+    Returns (scenario, rotator_index_station1, rotator_index_station2): the
+    (H, V) index pairs of each station, to which rotator ops for a concrete
+    analyzer setting are appended per variant.
     """
     if det_station1.window != det_station2.window:
         raise ValueError("stations must share the window T")
@@ -237,50 +232,37 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     pump = PumpSpec(tuple(omega0 * ax), omega0, g)
 
     modes: list[Mode] = []
-    scales_parts = []
+    station_weights = []
     for det in (det_station1, det_station2):
-        base_modes, base_scales = _matched_beam(det, None, polarization=0)
+        base_modes, base_weights = _matched_beam(det, None, polarization=0)
         for bm in base_modes:
             modes.append(bm)
             modes.append(Mode(bm.k, bm.omega, 1))
-        scales_parts.append(np.repeat(base_scales, 2))
-    scales = np.concatenate(scales_parts)
+        station_weights.append(base_weights)
+    modes = tuple(modes)
 
-    # index layout: station 1 slots [2j (H), 2j+1 (V)], station 2 offset 2n
+    # index layout: station 1 slots [2j (H), 2j+1 (V)], station 2 offset 2n.
+    # Reading station 2 backwards pairs slot j with the frequency-mirrored
+    # slot n-1-j and swaps H and V: 1H with 2V, 1V with 2H.
     off = 2 * n
-    pdc_pairs = []
-    for j in range(n):
-        jm = n - 1 - j   # frequency-mirrored slot on station 2
-        pdc_pairs.append((2 * j, off + 2 * jm + 1))      # 1H with 2V
-        pdc_pairs.append((2 * j + 1, off + 2 * jm))      # 1V with 2H
-    pdc_pairs = tuple(pdc_pairs)
-    PhaseMatchedPairs(pdc_pairs).validate(tuple(modes), pump)
+    crystal = (slice(0, off), slice(2 * off - 1, off - 1, -1))
+    PhaseMatchedPairs.from_index(crystal, len(modes)).validate(modes, pump)
 
-    rot1 = tuple((2 * j, 2 * j + 1) for j in range(n))
-    rot2 = tuple((off + 2 * j, off + 2 * j + 1) for j in range(n))
-
-    n_modes = len(modes)
-    det_specs, names, responses = [], [], []
-    for det, (lo, pol) in (
-        (det_station1, (0, 0)), (det_station1, (0, 1)),
-        (det_station2, (off, 0)), (det_station2, (off, 1)),
-    ):
-        mask = np.zeros(n_modes)
-        mask[lo + pol: lo + 2 * n: 2] = 1.0
-        resp = (response_matrix(modes, scales, det) @ sp.diags(mask)).tocsr()
-        det_specs.append(det)
-        responses.append(resp)
-    names = ("1+", "1-", "2+", "2-")
-    coinc = ((0, 2), (0, 3), (1, 2), (1, 3))
+    rot1 = (slice(0, off, 2), slice(1, off, 2))
+    rot2 = (slice(off, 2 * off, 2), slice(off + 1, 2 * off, 2))
+    weights = _own_weights(2 * off, [
+        (rot1[0], station_weights[0]), (rot1[1], station_weights[0]),
+        (rot2[0], station_weights[1]), (rot2[1], station_weights[1]),
+    ])
+    det_specs = (det_station1, det_station1, det_station2, det_station2)
     excess = g * g + g**4 / 8.0
     scenario = Scenario(
-        modes=tuple(modes),
-        scales=scales,
-        ops=(("pdc", pdc_pairs, g),),
-        detector_names=names,
-        detector_specs=tuple(det_specs),
-        responses=tuple(responses),
-        coincidences=coinc,
+        modes=modes,
+        ops=(("pdc", crystal, g),),
+        detector_names=("1+", "1-", "2+", "2-"),
+        detector_specs=det_specs,
+        weights=weights,
+        coincidences=((0, 2), (0, 3), (1, 2), (1, 3)),
         signal_means=tuple(2.0 * d.I0 * excess for d in det_specs),
     )
     return scenario, rot1, rot2

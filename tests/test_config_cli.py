@@ -82,6 +82,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exactly 2"):
             parse_config(raw)
 
+    def test_si_units_rejected(self):
+        parse_config(base_config(units="dimensionless"))
+        with pytest.raises(ConfigError, match="rate-bound"):
+            parse_config(base_config(units="SI"))
+
     def test_physics_validation_wrapped(self):
         raw = base_config()
         raw["detectors"][0]["threshold_sigma"] = -3.0   # below the vacuum mean
@@ -186,6 +191,20 @@ class TestCli:
         result = CliRunner().invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "config error" in result.output
+
+    def test_validate_rejects_unbuildable_scenario(self, tmp_path):
+        # parses cleanly, but 256-cell bands at 1.25 and 0.75 overlap, so run cannot build it
+        dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 1000,
+                 "n_cells": 256, "threshold_sigma": 3.0, "zeta_sigma": 0.01}
+                for name, omega in (("signal", 1.25), ("idler", 0.75))]
+        raw = base_config(scenario={"kind": "pdc", "g": 0.1}, detectors=dets)
+        parse_config(raw)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "config error" in result.output
+        assert "separated" in result.output
 
     def test_run_writes_output(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"

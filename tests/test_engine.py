@@ -34,7 +34,7 @@ class TestRunVariants:
         s1 = run_variants(scen, [scen.ops], trials, seed=4, workers=1)
         s2 = run_variants(scen, [scen.ops], trials, seed=4, workers=4)
         assert s1.n == s2.n == trials
-        for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "qq_sum", "u_sum", "uu_sum"):
+        for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
             assert np.array_equal(getattr(s1, f), getattr(s2, f)), f
 
 
@@ -44,16 +44,16 @@ class TestMcDetect:
         trials = 500
         res = mc_detect(scen, trials, seed=3)
         amps = apply_ops(sample_vacuum_batch(scen.n_modes, 3, range(trials)), scen.ops)
+        intensities = intensity_batch(amps, scen.weights)
         for d, name in enumerate(scen.detector_names):
-            i = intensity_batch(amps, scen.responses[d])
+            i = intensities[:, d]
             q = q_model(i, scen.detector_specs[d])
             assert res.singles[name].value == pytest.approx(np.mean(q), rel=1e-12)
             assert res.singles[name].stderr == pytest.approx(
                 np.std(q, ddof=1) / np.sqrt(trials), rel=1e-10)
             assert res.intensity_mean[name].value == pytest.approx(np.mean(i), rel=1e-12)
             assert res.intensity_std[name] == pytest.approx(np.std(i, ddof=1), rel=1e-10)
-        ia = intensity_batch(amps, scen.responses[0])
-        ib = intensity_batch(amps, scen.responses[1])
+        ia, ib = intensities.T
         qa = q_model(ia, scen.detector_specs[0])
         qb = q_model(ib, scen.detector_specs[1])
         assert res.coincidences[("a", "b")].value == pytest.approx(np.mean(qa * qb), rel=1e-12)
@@ -76,6 +76,6 @@ class TestMcIntensitySamples:
         trials = CHUNK_TRIALS + 100       # spans a chunk boundary
         samples = mc_intensity_samples(scen, trials, seed=6)
         amps = apply_ops(sample_vacuum_batch(scen.n_modes, 6, range(trials)), scen.ops)
+        intensities = intensity_batch(amps, scen.weights)
         for d, name in enumerate(scen.detector_names):
-            assert np.allclose(samples[name], intensity_batch(amps, scen.responses[d]),
-                               rtol=1e-12)
+            assert np.allclose(samples[name], intensities[:, d], rtol=1e-12)

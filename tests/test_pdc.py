@@ -75,31 +75,31 @@ class TestPdcTransform:
         g = 0.2
         a = 1.0 + 0.5 * g * g
         amps = np.array([0.3 - 0.4j, -0.1 + 0.7j])
-        out = pdc_transform(amps, ((0, 1),), g)
+        out = pdc_transform(amps, (0, 1), g)
         assert out[0] == pytest.approx(a * amps[0] + g * np.conj(amps[1]), rel=1e-14)
         assert out[1] == pytest.approx(a * amps[1] + g * np.conj(amps[0]), rel=1e-14)
 
     def test_unmatched_modes_untouched(self):
         amps = np.array([1.0 + 2j, 3.0 - 1j, 0.5 + 0.5j])
-        out = pdc_transform(amps, ((0, 2),), 0.1)
+        out = pdc_transform(amps, (0, 2), 0.1)
         assert out[1] == amps[1]
 
     def test_zero_coupling_is_identity(self):
         amps = np.array([1.0 + 2j, 3.0 - 1j])
-        assert np.array_equal(pdc_transform(amps, ((0, 1),), 0.0), amps)
+        assert np.array_equal(pdc_transform(amps, (0, 1), 0.0), amps)
 
     def test_input_not_mutated(self):
         amps = np.array([1.0 + 2j, 3.0 - 1j])
         saved = amps.copy()
-        pdc_transform(amps, ((0, 1),), 0.3)
+        pdc_transform(amps, (0, 1), 0.3)
         assert np.array_equal(amps, saved)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
         amps = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
-        pairs = ((0, 3), (1, 2))
-        batched = pdc_transform(amps, pairs, 0.15)
-        rows = np.stack([pdc_transform(row, pairs, 0.15) for row in amps])
+        index = ([0, 1], [3, 2])      # pairs (0, 3) and (1, 2)
+        batched = pdc_transform(amps, index, 0.15)
+        rows = np.stack([pdc_transform(row, index, 0.15) for row in amps])
         assert np.allclose(batched, rows, rtol=1e-14)
 
 
@@ -134,7 +134,7 @@ class TestMoments:
         g = 0.1
         n = 200_000
         amps = sample_vacuum_batch(2, seed=11, trial_indices=range(n))
-        out = pdc_transform(amps, ((0, 1),), g)
+        out = pdc_transform(amps, (0, 1), g)
         prod = out[:, 0] * out[:, 1]
         corr = np.mean(prod)
         se_corr = np.std(prod) / np.sqrt(n)

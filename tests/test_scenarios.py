@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from zpfsim.detection import effective_intensity, intensity_batch, response_matrix
+from zpfsim.field import FieldState, sample_vacuum_batch
 from zpfsim.optics import beam_splitter_transform, rotator_transform
-from zpfsim.pdc import pdc_transform
+from zpfsim.pdc import PhaseMatchedPairs, pdc_transform
 from zpfsim.scenarios import (
     apply_ops,
     chsh_scenario,
@@ -21,13 +23,13 @@ class TestApplyOps:
         rng = np.random.default_rng(1)
         amps = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
         ops = (
-            ("pdc", ((0, 1),), 0.2),
-            ("rotator", ((2, 3),), 0.7),
-            ("beam_splitter", ((0, 2),), 0.5, 0.1),
+            ("pdc", (0, 1), 0.2),
+            ("rotator", (2, 3), 0.7),
+            ("beam_splitter", (0, 2), 0.5, 0.1),
         )
         expected = beam_splitter_transform(
-            rotator_transform(pdc_transform(amps, ((0, 1),), 0.2), ((2, 3),), 0.7),
-            ((0, 2),), 0.5, 0.1)
+            rotator_transform(pdc_transform(amps, (0, 1), 0.2), (2, 3), 0.7),
+            (0, 2), 0.5, 0.1)
         assert np.allclose(apply_ops(amps, ops), expected, rtol=1e-14)
 
     def test_unknown_op_rejected(self):
@@ -58,16 +60,15 @@ class TestVacuumScenario:
         assert scen.n_modes == 32
         assert scen.coincidences == ((0, 1),)
         assert scen.signal_means == (0.0, 0.0)
-        # diagonal responses: analytic vacuum mean sum |R_kl|^2 / 2 equals I0
-        for det, resp in zip(dets, scen.responses):
-            trace = 0.5 * np.sum(np.abs(resp.toarray()) ** 2)
-            assert trace == pytest.approx(det.I0, rel=1e-10)
+        assert scen.weights.shape == (32, 2)
+        # diagonal weights: analytic vacuum mean sum w / 2 equals I0
+        for d, det in enumerate(dets):
+            assert 0.5 * np.sum(scen.weights[:, d]) == pytest.approx(det.I0, rel=1e-10)
 
     def test_masks_are_orthogonal(self):
         dets = [detector(n_cells=8), detector(n_cells=8, omega_center=2.0)]
         scen = vacuum_scenario(dets)
-        support = [set(np.nonzero(np.abs(r.toarray()).sum(axis=0))[0])
-                   for r in scen.responses]
+        support = [set(np.nonzero(w)[0]) for w in scen.weights.T]
         assert not (support[0] & support[1])
 
     def test_central_slice_mode_subset(self):
@@ -87,8 +88,10 @@ class TestPdcScenario:
         ds, di = self._dets()
         scen = pdc_scenario(ds, di, 0.1)
         omega0 = ds.omega_center + di.omega_center
-        (kind, pairs, g), = scen.ops
+        (kind, index, g), = scen.ops
         assert kind == "pdc" and g == 0.1
+        pairs = PhaseMatchedPairs.from_index(index, scen.n_modes).pairs
+        assert len(pairs) == 16
         for s, i in pairs:
             assert scen.modes[s].omega + scen.modes[i].omega == pytest.approx(omega0)
 
@@ -121,16 +124,19 @@ class TestChshScenario:
         assert scen.coincidences == ((0, 2), (0, 3), (1, 2), (1, 3))
         assert scen.n_modes == 16          # 4 slots x 2 polarizations x 2 stations
         # rotator pairs cover each station once, disjointly
-        idx1 = {i for p in rot1 for i in p}
-        idx2 = {i for p in rot2 for i in p}
-        assert idx1 == set(range(8))
-        assert idx2 == set(range(8, 16))
+        pos = np.arange(scen.n_modes)
+        idx1 = [i for part in rot1 for i in pos[part]]
+        idx2 = [i for part in rot2 for i in pos[part]]
+        assert sorted(idx1) == list(range(8))
+        assert sorted(idx2) == list(range(8, 16))
 
     def test_pdc_couples_cross_polarizations(self):
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
         scen, _, _ = chsh_scenario(d1, d2, 0.1)
-        (_, pairs, _), = scen.ops
+        (_, index, _), = scen.ops
+        pairs = PhaseMatchedPairs.from_index(index, scen.n_modes).pairs
+        assert len(pairs) == 8
         for s, i in pairs:
             assert scen.modes[s].polarization != scen.modes[i].polarization
             assert scen.modes[s].omega + scen.modes[i].omega == pytest.approx(2.0)
@@ -139,10 +145,109 @@ class TestChshScenario:
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
         scen, _, _ = chsh_scenario(d1, d2, 0.1)
-        support = [set(np.nonzero(np.abs(r.toarray()).sum(axis=0))[0])
-                   for r in scen.responses]
+        support = [set(np.nonzero(w)[0]) for w in scen.weights.T]
         assert support[0] | support[1] == set(range(8))
         assert support[2] | support[3] == set(range(8, 16))
         for a in range(4):
             for b in range(a + 1, 4):
                 assert not (support[a] & support[b])
+
+
+WINDOW_1E5 = 2.0 * math.pi * 1e5
+
+
+def oracle_scenarios(window):
+    """Vacuum (full and central-slice beams), PDC and CHSH scenarios at ``window``."""
+    vac = [detector(n_cells=16, window=window),
+           detector(n_cells=16, window=window, omega_center=2.0)]
+    pdc = (detector(n_cells=16, window=window, omega_center=1.25),
+           detector(n_cells=16, window=window, omega_center=0.75))
+    return {
+        "vacuum": vacuum_scenario(vac),
+        "vacuum-slice": vacuum_scenario(vac, n_modes=6),
+        "pdc": pdc_scenario(*pdc, 0.1),
+        "chsh": chsh_scenario(*pdc, 0.1)[0],
+    }
+
+
+class TestDiagonalWeightsOracle:
+    """The diagonal weights against the general filtered-field geometry."""
+
+    @pytest.mark.parametrize("window", [WINDOW_1K, WINDOW_1E5])
+    def test_response_matrix_reduces_to_weights(self, window):
+        for kind, scen in oracle_scenarios(window).items():
+            scale_max = math.sqrt(scen.weights.max())
+            for d, det in enumerate(scen.detector_specs):
+                own = np.nonzero(scen.weights[:, d])[0]
+                modes = [scen.modes[m] for m in own]
+                scales = np.sqrt(scen.weights[own, d])
+                resp = response_matrix(modes, scales, det)      # (n_elements, n_own)
+                # each own mode sits on exactly one element of the detector's grid
+                omegas = np.array([m.omega for m in modes])
+                hit = np.abs(det.element_omegas[:, None] - omegas[None, :]) < 1e-3 / window
+                assert np.all(hit.sum(axis=0) == 1), kind
+                expected = np.zeros((det.n_elements, len(own)))
+                expected[hit] = np.broadcast_to(scales, hit.shape)[hit]
+                assert np.max(np.abs(resp - expected)) <= 1e-9 * scale_max, (kind, d)
+
+    def test_intensity_batch_matches_effective_intensity(self):
+        for kind, scen in oracle_scenarios(WINDOW_1K).items():
+            amps = apply_ops(sample_vacuum_batch(scen.n_modes, 8, range(5)), scen.ops)
+            batch = intensity_batch(amps, scen.weights)
+            assert batch.shape == (5, len(scen.detector_specs))
+            for d, det in enumerate(scen.detector_specs):
+                own = np.nonzero(scen.weights[:, d])[0]
+                modes = tuple(scen.modes[m] for m in own)
+                for r in range(5):
+                    state = FieldState(modes, amps[r, own], np.sqrt(scen.weights[own, d]))
+                    assert batch[r, d] == pytest.approx(
+                        effective_intensity(state, det), rel=1e-12), (kind, d, r)
+
+
+def crystal_reference(amps, pairs, g):
+    out = amps.copy()
+    a = 1.0 + 0.5 * g * g
+    for s, i in pairs:
+        out[:, s] = a * amps[:, s] + g * np.conj(amps[:, i])
+        out[:, i] = a * amps[:, i] + g * np.conj(amps[:, s])
+    return out
+
+
+def rotator_reference(amps, pairs, angle):
+    out = amps.copy()
+    c, s = math.cos(angle), math.sin(angle)
+    for h, v in pairs:
+        out[:, h] = c * amps[:, h] + s * amps[:, v]
+        out[:, v] = -s * amps[:, h] + c * amps[:, v]
+    return out
+
+
+class TestSliceIndexedMaps:
+    """Slice-indexed ops are bit-equal to an explicit per-pair loop."""
+
+    def test_pdc_layout(self):
+        n = 16
+        scen = pdc_scenario(detector(n_cells=n, omega_center=1.25),
+                            detector(n_cells=n, omega_center=0.75), 0.2)
+        (_, index, g), = scen.ops
+        pairs = [(j, 2 * n - 1 - j) for j in range(n)]
+        amps = sample_vacuum_batch(scen.n_modes, 4, range(64))
+        assert np.array_equal(pdc_transform(amps, index, g), crystal_reference(amps, pairs, g))
+
+    def test_chsh_layout(self):
+        n = 4
+        scen, rot1, rot2 = chsh_scenario(detector(n_cells=n, omega_center=1.25),
+                                         detector(n_cells=n, omega_center=0.75), 0.2)
+        off = 2 * n
+        crystal = []
+        for j in range(n):
+            jm = n - 1 - j
+            crystal += [(2 * j, off + 2 * jm + 1), (2 * j + 1, off + 2 * jm)]
+        (_, index, g), = scen.ops
+        amps = sample_vacuum_batch(scen.n_modes, 5, range(64))
+        out = pdc_transform(amps, index, g)
+        assert np.array_equal(out, crystal_reference(amps, crystal, g))
+        for rot, base in ((rot1, 0), (rot2, off)):
+            pairs = [(base + 2 * j, base + 2 * j + 1) for j in range(n)]
+            assert np.array_equal(rotator_transform(out, rot, 0.3),
+                                  rotator_reference(out, pairs, 0.3))
