@@ -101,6 +101,20 @@ def _check_number(value, name: str, positive: bool = False):
         raise ConfigError(f"{name} must be positive, got {value}")
 
 
+def check_point(data: dict) -> None:
+    """Checks run on the base config and on every sweep point.
+
+    Seeds key a SeedSequence, which takes only non-negative integers;
+    ``scenario.n_modes`` is read only by the vacuum builder.
+    """
+    seed = data["run"]["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"run.seed must be a non-negative integer, got {seed!r}")
+    kind = data["scenario"]["kind"]
+    if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
+        raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed mapping and fill defaults."""
     if not isinstance(raw, dict):
@@ -172,8 +186,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _default(run, "mode", "both", defaults, "run")
     if not isinstance(run["trials"], int) or run["trials"] < 1:
         raise ConfigError("run.trials must be a positive integer")
-    if not isinstance(run["seed"], int):
-        raise ConfigError("run.seed must be an integer")
     if run["mode"] not in ("mc", "analytic", "both"):
         raise ConfigError(f"run.mode must be mc, analytic or both, got {run['mode']!r}")
 
@@ -207,6 +219,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for value in values:
             set_by_path(probe, path, value)   # raises ConfigError on a bad path
 
+    check_point(data)
     cfg = ExperimentConfig(data, defaults)
     cfg.detector_specs()   # physics validation (e.g. the I_m > I0 requirement)
     return cfg

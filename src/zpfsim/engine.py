@@ -1,8 +1,9 @@
 """Chunked, reproducible Monte Carlo over the hidden variables.
 
-Trials are split into fixed-size chunks; every trial draws its amplitudes
-from a substream keyed by (seed, trial_index) and chunk results are folded
-in chunk order, so the outcome is bit-identical for any worker count.
+Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
+field.TRIAL_BLOCK), so each chunk draws its amplitudes from the single
+generator keyed by (seed, block). Chunk results are folded in chunk order,
+so the outcome is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import intensity_batch, q_model
-from .field import sample_vacuum_batch
+from .field import TRIAL_BLOCK, sample_vacuum_batch
 from .scenarios import Scenario, apply_ops
 
 __all__ = ["Estimate", "DetectionResult", "mc_detect", "mc_intensity_samples", "run_variants"]
 
-CHUNK_TRIALS = 2048
+CHUNK_TRIALS = TRIAL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,10 @@ def _fold(chunks: list[_ChunkSums]) -> _ChunkSums:
     return _ChunkSums(n=n, **acc)
 
 
+def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
+    return [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
+
+
 def default_workers() -> int:
     return max(1, int(os.environ.get("ZPFSIM_WORKERS", "1")))
 
@@ -108,8 +113,7 @@ def run_variants(scenario: Scenario, variant_ops, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if workers is None:
         workers = default_workers()
-    bounds = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
-    args = [(scenario, tuple(variant_ops), seed, s, e) for s, e in bounds]
+    args = [(scenario, tuple(variant_ops), seed, s, e) for s, e in _chunk_bounds(trials)]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_worker, args))
@@ -157,8 +161,7 @@ def mc_detect(scenario: Scenario, trials: int, seed: int,
 def mc_intensity_samples(scenario: Scenario, trials: int, seed: int) -> dict:
     """Per-detector effective-intensity samples (single worker, test helper)."""
     out = np.empty((trials, len(scenario.detector_names)))
-    for start in range(0, trials, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, trials)
+    for start, stop in _chunk_bounds(trials):
         amps = apply_ops(sample_vacuum_batch(scenario.n_modes, seed, range(start, stop)),
                          scenario.ops)
         out[start:stop] = intensity_batch(amps, scenario.weights)

@@ -5,6 +5,12 @@ carries a complex amplitude alpha whose vacuum distribution is the circular
 gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
 independent normals with mean 0 and variance 1/4.
 
+Sampling is block-keyed: block b of seed s holds trials
+[b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK) and fills them, row by row, from
+one PCG64 generator seeded by SeedSequence((s, b)). A trial's amplitudes
+therefore depend only on (seed, t), whatever chunking or worker count
+produced them.
+
 Everything is expressed in dimensionless units (hbar = c = epsilon_0 = 1)
 unless stated otherwise.
 """
@@ -19,7 +25,8 @@ __all__ = [
     "Mode",
     "FieldState",
     "mode_scales",
-    "trial_rng",
+    "TRIAL_BLOCK",
+    "RNG_STREAM",
     "sample_vacuum",
     "sample_vacuum_batch",
     "evaluate_field",
@@ -27,6 +34,10 @@ __all__ = [
 
 # Relative tolerance on the dispersion relation omega = |k| (c = 1).
 _DISPERSION_RTOL = 1e-9
+
+TRIAL_BLOCK = 2048
+# Identifier of the amplitude stream, recorded with every run.
+RNG_STREAM = f"pcg64-seedseq-block{TRIAL_BLOCK}"
 
 
 @dataclass(frozen=True)
@@ -114,28 +125,33 @@ def _check_distinct(modes) -> None:
         seen.add(key)
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based per-trial substream.
+def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.ndarray:
+    """Vacuum amplitudes for a contiguous ascending range of trials.
 
-    Each (seed, trial_index) pair keys an independent generator, so trials
-    are reproducible and order-independent across workers.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial_index))))
-
-
-def sample_vacuum_batch(n_modes: int, seed: int, trial_indices) -> np.ndarray:
-    """Vacuum amplitudes for many trials, shape (len(trial_indices), n_modes).
-
-    Each row is drawn from its own (seed, trial_index) substream: Re and Im
-    are independent N(0, 1/4), hence E[|alpha|^2] = 1/2 and E[alpha^2] = 0.
+    Returns shape (len(trial_indices), n_modes). Trial t is drawn as described
+    in the module docstring, so it depends only on (seed, t). Re and Im are
+    independent N(0, 1/4), hence E[|alpha|^2] = 1/2 and E[alpha^2] = 0.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
+    if not isinstance(trial_indices, range) or trial_indices.step != 1:
+        raise ValueError("trial_indices must be a contiguous ascending range")
     out = np.empty((len(trial_indices), n_modes), dtype=complex)
-    for row, t in enumerate(trial_indices):
-        rng = trial_rng(seed, int(t))
-        z = rng.standard_normal(2 * n_modes)
-        out[row] = 0.5 * (z[:n_modes] + 1j * z[n_modes:])
+    flat = out.view(np.float64)       # Re and Im interleaved
+    first = t = trial_indices.start
+    while t < trial_indices.stop:
+        block, skip = divmod(t, TRIAL_BLOCK)
+        stop = min(trial_indices.stop, (block + 1) * TRIAL_BLOCK)
+        rows = flat[t - first:stop - first]
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+        while skip:
+            # draw and discard the block's leading rows, using ``rows`` as scratch
+            k = min(skip, len(rows))
+            rng.standard_normal(out=rows[:k])
+            skip -= k
+        rng.standard_normal(out=rows)
+        t = stop
+    out *= 0.5
     return out
 
 
@@ -156,7 +172,7 @@ def sample_vacuum(
     _check_distinct(modes)
     if scales is None:
         scales = mode_scales(modes, box_length)
-    amps = sample_vacuum_batch(len(modes), seed, [trial_index])[0]
+    amps = sample_vacuum_batch(len(modes), seed, range(trial_index, trial_index + 1))[0]
     return FieldState(tuple(modes), amps, scales)
 
 

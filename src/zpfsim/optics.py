@@ -106,10 +106,10 @@ def rotator_transform(amps: np.ndarray, index, angle: float) -> np.ndarray:
     c = math.cos(angle)
     s = math.sin(angle)
     h_idx, v_idx = index
-    h = amps[..., h_idx]
-    v = amps[..., v_idx]
-    out[..., h_idx] = c * h + s * v
-    out[..., v_idx] = -s * h + c * v
+    out[..., h_idx] *= c
+    out[..., h_idx] += s * amps[..., v_idx]
+    out[..., v_idx] *= c
+    out[..., v_idx] += -s * amps[..., h_idx]
     return out
 
 

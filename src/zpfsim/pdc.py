@@ -113,10 +113,10 @@ def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:
         return out
     s_idx, i_idx = index
     a = 1.0 + 0.5 * g * g
-    alpha_s = amps[..., s_idx]
-    alpha_i = amps[..., i_idx]
-    out[..., s_idx] = a * alpha_s + g * np.conj(alpha_i)
-    out[..., i_idx] = a * alpha_i + g * np.conj(alpha_s)
+    out[..., s_idx] *= a
+    out[..., s_idx] += g * np.conj(amps[..., i_idx])
+    out[..., i_idx] *= a
+    out[..., i_idx] += g * np.conj(amps[..., s_idx])
     return out
 
 

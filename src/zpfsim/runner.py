@@ -16,14 +16,15 @@ from itertools import product
 
 from . import __version__
 from .analysis import chsh_scan, classify_regime, tradeoff_report
-from .config import ConfigError, ExperimentConfig, config_digest, set_by_path
+from .config import ConfigError, ExperimentConfig, check_point, config_digest, set_by_path
 from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
 from .engine import default_workers, mc_detect
+from .field import RNG_STREAM
 from .scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
 __all__ = ["RunRecord", "run", "validate_points", "emit"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,13 @@ class RunRecord:
     points: tuple
     tool_version: str = __version__
     schema_version: int = SCHEMA_VERSION
+    rng: str = RNG_STREAM
 
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
             "tool_version": self.tool_version,
+            "rng": self.rng,
             "config_digest": self.config_digest,
             "points": list(self.points),
         }
@@ -80,14 +83,18 @@ def _sweep_points(data: dict):
 def validate_points(config: ExperimentConfig) -> None:
     """Build the scenario of every sweep point, as ``run`` will.
 
-    Raises ConfigError naming the first point whose scenario cannot be built.
+    Raises ConfigError naming the first point that fails ``check_point`` or
+    whose scenario cannot be built.
     """
     for overrides, point_data in _sweep_points(config.data):
+        where = f"sweep point {overrides or '(base)'}"
         try:
+            check_point(point_data)
             _build_scenario(point_data)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(
-                f"sweep point {overrides or '(base)'}: cannot build scenario: {exc}") from exc
+            raise ConfigError(f"{where}: cannot build scenario: {exc}") from exc
 
 
 def _point_result(data: dict, trials: int, seed: int, workers: int) -> dict:

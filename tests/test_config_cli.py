@@ -93,6 +93,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="detector 'a'"):
             parse_config(raw)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            parse_config(base_config(run={"trials": 200, "seed": -3}))
+
+    def test_n_modes_only_for_vacuum(self):
+        parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7}))
+        dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 100,
+                 "n_cells": 8, "threshold_sigma": 2.0, "zeta_sigma": 0.5}
+                for name, omega in (("signal", 1.25), ("idler", 0.75))]
+        for kind in ("pdc", "chsh"):
+            with pytest.raises(ConfigError, match="n_modes"):
+                parse_config(base_config(scenario={"kind": kind, "n_modes": 7}, detectors=dets))
+
     def test_bad_sweep_path_rejected(self):
         raw = base_config(sweeps={"detectors.0.no_such_field": [1, 2]})
         with pytest.raises(ConfigError, match="sweep path"):
@@ -161,7 +174,8 @@ class TestRunner:
         emit(record, "json", jpath)
         emit(record, "csv", cpath)
         payload = json.loads(jpath.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert payload["rng"] == "pcg64-seedseq-block2048"
         assert payload["config_digest"] == record.config_digest
         header, row = cpath.read_text().strip().split("\n")
         assert len(header.split(",")) == len(row.split(","))
@@ -206,6 +220,16 @@ class TestCli:
         assert "config error" in result.output
         assert "separated" in result.output
 
+    def test_validate_rejects_swept_negative_seed(self, tmp_path):
+        raw = base_config(sweeps={"run.seed": [1, -3]})
+        parse_config(raw)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "'run.seed': -3" in result.output
+        assert "non-negative" in result.output
+
     def test_run_writes_output(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"
         out_path = tmp_path / "res.json"
@@ -229,6 +253,15 @@ class TestCli:
             assert result.exit_code == 0, result.output
             outs.append(out_path.read_bytes())
         assert outs[0] != outs[1]
+
+    def test_run_rejects_negative_seed_override(self, tmp_path):
+        cfg_path = tmp_path / "exp.yaml"
+        cfg_path.write_text(yaml.safe_dump(base_config()))
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg_path), "--seed", "-1",
+                   "--out", str(tmp_path / "res.json")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "res.json").exists()
 
     def test_rate_bound_prints_value(self):
         result = CliRunner().invoke(main, [

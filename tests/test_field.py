@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zpfsim.field import (
+    TRIAL_BLOCK,
     FieldState,
     Mode,
     evaluate_field,
@@ -86,6 +87,49 @@ class TestSampleVacuum:
         a, b = vacuum_draws[:, 0], vacuum_draws[:, 1]
         cov = np.mean(a * np.conj(b)) - np.mean(a) * np.conj(np.mean(b))
         assert abs(cov) < 3.0 * np.sqrt(0.25 / N_TRIALS)
+
+
+class TestBlockKeyedSampling:
+    """Trial t is row t % TRIAL_BLOCK of the generator keyed by (seed, t // TRIAL_BLOCK)."""
+
+    def test_unaligned_split_equals_whole_batch(self):
+        whole = sample_vacuum_batch(3, seed=12, trial_indices=range(6000))
+        cuts = (0, 1000, 2500, 6000)
+        parts = [sample_vacuum_batch(3, seed=12, trial_indices=range(a, b))
+                 for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_prefix_is_head_of_longer_run(self):
+        longer = sample_vacuum_batch(5, seed=3, trial_indices=range(2 * TRIAL_BLOCK + 9))
+        for n in (1, 100, TRIAL_BLOCK, TRIAL_BLOCK + 1):
+            prefix = sample_vacuum_batch(5, seed=3, trial_indices=range(n))
+            assert np.array_equal(prefix, longer[:n]), n
+
+    def test_single_realization_is_batch_row(self):
+        modes = [Mode((0.0, 0.0, w), w) for w in (1.0, 2.0, 3.0)]
+        batch = sample_vacuum_batch(3, seed=7, trial_indices=range(TRIAL_BLOCK + 40))
+        for k in (0, 5, TRIAL_BLOCK - 1, TRIAL_BLOCK + 33):
+            state = sample_vacuum(modes, seed=7, trial_index=k)
+            assert np.array_equal(state.amplitudes, batch[k]), k
+
+    @pytest.mark.parametrize("indices", [[0, 2], range(0, 10, 2), range(5, 0, -1), [0, 1]])
+    def test_non_contiguous_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="contiguous"):
+            sample_vacuum_batch(2, seed=1, trial_indices=indices)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_vacuum_batch(2, seed=1, trial_indices=range(-1, 3))
+
+    def test_same_row_of_two_blocks_uncorrelated(self):
+        n_modes = 5000
+        n = 2 * n_modes                    # Re and Im of every mode
+        for row in (0, 17, TRIAL_BLOCK - 1):
+            a, b = (sample_vacuum_batch(n_modes, seed=9, trial_indices=range(t, t + 1))
+                    .view(np.float64).ravel()
+                    for t in (row, TRIAL_BLOCK + row))
+            r = np.corrcoef(a, b)[0, 1]
+            assert abs(r) < 4.0 / np.sqrt(n), (row, r)
 
 
 class TestEvaluateField:

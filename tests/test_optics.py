@@ -88,6 +88,12 @@ class TestRotator:
         out = rotator_transform(amps, (0, 1), a)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(amps) ** 2), rel=1e-10)
 
+    def test_input_not_mutated(self):
+        amps = np.array([[0.3 - 0.7j, 1.1 + 0.2j, -0.4 + 0.5j, 0.9j]])
+        saved = amps.copy()
+        rotator_transform(amps, (slice(0, 4, 2), slice(1, 4, 2)), 0.4)
+        assert np.array_equal(amps, saved)
+
     def test_state_wrapper(self):
         state = two_mode_state()
         out = polarization_rotator(state, ((0, 1),), 0.4)
