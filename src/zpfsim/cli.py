@@ -29,17 +29,16 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
 def run_cmd(config_path, seed, trials, out_path, fmt) -> None:
-    """Execute a configured experiment and emit results."""
+    """Validate every sweep point, then execute the experiment and emit results."""
     try:
         cfg = load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
         record = run_batch(cfg, trials=trials, seed=seed)
         if out_path is None:
             out_path = f"zpfsim-run.{fmt}"
         emit(record, fmt, out_path)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     except Exception as exc:
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)

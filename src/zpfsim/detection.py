@@ -24,19 +24,24 @@ Carlo therefore works with diagonal intensity weights (``intensity_batch``).
 ``filtered_field``, ``response_matrix`` and ``effective_intensity``
 evaluate the general geometry and serve as its test oracle.
 
+The analytic detection probabilities ``p_single`` and ``p_joint`` integrate
+the gaussian laws against Q in closed form: one gaussian tail minus one
+exponentially tilted tail, and four tilted bivariate-normal orthants
+(Owen's T function), all in log space and with no truncation of the tails.
+
 All formulas below use dimensionless units (hbar = c = eps0 = 1).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import j1
+from scipy.special import erfcx, j1, log_ndtr, ndtr, owens_t
 
 from .field import FieldState
 
@@ -307,62 +312,158 @@ def rho_signal(detector: DetectorSpec, signal_mean: float) -> EffectiveIntensity
 
 
 # ---------------------------------------------------------------------------
-# detection probabilities by quadrature
+# closed-form detection probabilities
 # ---------------------------------------------------------------------------
+#
+# In standard units u = (I - mean) / sigma the response is
+# Q = (1 - e^{-eps (u + d)}) Theta(u - z) with z = (I_m - mean) / sigma,
+# d = (mean - I0) / sigma and eps = zeta sigma. Every expectation below is a
+# gaussian orthant probability times an exponential tilt, evaluated in log
+# space so that neither the tilt weight e^{eps^2/2} nor the tail overflows.
 
-_TAIL_SIGMAS = 12.0
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_DEGENERATE_CORR = 1.0 - 1e-12
+# 8-point Gauss-Legendre rule on [0, 1], for the log Mills-ratio drop at small eps
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+@functools.cache
+def _laguerre_rule():
+    """64-point Gauss-Laguerre rule (built on first use: it costs ~10 ms)."""
+    return np.polynomial.laguerre.laggauss(64)
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - e^x) for x <= 0, without cancellation; -inf at x >= 0."""
+    if x >= 0.0:
+        return -math.inf
+    return math.log(-math.expm1(x)) if x > -math.log(2.0) else math.log1p(-math.exp(x))
+
+
+def _log_mills(u: float) -> float:
+    """log R(u) with R = Phic / phi the Mills ratio."""
+    if u >= 0.0:
+        return math.log(math.sqrt(0.5 * math.pi) * erfcx(u / math.sqrt(2.0)))
+    return float(log_ndtr(-u)) + 0.5 * u * u + _LOG_SQRT_2PI
+
+
+def _log_owens_tc(h: float, a: float) -> float:
+    """log(Phic(h)/2 - T(h, a)) for h, a >= 0, T being Owen's T function.
+
+    This is the probability of the wedge {X > h, Y > a X} of two independent
+    standard normals. Directly as a difference it cancels once a h is large;
+    there it is e^{-h^2 (1 + a^2)/2} / (4 pi) times the Laplace transform
+    int_0^inf e^{-h^2 v / 2} dv / (sqrt(a^2 + v) (1 + a^2 + v)), taken by
+    Gauss-Laguerre. For h > 2 and a h <= 2 the direct form would underflow;
+    there it is the reflection Phic(h) Phic(a h) - Tc(a h, 1/a), or for
+    a h < 1e-5 the first order T(h, a) = a e^{-h^2/2} / (2 pi).
+    """
+    if a * h > 2.0:
+        nodes, weights = _laguerre_rule()
+        p = 0.5 * h * h
+        v = nodes / p
+        s = float(np.dot(weights, 1.0 / (np.sqrt(a * a + v) * (1.0 + a * a + v))))
+        return -p * (1.0 + a * a) + math.log(s / (4.0 * math.pi * p))
+    if h <= 2.0:
+        return math.log(0.5 * ndtr(-h) - owens_t(h, a))
+    log_tail = float(log_ndtr(-h))
+    if a * h < 1e-5:
+        return log_tail - math.log(2.0) + math.log1p(
+            -a / math.pi * math.exp(-0.5 * h * h - log_tail))
+    log_box = log_tail + float(log_ndtr(-a * h))
+    return log_box + _log1mexp(_log_owens_tc(a * h, 1.0 / a) - log_box)
+
+
+def _log_orthant(h: float, k: float, corr: float) -> float:
+    """log P(X > h, Y > k) for standard normals with correlation ``corr``.
+
+    Owen's formula splits the orthant at its corner into two wedges; it is
+    used where the corner is the orthant's point nearest the mean, so that
+    both wedges are small together. Otherwise the orthant is complemented
+    into a marginal tail minus an orthant whose corner is nearest.
+    """
+    if corr >= _DEGENERATE_CORR:
+        return float(log_ndtr(-max(h, k)))
+    if corr <= -_DEGENERATE_CORR:
+        # Y = -X: P(h < X < -k) = Phic(h) - Phic(-k), or by symmetry with
+        # h and k swapped, taking the difference between the smaller tails
+        if h + k >= 0.0:
+            return -math.inf
+        lo, hi = (h, k) if h > 0.0 else (k, h)
+        top = float(log_ndtr(-lo))
+        return top + _log1mexp(float(log_ndtr(hi)) - top)
+    if h == 0.0 and k == 0.0:
+        return math.log(0.25 + math.asin(corr) / (2.0 * math.pi))
+    if h <= 0.0 and k <= 0.0:
+        # 1 - Phi(h) - Phi(k) + P(X < h, Y < k): two non-negative parts
+        return math.log(ndtr(-h) - ndtr(k) + math.exp(_log_orthant(-h, -k, corr)))
+    if k < corr * h:                       # nearest point on the edge X = h
+        top = float(log_ndtr(-h))
+        return top + _log1mexp(_log_orthant(h, -k, -corr) - top)
+    if h < corr * k:                       # nearest point on the edge Y = k
+        top = float(log_ndtr(-k))
+        return top + _log1mexp(_log_orthant(-h, k, -corr) - top)
+    s = math.sqrt((1.0 - corr) * (1.0 + corr))
+
+    def wedge(x, y):                       # the wedge at the x side; empty at x = 0
+        if x == 0.0:
+            return -math.inf
+        return _log_owens_tc(abs(x), abs(y - corr * x) / (abs(x) * s))
+
+    wh, wk = wedge(h, k), wedge(k, h)
+    if h > 0.0 and k > 0.0:
+        return float(np.logaddexp(wh, wk))
+    # a corner with one non-positive coordinate: that side's wedge is cut away
+    if h <= 0.0:
+        return wk + _log1mexp(wh - wk)
+    return wh + _log1mexp(wk - wh)
 
 
 def p_single(dist: EffectiveIntensityDist, detector: DetectorSpec) -> float:
-    """p = int rho(I) Q(I) dI over [I_m, mean + 12 sigma], abs tol 1e-12."""
-    lo = detector.threshold
-    hi = dist.mean + _TAIL_SIGMAS * dist.sigma
-    if lo >= hi:
-        return 0.0
-    val, _ = quad(lambda x: dist.pdf(x) * q_model(x, detector),
-                  lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
-    return min(max(val, 0.0), 1.0)
+    """p = int rho(I) Q(I) dI = Phic(z) - e^{eps^2/2 - eps d} Phic(z + eps).
+
+    z = (I_m - mean)/sigma, d = (mean - I0)/sigma, eps = zeta sigma. Written
+    as Phic(z) (1 - e^L) with L = -zeta (I_m - I0) - [log R(z) - log R(z + eps)],
+    R the Mills ratio, whose two terms have the same sign. For eps < 1 the
+    bracket is the integral of 1/R(u) - u over [z, z + eps], taken by
+    Gauss-Legendre, so that no eps and no threshold depth loses digits.
+    """
+    z = (detector.threshold - dist.mean) / dist.sigma
+    eps = detector.zeta * dist.sigma
+    if eps < 1.0:
+        u = z + eps * _GL_NODES
+        hazard = 1.0 / (math.sqrt(0.5 * math.pi) * erfcx(u / math.sqrt(2.0)))
+        drop = eps * float(np.dot(_GL_WEIGHTS, hazard - u))
+    else:
+        drop = _log_mills(z) - _log_mills(z + eps)
+    log_kept = _log1mexp(-detector.zeta * (detector.threshold - detector.I0) - drop)
+    return math.exp(float(log_ndtr(-z)) + log_kept)
 
 
 def p_joint(dist: BivariateIntensityDist, det1: DetectorSpec, det2: DetectorSpec) -> float:
-    """p12 = int rho12(I1, I2) Q1(I1) Q2(I2) dI1 dI2, abs tol 1e-10.
+    """p12 = int rho12(I1, I2) Q1(I1) Q2(I2) dI1 dI2 in closed form.
 
-    Evaluated as an outer integral over I1 with the gaussian conditional of
-    I2 integrated inside; |corr| = 1 degenerates to a line integral.
+    Expanding Q1 Q2 gives four exponentially tilted gaussian orthants: for a
+    tilt t in {0, -zeta1 e1, -zeta2 e2, -(zeta1, zeta2)} the term is
+    e^{t.(mean - I0) + t'Sigma t/2} P(I > I_m) under N(mean + Sigma t, Sigma),
+    entering with sign (-1)^(number of tilted arms). |corr| = 1 reduces each
+    orthant to a one-dimensional tail. The sum is exact; as zeta sigma -> 0 it
+    keeps an absolute accuracy of ~1e-16 rather than a relative one.
     """
     m1, s1 = dist.marginal_1.mean, dist.marginal_1.sigma
     m2, s2 = dist.marginal_2.mean, dist.marginal_2.sigma
     c = dist.corr
-    lo1 = det1.threshold
-    hi1 = m1 + _TAIL_SIGMAS * s1
-    if lo1 >= hi1:
-        return 0.0
+    z1, z2 = (det1.threshold - m1) / s1, (det2.threshold - m2) / s2
+    e1, e2 = det1.zeta * s1, det2.zeta * s2
+    d1, d2 = (m1 - det1.I0) / s1, (m2 - det2.I0) / s2
 
-    if abs(c) >= 1.0 - 1e-12:
-        sign = 1.0 if c > 0 else -1.0
+    def term(t1, t2):
+        log_weight = -t1 * d1 - t2 * d2 + 0.5 * (t1 * t1 + t2 * t2) + c * t1 * t2
+        return math.exp(log_weight + _log_orthant(z1 + t1 + c * t2, z2 + t2 + c * t1, c))
 
-        def integrand(x1):
-            x2 = m2 + sign * (s2 / s1) * (x1 - m1)
-            return dist.marginal_1.pdf(x1) * q_model(x1, det1) * q_model(x2, det2)
-
-        val, _ = quad(integrand, lo1, hi1, epsabs=1e-10, epsrel=1e-8, limit=400)
-        return min(max(val, 0.0), 1.0)
-
-    s_cond = s2 * math.sqrt(1.0 - c * c)
-
-    def inner(x1):
-        m_cond = m2 + c * (s2 / s1) * (x1 - m1)
-        lo2 = det2.threshold
-        hi2 = m_cond + _TAIL_SIGMAS * s_cond
-        if lo2 >= hi2:
-            return 0.0
-        cond = EffectiveIntensityDist(m_cond, s_cond, "signal")
-        val, _ = quad(lambda x2: cond.pdf(x2) * q_model(x2, det2),
-                      lo2, hi2, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return val
-
-    val, _ = quad(lambda x1: dist.marginal_1.pdf(x1) * q_model(x1, det1) * inner(x1),
-                  lo1, hi1, epsabs=1e-10, epsrel=1e-8, limit=400)
+    val = (term(0.0, 0.0) - term(e1, 0.0)) - (term(0.0, e2) - term(e1, e2))
     return min(max(val, 0.0), 1.0)
 
 

@@ -80,28 +80,35 @@ def _sweep_points(data: dict):
         yield overrides, point
 
 
-def validate_points(config: ExperimentConfig) -> None:
-    """Build the scenario of every sweep point, as ``run`` will.
+def _built_points(data: dict) -> list:
+    """(overrides, point data, built scenario) for every sweep point.
 
     Raises ConfigError naming the first point that fails ``check_point`` or
     whose scenario cannot be built.
     """
-    for overrides, point_data in _sweep_points(config.data):
+    built = []
+    for overrides, point_data in _sweep_points(data):
         where = f"sweep point {overrides or '(base)'}"
         try:
             check_point(point_data)
-            _build_scenario(point_data)
+            built.append((overrides, point_data, _build_scenario(point_data)))
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{where}: cannot build scenario: {exc}") from exc
+    return built
 
 
-def _point_result(data: dict, trials: int, seed: int, workers: int) -> dict:
-    try:
-        scen, rot1, rot2 = _build_scenario(data)
-    except (ConfigError, ValueError) as exc:
-        raise RuntimeError(f"cannot build scenario: {exc}") from exc
+def validate_points(config: ExperimentConfig) -> None:
+    """Check and build the scenario of every sweep point, as ``run`` does first.
+
+    Raises ConfigError naming the first invalid point.
+    """
+    _built_points(config.data)
+
+
+def _point_result(data: dict, built: tuple, trials: int, seed: int, workers: int) -> dict:
+    scen, rot1, rot2 = built
     mode = data["run"]["mode"]
     kind = data["scenario"]["kind"]
     want_mc = mode in ("mc", "both") or kind == "chsh"
@@ -176,7 +183,11 @@ def _point_result(data: dict, trials: int, seed: int, workers: int) -> dict:
 
 def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = None,
         workers: int | None = None) -> RunRecord:
-    """Execute every sweep point; deterministic for fixed (config, seed)."""
+    """Execute every sweep point; deterministic for fixed (config, seed).
+
+    Every point is validated (``validate_points``) before the first one is
+    computed: an invalid point raises ConfigError, a failing one RuntimeError.
+    """
     data = copy.deepcopy(config.data)
     if trials is not None:
         data["run"]["trials"] = trials
@@ -185,10 +196,10 @@ def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = 
     if workers is None:
         workers = default_workers()
     points = []
-    for overrides, point_data in _sweep_points(data):
+    for overrides, point_data, built in _built_points(data):
         try:
-            result = _point_result(
-                point_data, point_data["run"]["trials"], point_data["run"]["seed"], workers)
+            result = _point_result(point_data, built, point_data["run"]["trials"],
+                                   point_data["run"]["seed"], workers)
         except Exception as exc:
             raise RuntimeError(f"sweep point {overrides or '(base)'} failed: {exc}") from exc
         result["overrides"] = overrides

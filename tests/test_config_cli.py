@@ -14,6 +14,7 @@ from zpfsim.config import (
     parse_config,
     set_by_path,
 )
+from zpfsim import runner
 from zpfsim.runner import emit, run
 
 
@@ -253,6 +254,22 @@ class TestCli:
             assert result.exit_code == 0, result.output
             outs.append(out_path.read_bytes())
         assert outs[0] != outs[1]
+
+    def test_run_validates_every_point_before_computing(self, tmp_path, monkeypatch):
+        dets = [{**base_config()["detectors"][0], "n_cells": 4}]
+        raw = base_config(detectors=dets, sweeps={"run.seed": [1, -3]})
+        parse_config(raw)
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        computed = []
+        monkeypatch.setattr(runner, "_point_result", lambda *args: computed.append(args))
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        assert result.exit_code == 2
+        assert "config error" in result.output
+        assert "'run.seed': -3" in result.output
+        assert computed == []
+        assert not out_path.exists()
 
     def test_run_rejects_negative_seed_override(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"

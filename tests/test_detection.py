@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,3 +299,137 @@ class TestEmpiricalCorr:
             empirical_corr(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="shape"):
             empirical_corr(np.zeros((5, 3)))
+
+
+# ---------------------------------------------------------------------------
+# closed-form detection laws against independent oracles
+# ---------------------------------------------------------------------------
+
+ZETA_SIGMAS = (1e-9, 1e-6, 1e-3, 1.0, 10.0, 1e6)
+CORRS = (-1.0, -0.6, 0.0, 0.6, 1.0)
+# (threshold_sigma above I0, z = standardized threshold minus the law's mean):
+# z = 0 puts the threshold exactly at the shifted mean; (20, 20) is a 20 sigma
+# vacuum tail, beyond the old 12 sigma quadrature cut-off
+OFFSETS = ((1.0, 1.0), (2.0, 0.0), (3.0, -2.0), (20.0, 20.0))
+
+
+def law(det, z):
+    """Gaussian intensity law whose mean sits z sigma0 below the threshold."""
+    return EffectiveIntensityDist(det.threshold - z * det.sigma0, det.sigma0, "signal")
+
+
+def within_spec(value, oracle):
+    """1e-10 relative, or 1e-15 absolute for values below 1e-5."""
+    err = abs(value - oracle)
+    return err <= 1e-10 * abs(oracle) or (abs(oracle) < 1e-5 and err <= 1e-15)
+
+
+def standardized(dist, det):
+    """(z, d, eps) of a law and a detector as mpmath numbers."""
+    sigma = mpmath.mpf(dist.sigma)
+    return ((mpmath.mpf(det.threshold) - mpmath.mpf(dist.mean)) / sigma,
+            (mpmath.mpf(dist.mean) - mpmath.mpf(det.I0)) / sigma,
+            mpmath.mpf(det.zeta) * sigma)
+
+
+def breakpoints(lo, hi, scale):
+    """lo, lo + scale, lo + 2 scale, lo + 4 scale, ... up to hi."""
+    pts, step = [lo], scale
+    while lo + step < hi:
+        pts.append(lo + step)
+        step *= 2
+    return pts + [hi]
+
+
+def mp_p_single(dist, det):
+    """The defining integral int phi(u) (1 - e^{-eps (u + d)}) du over u > z."""
+    with mpmath.workdps(30):
+        z, d, eps = standardized(dist, det)
+        f = lambda u: mpmath.npdf(u) * -mpmath.expm1(-eps * (u + d))
+        pts = breakpoints(z, max(z, 0) + 60, 1 / (1 + abs(z) + eps))
+        return mpmath.quad(f, pts + [mpmath.inf])
+
+
+def mp_p_joint(dist, det1, det2):
+    """Outer integral over arm 1 of phi q1 times arm 2's conditional click law.
+
+    The conditional law of u2 given u1 is N(c u1, 1 - c^2); its click
+    probability is written out in 22-digit arithmetic, where the cancellation
+    of the two terms costs at most eight digits.
+    """
+    with mpmath.workdps(22):
+        z1, d1, e1 = standardized(dist.marginal_1, det1)
+        z2, d2, e2 = standardized(dist.marginal_2, det2)
+        c = mpmath.mpf(dist.corr)
+        q1 = lambda u: -mpmath.expm1(-e1 * (u + d1))
+        scale = 1 / (1 + abs(z1) + e1 + e2)
+        if abs(c) == 1:
+            # u2 = c u1: arm 2 clicks only where c u1 > z2
+            lo, hi = (max(z1, z2), mpmath.inf) if c > 0 else (z1, -z2)
+            if lo >= hi:
+                return mpmath.mpf(0)
+            f = lambda u: mpmath.npdf(u) * q1(u) * -mpmath.expm1(-e2 * (c * u + d2))
+            pts = breakpoints(lo, max(lo, 0) + 60, scale)
+            if hi != mpmath.inf:
+                pts = sorted({p for p in pts if p < hi} | {hi - scale * 2**j for j in range(60)
+                                                           if hi - scale * 2**j > lo})
+                return mpmath.quad(f, pts + [hi])
+            return mpmath.quad(f, pts + [mpmath.inf])
+        s = mpmath.sqrt(1 - c * c)
+
+        def f(u):
+            zc, dc, ec = (z2 - c * u) / s, (c * u + d2) / s, e2 * s
+            p2 = mpmath.ncdf(-zc) - mpmath.exp(ec * ec / 2 - ec * dc) * mpmath.ncdf(-(zc + ec))
+            return mpmath.npdf(u) * q1(u) * p2
+
+        return mpmath.quad(f, breakpoints(z1, max(z1, 0) + 60, scale) + [mpmath.inf])
+
+
+class TestClosedFormAccuracy:
+    @pytest.mark.parametrize("zeta_sigma", ZETA_SIGMAS)
+    @pytest.mark.parametrize("threshold_sigma,z", OFFSETS)
+    def test_p_single_against_mpmath(self, zeta_sigma, threshold_sigma, z):
+        det = detector(n_cells=100, threshold_sigma=threshold_sigma, zeta_sigma=zeta_sigma)
+        dist = law(det, z)
+        oracle = float(mp_p_single(dist, det))
+        assert oracle > 0.0
+        assert p_single(dist, det) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("zeta_sigma", (1e-3, 1.0, 10.0))
+    @pytest.mark.parametrize("threshold_sigma,z", OFFSETS[:3])
+    def test_p_single_against_quad(self, zeta_sigma, threshold_sigma, z):
+        det = detector(n_cells=100, threshold_sigma=threshold_sigma, zeta_sigma=zeta_sigma)
+        dist = law(det, z)
+        lo, scale = det.threshold, dist.sigma / (1.0 + zeta_sigma)
+        pieces = [quad(lambda x: float(dist.pdf(x)) * q_model(x, det), a, b,
+                       epsabs=1e-18, epsrel=1e-12, limit=200)[0]
+                  for a, b in zip([lo] + [lo + scale * 2**j for j in range(8)],
+                                  [lo + scale * 2**j for j in range(8)] + [np.inf])]
+        assert within_spec(p_single(dist, det), math.fsum(pieces))
+
+    def test_p_single_20_sigma_tail_is_resolved(self):
+        det = detector(n_cells=100, threshold_sigma=20.0, zeta_sigma=1e6)
+        p = p_single(rho_vacuum(det), det)
+        # saturated response: the gaussian tail beyond 20 sigma, 2.75e-89
+        assert p == pytest.approx(norm.sf(20.0), rel=1e-12)
+
+    @pytest.mark.parametrize("corr", CORRS)
+    @pytest.mark.parametrize("zeta_sigma", ZETA_SIGMAS)
+    @pytest.mark.parametrize("offsets", ((OFFSETS[0], OFFSETS[1]), (OFFSETS[2], OFFSETS[0]),
+                                         (OFFSETS[3], OFFSETS[1])))
+    def test_p_joint_against_mpmath(self, corr, zeta_sigma, offsets):
+        (t1, z1), (t2, z2) = offsets
+        d1 = detector(n_cells=100, threshold_sigma=t1, zeta_sigma=zeta_sigma)
+        # the second arm responds ten times more steeply (capped at 1e6)
+        d2 = detector(n_cells=100, threshold_sigma=t2, zeta_sigma=min(10 * zeta_sigma, 1e6))
+        dist = BivariateIntensityDist(law(d1, z1), law(d2, z2), corr)
+        oracle = float(mp_p_joint(dist, d1, d2))
+        assert within_spec(p_joint(dist, d1, d2), oracle)
+
+    def test_p_joint_20_sigma_tail_is_resolved(self):
+        d1 = detector(n_cells=100, threshold_sigma=20.0, zeta_sigma=1.0)
+        d2 = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=1.0)
+        dist = BivariateIntensityDist(rho_vacuum(d1), rho_vacuum(d2), 0.6)
+        oracle = float(mp_p_joint(dist, d1, d2))
+        assert 0.0 < oracle < 1e-80
+        assert p_joint(dist, d1, d2) == pytest.approx(oracle, rel=1e-10, abs=0.0)
