@@ -4,24 +4,13 @@ a CHSH harness."""
 
 __version__ = "0.1.0"
 
-from .field import FieldState, Mode, evaluate_field, sample_vacuum
-from .pdc import PhaseMatchedPairs, PumpSpec, apply_pdc, mean_signal_intensity
-from .optics import (
-    GeometrySpec,
-    LensSpec,
-    beam_splitter,
-    coherence_ok,
-    lens_gain,
-    polarization_rotator,
-    ring_radius,
-)
+from .field import Mode
+from .pdc import PhaseMatchedPairs, PumpSpec
+from .optics import GeometrySpec, LensSpec, coherence_ok, lens_gain, ring_radius
 from .detection import (
     BivariateIntensityDist,
     DetectorSpec,
     EffectiveIntensityDist,
-    effective_intensity,
-    empirical_corr,
-    filtered_field,
     p_joint,
     p_single,
     q_model,
@@ -48,4 +37,3 @@ from .scenarios import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .runner import RunRecord, emit, run
-from .units import UnitSystem

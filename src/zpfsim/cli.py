@@ -23,7 +23,7 @@ def main() -> None:
 @main.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(), help="YAML config file.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override run.seed.")
-@click.option("--trials", type=int, default=None, help="Override run.trials.")
+@click.option("--trials", type=click.IntRange(min=1), default=None, help="Override run.trials.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Output file (default: stdout path derived from format).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",

@@ -105,7 +105,10 @@ def check_point(data: dict) -> None:
     """Checks run on the base config and on every sweep point.
 
     Seeds key a SeedSequence, which takes only non-negative integers;
-    ``scenario.n_modes`` is read only by the vacuum builder.
+    ``scenario.n_modes`` is read only by the vacuum builder. An analytic-only
+    PDC run has no Monte Carlo estimate of the signal-idler correlation, so
+    it needs ``analytic.corr``; a base config whose sweep sets it is exempt,
+    since no point runs with the base value.
     """
     seed = data["run"]["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -113,6 +116,10 @@ def check_point(data: dict) -> None:
     kind = data["scenario"]["kind"]
     if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
         raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
+    if (kind == "pdc" and data["run"]["mode"] == "analytic"
+            and data["analytic"]["corr"] is None and "analytic.corr" not in data["sweeps"]):
+        raise ConfigError("kind 'pdc' with run.mode 'analytic' requires analytic.corr "
+                          "(there is no Monte Carlo correlation to fall back on)")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

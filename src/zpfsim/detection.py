@@ -1,7 +1,8 @@
 """Threshold photodetection built on filtered fields and effective intensity.
 
-A detector is a cylinder (radius R, length L) carrying N narrow-band
-elements (omega_l, k_l). Each element sees the filtered field
+A detector is a cylinder (radius R, length L) carrying N = round(T / tau)
+narrow-band elements (omega_l, k_l), spaced 2 pi / T around omega_center
+with k_l along the detector axis. Each element sees the filtered field
 
     Ebar_l = (1 / (pi R^2 L T)) int_V dV int_0^T E+(r,t) e^{i k_l.r - i w_l t} dt,
 
@@ -21,8 +22,9 @@ When the modes sit on a detector's own element grid (spacing 2 pi / T
 along its axis), the sinc zeros make each element see exactly one mode and
 Ibar = sum_m scale_m^2 |alpha_m|^2 over that detector's modes. The Monte
 Carlo therefore works with diagonal intensity weights (``intensity_batch``).
-``filtered_field``, ``response_matrix`` and ``effective_intensity``
-evaluate the general geometry and serve as its test oracle.
+``response_matrix`` evaluates the general geometry and serves as its test
+oracle: the filtered fields of an amplitude vector are
+``response_matrix(modes, scales, detector) @ amps``.
 
 The analytic detection probabilities ``p_single`` and ``p_joint`` integrate
 the gaussian laws against Q in closed form: one gaussian tail minus one
@@ -34,24 +36,18 @@ All formulas below use dimensionless units (hbar = c = eps0 = 1).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx, j1, log_ndtr, ndtr, owens_t
 
-from .field import FieldState
-
 __all__ = [
     "DetectorSpec",
     "EffectiveIntensityDist",
     "BivariateIntensityDist",
-    "filtered_field",
     "response_matrix",
-    "effective_intensity",
     "intensity_batch",
     "q_model",
     "q_standard",
@@ -59,7 +55,6 @@ __all__ = [
     "rho_signal",
     "p_single",
     "p_joint",
-    "empirical_corr",
 ]
 
 
@@ -79,12 +74,9 @@ class DetectorSpec:
     tau: float                    # beam coherence time
     omega_center: float
     threshold: float
-    bandwidth: float | None = None   # defaults to 2 pi / tau
     eta: float = 1.0
     zeta_override: float | None = None
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    element_omegas: np.ndarray | None = None
-    element_kvecs: np.ndarray | None = None
 
     def __post_init__(self):
         if min(self.radius, self.length, self.window, self.tau, self.omega_center) <= 0:
@@ -93,40 +85,21 @@ class DetectorSpec:
             raise ValueError("coherence time tau must not exceed the window T")
         if not 0 < self.eta <= 1:
             raise ValueError(f"quantum efficiency must lie in (0, 1], got {self.eta}")
-        if self.bandwidth is None:
-            object.__setattr__(self, "bandwidth", 2.0 * math.pi / self.tau)
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
         ax = np.asarray(self.axis, dtype=float)
         ax = ax / np.linalg.norm(ax)
         object.__setattr__(self, "axis", tuple(ax))
-        if self.element_omegas is None:
-            w, k = _element_grid(self, max(1, round(self.window / self.tau)))
-            object.__setattr__(self, "element_omegas", w)
-            object.__setattr__(self, "element_kvecs", k)
-        else:
-            w = np.asarray(self.element_omegas, dtype=float)
-            k = np.asarray(self.element_kvecs, dtype=float)
-            if k.shape != (len(w), 3):
-                raise ValueError("element_kvecs must have shape (n_elements, 3)")
-            object.__setattr__(self, "element_omegas", w)
-            object.__setattr__(self, "element_kvecs", k)
-        self.element_omegas.setflags(write=False)
-        self.element_kvecs.setflags(write=False)
         if self.threshold <= self.I0:
             raise ValueError(
                 f"threshold I_m={self.threshold:g} must exceed the vacuum mean "
                 f"I0={self.I0:g} to keep the response Q positive"
             )
-        n_min = self.window / self.tau
-        if len(self.element_omegas) < n_min - 0.5:
-            warnings.warn(
-                f"detector has {len(self.element_omegas)} elements, below the "
-                f"band-resolving minimum T/tau ~ {n_min:.0f}",
-                stacklevel=2,
-            )
 
     # derived quantities -----------------------------------------------------
+    @property
+    def bandwidth(self) -> float:
+        """Band width 2 pi / tau."""
+        return 2.0 * math.pi / self.tau
+
     @property
     def I0(self) -> float:
         """Vacuum mean effective intensity wbar * dw / (8 pi c L)."""
@@ -147,21 +120,19 @@ class DetectorSpec:
 
     @property
     def n_elements(self) -> int:
-        return len(self.element_omegas)
+        """round(T / tau), the number of coherence cells in the window."""
+        return round(self.window / self.tau)
 
-    @classmethod
-    def matched(cls, *, n_elements: int | None = None, **kwargs) -> "DetectorSpec":
-        """Detector whose elements sit on the resolution grid along its axis.
+    @property
+    def element_omegas(self) -> np.ndarray:
+        """Element frequencies spaced 2 pi / T around omega_center."""
+        n = self.n_elements
+        return self.omega_center + 2.0 * math.pi / self.window * (np.arange(n) - (n - 1) / 2.0)
 
-        Element frequencies are spaced by 2 pi / T around ``omega_center``
-        and every k_l points along the detector axis; ``n_elements`` defaults
-        to round(T / tau), the number of coherence cells in the window.
-        """
-        spec = cls(**kwargs)
-        if n_elements is None:
-            return spec
-        w, k = _element_grid(spec, n_elements)
-        return dataclasses.replace(spec, element_omegas=w, element_kvecs=k)
+    @property
+    def element_kvecs(self) -> np.ndarray:
+        """Element wavevectors omega_l times the unit axis, shape (n_elements, 3)."""
+        return self.element_omegas[:, None] * np.asarray(self.axis, dtype=float)[None, :]
 
 
 def vacuum_moments(omega_center: float, bandwidth: float, length: float,
@@ -169,14 +140,6 @@ def vacuum_moments(omega_center: float, bandwidth: float, length: float,
     """Vacuum mean I0 = wbar dw / (8 pi c L) and deviation sigma0 = I0 sqrt(tau / T)."""
     i0 = omega_center * bandwidth / (8.0 * math.pi * length)
     return i0, i0 * math.sqrt(tau / window)
-
-
-def _element_grid(det: DetectorSpec, n: int):
-    """``n`` element frequencies spaced 2 pi / T around omega_center, k along the axis."""
-    dw = 2.0 * math.pi / det.window
-    w = det.omega_center + dw * (np.arange(n) - (n - 1) / 2.0)
-    ax = np.asarray(det.axis, dtype=float)
-    return w, w[:, None] * ax[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +178,6 @@ def response_matrix(modes, scales, detector: DetectorSpec) -> np.ndarray:
     return time_factor * vol_factor * np.asarray(scales, dtype=float)[None, :]
 
 
-def filtered_field(state: FieldState, element_index: int, detector: DetectorSpec) -> complex:
-    """Analytic evaluation of the filtered field of one detector element."""
-    if not 0 <= element_index < detector.n_elements:
-        raise ValueError(f"element {element_index} not in detector (N={detector.n_elements})")
-    resp = response_matrix(state.modes, state.scales, detector)[element_index]
-    return complex(np.sum(resp * state.amplitudes))
-
-
 def intensity_batch(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Effective intensities (B, n_det) of an amplitude batch (B, n_modes).
 
@@ -230,12 +185,6 @@ def intensity_batch(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     grid and 0 otherwise, so every detector is summed in one pass.
     """
     return (amps.real**2 + amps.imag**2) @ weights
-
-
-def effective_intensity(state: FieldState, detector: DetectorSpec) -> float:
-    """Ibar = c eps0 sum_l |Ebar_l|^2 (c = eps0 = 1), in the general geometry."""
-    fields = response_matrix(state.modes, state.scales, detector) @ state.amplitudes
-    return float(np.sum(np.abs(fields) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +414,3 @@ def p_joint(dist: BivariateIntensityDist, det1: DetectorSpec, det2: DetectorSpec
 
     val = (term(0.0, 0.0) - term(e1, 0.0)) - (term(0.0, e2) - term(e1, e2))
     return min(max(val, 0.0), 1.0)
-
-
-def empirical_corr(samples) -> float:
-    """Centered sample correlation of paired effective intensities.
-
-    ``samples`` has shape (n, 2) with n >= 2.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
-        raise ValueError("samples must have shape (n, 2) with n >= 2")
-    return float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])

@@ -1,9 +1,10 @@
-"""Plane-wave modes, vacuum sampling, and field evaluation.
+"""Plane-wave modes and vacuum sampling.
 
 The hidden variables of the whole simulator live here: each plane-wave mode
 carries a complex amplitude alpha whose vacuum distribution is the circular
 gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
-independent normals with mean 0 and variance 1/4.
+independent normals with mean 0 and variance 1/4. A batch of realizations
+is one (trials x modes) complex array; there is no per-realization type.
 
 Sampling is block-keyed: block b of seed s holds trials
 [b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK) and fills them, row by row, from
@@ -17,20 +18,11 @@ unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Mode",
-    "FieldState",
-    "mode_scales",
-    "TRIAL_BLOCK",
-    "RNG_STREAM",
-    "sample_vacuum",
-    "sample_vacuum_batch",
-    "evaluate_field",
-]
+__all__ = ["Mode", "TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch"]
 
 # Relative tolerance on the dispersion relation omega = |k| (c = 1).
 _DISPERSION_RTOL = 1e-9
@@ -66,54 +58,6 @@ class Mode:
     @property
     def k_array(self) -> np.ndarray:
         return np.asarray(self.k, dtype=float)
-
-
-def mode_scales(modes: list[Mode], box_length: float = 1.0) -> np.ndarray:
-    """Per-mode field normalization sqrt(hbar*omega / (eps0 * L0^3)).
-
-    ``box_length`` is the quantization box length L0, kept as an explicit
-    free parameter so that scenario builders can calibrate the vacuum level.
-    """
-    if box_length <= 0:
-        raise ValueError("box_length must be positive")
-    omegas = np.array([m.omega for m in modes], dtype=float)
-    return np.sqrt(omegas / box_length**3)
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """An immutable field configuration: modes, amplitudes and scales.
-
-    ``amplitudes[i]`` is the dimensionless complex amplitude of ``modes[i]``;
-    ``scales[i]`` is the field normalization factor of that mode.
-    """
-
-    modes: tuple[Mode, ...]
-    amplitudes: np.ndarray
-    scales: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        scales = np.asarray(self.scales, dtype=float)
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "scales", scales)
-        if len(amps) != len(self.modes):
-            raise ValueError(
-                f"{len(amps)} amplitudes for {len(self.modes)} modes"
-            )
-        if len(scales) != len(self.modes):
-            raise ValueError(
-                f"{len(scales)} scales for {len(self.modes)} modes"
-            )
-        if np.any(scales <= 0):
-            raise ValueError("mode scales must be strictly positive")
-        amps.setflags(write=False)
-        scales.setflags(write=False)
-
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "FieldState":
-        """New state sharing modes and scales but with different amplitudes."""
-        return FieldState(self.modes, amplitudes, self.scales)
 
 
 def _check_distinct(modes) -> None:
@@ -153,33 +97,3 @@ def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.nda
         t = stop
     out *= 0.5
     return out
-
-
-def sample_vacuum(
-    modes: list[Mode],
-    seed: int,
-    trial_index: int = 0,
-    scales: np.ndarray | None = None,
-    box_length: float = 1.0,
-) -> FieldState:
-    """Draw one zeropoint-field realization from the vacuum gaussian.
-
-    Deterministic given (seed, trial_index). Raises ValueError on an empty
-    or duplicated mode list.
-    """
-    if not modes:
-        raise ValueError("mode list must be non-empty")
-    _check_distinct(modes)
-    if scales is None:
-        scales = mode_scales(modes, box_length)
-    amps = sample_vacuum_batch(len(modes), seed, range(trial_index, trial_index + 1))[0]
-    return FieldState(tuple(modes), amps, scales)
-
-
-def evaluate_field(state: FieldState, r, t: float) -> complex:
-    """Analytic-signal field E+(r, t) = sum_k scale_k alpha_k e^{-i k.r + i w t}."""
-    r = np.asarray(r, dtype=float)
-    kmat = np.array([m.k_array for m in state.modes])  # (n, 3)
-    omegas = np.array([m.omega for m in state.modes])
-    phases = np.exp(-1j * (kmat @ r) + 1j * omegas * t)
-    return complex(np.sum(state.scales * state.amplitudes * phases))

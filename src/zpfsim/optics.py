@@ -1,7 +1,8 @@
 """Linear optical elements and the lens feasibility formulas.
 
-Amplitude maps (beam splitter, polarization rotator) act unitarily on the
-mode amplitudes. The lens is handled at the intensity level: it multiplies
+Amplitude maps (beam splitter, polarization rotator) act unitarily on an
+amplitude array of shape (..., n_modes); the mode pairs they mix are given
+as one index pair. The lens is handled at the intensity level: it multiplies
 the signal mean by the gain b^2 and fixes the recommended detector radius,
 but leaves the zeropoint statistics untouched.
 """
@@ -13,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldState
-
 __all__ = [
     "LensSpec",
     "GeometrySpec",
     "beam_splitter_transform",
-    "beam_splitter",
     "rotator_transform",
-    "polarization_rotator",
     "lens_gain",
     "ring_radius",
     "coherence_ok",
@@ -59,19 +56,6 @@ class GeometrySpec:
             raise ValueError("distance and crystal radius must be positive")
 
 
-def _pair_index(pairs, n: int):
-    """Check that ``pairs`` are disjoint and in range; return them as an index pair."""
-    used = set()
-    for a, b in pairs:
-        for idx in (a, b):
-            if not 0 <= idx < n:
-                raise ValueError(f"mode index {idx} out of range")
-            if idx in used:
-                raise ValueError(f"mode index {idx} appears in more than one pair")
-            used.add(idx)
-    return [a for a, _ in pairs], [b for _, b in pairs]
-
-
 def beam_splitter_transform(amps: np.ndarray, index, transmittance: float, phase: float = 0.0) -> np.ndarray:
     """Beam splitter on amplitude array of shape (..., n_modes).
 
@@ -93,13 +77,6 @@ def beam_splitter_transform(amps: np.ndarray, index, transmittance: float, phase
     return out
 
 
-def beam_splitter(state: FieldState, mode_pairs, transmittance: float, phase: float = 0.0) -> FieldState:
-    index = _pair_index(mode_pairs, len(state.modes))
-    return state.with_amplitudes(
-        beam_splitter_transform(state.amplitudes, index, transmittance, phase)
-    )
-
-
 def rotator_transform(amps: np.ndarray, index, angle: float) -> np.ndarray:
     """Polarization rotation by ``angle`` on the (H, V) index pair ``index``."""
     out = np.array(amps, dtype=complex, copy=True)
@@ -111,11 +88,6 @@ def rotator_transform(amps: np.ndarray, index, angle: float) -> np.ndarray:
     out[..., v_idx] *= c
     out[..., v_idx] += -s * amps[..., h_idx]
     return out
-
-
-def polarization_rotator(state: FieldState, beam_mode_pairs, angle: float) -> FieldState:
-    index = _pair_index(beam_mode_pairs, len(state.modes))
-    return state.with_amplitudes(rotator_transform(state.amplitudes, index, angle))
 
 
 def lens_gain(lens: LensSpec) -> float:

@@ -19,16 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldState, Mode
+from .field import Mode
 
 __all__ = [
     "PumpSpec",
     "PhaseMatchedPairs",
     "pdc_transform",
-    "apply_pdc",
     "pair_correlation",
     "excess_photon_fraction",
-    "mean_signal_intensity",
 ]
 
 # Above this coupling the order-g^2 expansion of the map is dubious.
@@ -83,11 +81,6 @@ class PhaseMatchedPairs:
         s_pos, i_pos = (np.atleast_1d(pos[idx]).tolist() for idx in index)
         return cls(tuple(zip(s_pos, i_pos, strict=True)))
 
-    @property
-    def index(self) -> tuple[list[int], list[int]]:
-        """The pairs as the ``(signal, idler)`` index pair ``pdc_transform`` takes."""
-        return [s for s, _ in self.pairs], [i for _, i in self.pairs]
-
     def validate(self, modes: tuple[Mode, ...], pump: PumpSpec) -> None:
         n = len(modes)
         k0 = np.asarray(pump.k0, dtype=float)
@@ -120,12 +113,6 @@ def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:
     return out
 
 
-def apply_pdc(state: FieldState, pump: PumpSpec, pairs: PhaseMatchedPairs) -> FieldState:
-    """Crystal-transformed copy of ``state``; the input is not mutated."""
-    pairs.validate(state.modes, pump)
-    return state.with_amplitudes(pdc_transform(state.amplitudes, pairs.index, pump.g))
-
-
 def pair_correlation(g: float) -> float:
     """Ensemble moment E[alpha_s' alpha_i'] of one matched pair."""
     return g * (1.0 + 0.5 * g * g)
@@ -134,23 +121,3 @@ def pair_correlation(g: float) -> float:
 def excess_photon_fraction(g: float) -> float:
     """Above-vacuum occupation E[|alpha'|^2] - 1/2 of one output mode."""
     return g * g + g**4 / 8.0
-
-
-def mean_signal_intensity(pump: PumpSpec, n_pairs: int, mode_scales=1.0) -> float:
-    """Mean above-vacuum effective intensity of the signal beam.
-
-    ``mode_scales`` is either one scale shared by all signal modes or an
-    array with one entry per signal mode (length n_pairs). The result is
-    sum(scale^2) * (g^2 + g^4/8), i.e. the per-mode vacuum contribution
-    scale^2/2 times twice the excess occupation.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    scales = np.asarray(mode_scales, dtype=float)
-    if scales.ndim == 0:
-        sq = n_pairs * float(scales) ** 2
-    else:
-        if len(scales) != n_pairs:
-            raise ValueError("mode_scales length must equal n_pairs")
-        sq = float(np.sum(scales**2))
-    return sq * excess_photon_fraction(pump.g)

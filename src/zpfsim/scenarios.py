@@ -26,7 +26,7 @@ import numpy as np
 
 from .detection import DetectorSpec, vacuum_moments
 from .field import Mode, _check_distinct
-from .pdc import PhaseMatchedPairs, PumpSpec, pdc_transform
+from .pdc import PhaseMatchedPairs, PumpSpec, excess_photon_fraction, pdc_transform
 from .optics import beam_splitter_transform, rotator_transform
 
 __all__ = [
@@ -102,7 +102,7 @@ def make_matched_detector(
         if zeta is not None:
             raise ValueError("give at most one of zeta and zeta_sigma")
         zeta = zeta_sigma / sigma0
-    return DetectorSpec.matched(
+    return DetectorSpec(
         radius=radius,
         length=length,
         window=window,
@@ -194,7 +194,7 @@ def pdc_scenario(det_signal: DetectorSpec, det_idler: DetectorSpec, g: float,
     signal, idler = slice(0, n), slice(2 * n - 1, n - 1, -1)
     modes = tuple(sig_modes) + tuple(idl_modes)
     PhaseMatchedPairs.from_index((signal, idler), len(modes)).validate(modes, pump)
-    excess = g * g + g**4 / 8.0
+    excess = excess_photon_fraction(g)
     return Scenario(
         modes=modes,
         ops=(("pdc", (signal, idler), g),),
@@ -255,7 +255,7 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
         (rot2[0], station_weights[1]), (rot2[1], station_weights[1]),
     ])
     det_specs = (det_station1, det_station1, det_station2, det_station2)
-    excess = g * g + g**4 / 8.0
+    excess = excess_photon_fraction(g)
     scenario = Scenario(
         modes=modes,
         ops=(("pdc", crystal, g),),

@@ -15,7 +15,7 @@ from zpfsim.config import (
     set_by_path,
 )
 from zpfsim import runner
-from zpfsim.runner import emit, run
+from zpfsim.runner import emit, run, validate_points
 
 
 def base_config(**overrides):
@@ -29,6 +29,13 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def pdc_config(**overrides):
+    dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 1000,
+             "n_cells": 16, "threshold_sigma": 2.0, "zeta_sigma": 0.5}
+            for name, omega in (("signal", 1.25), ("idler", 0.75))]
+    return base_config(scenario={"kind": "pdc", "g": 0.1}, detectors=dets, **overrides)
 
 
 class TestParseConfig:
@@ -97,6 +104,17 @@ class TestParseConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
             parse_config(base_config(run={"trials": 200, "seed": -3}))
+
+    def test_pdc_analytic_requires_corr(self):
+        raw = pdc_config(run={"trials": 1, "seed": 1, "mode": "analytic"})
+        with pytest.raises(ConfigError, match="analytic.corr"):
+            parse_config(raw)
+        parse_config({**raw, "analytic": {"corr": 0.5}})
+        parse_config({**raw, "sweeps": {"analytic.corr": [0.0, 0.6]}})
+        # with a Monte Carlo run the correlation comes from the samples
+        parse_config({**raw, "run": {"trials": 1, "seed": 1, "mode": "both"}})
+        with pytest.raises(ConfigError, match="analytic.corr"):
+            validate_points(parse_config({**raw, "sweeps": {"analytic.corr": [0.6, None]}}))
 
     def test_n_modes_only_for_vacuum(self):
         parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7}))
@@ -270,6 +288,48 @@ class TestCli:
         assert "'run.seed': -3" in result.output
         assert computed == []
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_run_rejects_nonpositive_trials_override(self, tmp_path, trials):
+        cfg_path = tmp_path / "exp.yaml"
+        cfg_path.write_text(yaml.safe_dump(base_config()))
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg_path), "--trials", trials,
+                   "--out", str(tmp_path / "res.json")])
+        assert result.exit_code == 2
+        assert "--trials" in result.output
+        assert not (tmp_path / "res.json").exists()
+
+    def test_pdc_analytic_without_corr_rejected(self, tmp_path):
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        cfg_path.write_text(yaml.safe_dump(
+            pdc_config(run={"trials": 1, "seed": 1, "mode": "analytic"})))
+        for args in (["validate"], ["run", "--out", str(out_path)]):
+            result = CliRunner().invoke(main, args + ["--config", str(cfg_path)])
+            assert result.exit_code == 2, args
+            assert "analytic.corr" in result.output
+        assert not out_path.exists()
+
+    def test_pdc_analytic_with_corr_runs(self, tmp_path):
+        raw = pdc_config(run={"trials": 1, "seed": 1, "mode": "analytic"},
+                         analytic={"corr": 0.6})
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        assert result.exit_code == 0, result.output
+        (coinc,) = json.loads(out_path.read_text())["points"][0]["coincidences"].values()
+        assert coinc["corr_used"] == 0.6
+        assert 0.0 < coinc["p_analytic"] < 1.0
+
+    def test_validate_rejects_duplicate_modes(self, tmp_path):
+        det = base_config()["detectors"][0]
+        raw = base_config(detectors=[det, {**det, "name": "b"}])
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "duplicate mode" in result.output
 
     def test_run_rejects_negative_seed_override(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"

@@ -13,9 +13,6 @@ from zpfsim.detection import (
     BivariateIntensityDist,
     DetectorSpec,
     EffectiveIntensityDist,
-    effective_intensity,
-    empirical_corr,
-    filtered_field,
     intensity_batch,
     p_joint,
     p_single,
@@ -25,7 +22,7 @@ from zpfsim.detection import (
     rho_signal,
     rho_vacuum,
 )
-from zpfsim.field import FieldState, Mode, sample_vacuum_batch
+from zpfsim.field import Mode, sample_vacuum_batch
 
 from conftest import detector
 
@@ -34,12 +31,10 @@ _BOUNDEDNESS_DETECTOR = detector(zeta_sigma=10.0)
 
 
 def single_element_detector(omega_el=0.9, radius=2.0, length=3.0, window=5.0):
-    """One explicit element; threshold far above I0 to satisfy validation."""
+    """One element (tau = T) at omega_el; threshold far above I0 to satisfy validation."""
     return DetectorSpec(
         radius=radius, length=length, window=window, tau=window,
         omega_center=omega_el, threshold=1e6,
-        element_omegas=np.array([omega_el]),
-        element_kvecs=np.array([[0.0, 0.0, omega_el]]),
     )
 
 
@@ -65,22 +60,19 @@ class TestDetectorSpec:
         assert det.sigma0 == pytest.approx(det.I0 * math.sqrt(tau / 100.0), rel=1e-12)
 
     def test_default_zeta_from_eta(self):
-        det = DetectorSpec.matched(radius=2.0, length=1.0, window=50.0, tau=0.5,
-                                   omega_center=4.0, threshold=1e6, eta=0.25)
+        det = DetectorSpec(radius=2.0, length=1.0, window=50.0, tau=0.5,
+                           omega_center=4.0, threshold=1e6, eta=0.25)
         assert det.zeta == pytest.approx(0.25 * math.pi * 4.0 * 50.0 / 4.0, rel=1e-12)
 
     def test_matched_grid_spacing(self):
         det = detector(n_cells=8, window=16.0 * math.pi)
+        assert det.n_elements == 8 == round(det.window / det.tau)
+        assert det.bandwidth == pytest.approx(2 * math.pi / det.tau, rel=1e-15)
         dw = np.diff(det.element_omegas)
         assert np.allclose(dw, 2 * math.pi / det.window)
         assert np.mean(det.element_omegas) == pytest.approx(det.omega_center)
         # k vectors along the axis with |k| = omega
         assert np.allclose(det.element_kvecs[:, 2], det.element_omegas)
-
-    def test_too_few_elements_warns(self):
-        with pytest.warns(UserWarning, match="band-resolving"):
-            DetectorSpec.matched(n_elements=4, radius=1.0, length=1.0, window=100.0,
-                                 tau=1.0, omega_center=50.0, threshold=1e6)
 
 
 class TestFilteredField:
@@ -90,18 +82,11 @@ class TestFilteredField:
                  in zip(det.element_kvecs, det.element_omegas)]
         amps = np.zeros(8, dtype=complex)
         amps[3] = 1.5 - 0.5j
-        state = FieldState(tuple(modes), amps, np.ones(8))
+        fields = response_matrix(modes, np.ones(8), det) @ amps
         # the mode sits exactly on element 3: full response there, sinc zeros elsewhere
-        assert filtered_field(state, 3, det) == pytest.approx(amps[3], rel=1e-12)
+        assert fields[3] == pytest.approx(amps[3], rel=1e-12)
         for el in (0, 1, 5, 7):
-            assert abs(filtered_field(state, el, det)) < 1e-12
-
-    def test_element_index_validated(self):
-        det = detector(n_cells=4, window=8.0 * math.pi)
-        mode = Mode((0.0, 0.0, 1.0), 1.0)
-        state = FieldState((mode,), np.array([1.0 + 0j]), np.array([1.0]))
-        with pytest.raises(ValueError, match="element"):
-            filtered_field(state, 4, det)
+            assert abs(fields[el]) < 1e-12
 
     def test_against_brute_force_filter_integral(self):
         # oracle: the defining window integral, evaluated as three independent
@@ -110,7 +95,6 @@ class TestFilteredField:
         k = (0.6, 0.0, 0.8)
         mode = Mode(k, 1.0)
         alpha, scale = 0.7 - 0.3j, 1.3
-        state = FieldState((mode,), np.array([alpha]), np.array([scale]))
 
         dw = mode.omega - det.element_omegas[0]
         re_t, _ = quad(lambda t: math.cos(dw * t) / det.window, 0.0, det.window)
@@ -123,7 +107,7 @@ class TestFilteredField:
                         0.0, det.radius)
         expected = scale * alpha * complex(re_t, im_t) * z_int * r_int
 
-        got = filtered_field(state, 0, det)
+        (got,) = response_matrix([mode], [scale], det) @ [alpha]
         assert got == pytest.approx(expected, rel=1e-10)
         assert abs(got) < abs(scale * alpha)   # filtering can only attenuate
 
@@ -133,9 +117,10 @@ class TestFilteredField:
                  in zip(det.element_kvecs, det.element_omegas)]
         rng = np.random.default_rng(0)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        state = FieldState(tuple(modes), amps, np.full(8, 0.7))
-        expected = sum(abs(filtered_field(state, el, det)) ** 2 for el in range(8))
-        assert effective_intensity(state, det) == pytest.approx(expected, rel=1e-10)
+        fields = response_matrix(modes, np.full(8, 0.7), det) @ amps
+        # Ibar = sum_l |Ebar_l|^2, and on the matched grid Ebar_l = scale_l alpha_l
+        intensity = np.sum(np.abs(fields) ** 2)
+        assert intensity == pytest.approx(0.7**2 * np.sum(np.abs(amps) ** 2), rel=1e-10)
 
 
 class TestResponseMatrix:
@@ -184,7 +169,7 @@ class TestResponseModels:
 
     def test_standard_response_unbounded(self, small_detector):
         det = small_detector
-        big = DetectorSpec.matched(
+        big = DetectorSpec(
             radius=1.0, length=det.length, window=det.window, tau=det.tau,
             omega_center=det.omega_center, threshold=det.threshold,
             zeta_override=3.0 / det.sigma0)
@@ -284,21 +269,6 @@ class TestDetectionProbabilities:
         ps = [p_joint(BivariateIntensityDist(r, r, c), det, det)
               for c in (-0.5, 0.0, 0.5, 0.9)]
         assert ps == sorted(ps)
-
-
-class TestEmpiricalCorr:
-    def test_matches_numpy_on_known_sample(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(500)
-        y = 0.6 * x + 0.8 * rng.standard_normal(500)
-        samples = np.stack([x, y], axis=1)
-        assert empirical_corr(samples) == pytest.approx(np.corrcoef(x, y)[0, 1], rel=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            empirical_corr(np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="shape"):
-            empirical_corr(np.zeros((5, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,35 @@
+import ast
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zpfsim
+
+MODULES = [importlib.import_module(f"zpfsim.{m.name}")
+           for m in pkgutil.iter_modules(zpfsim.__path__)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
+                         ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    # the benchmark's span tracer wraps every function listed in __all__
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(zpfsim.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"zpfsim.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)
+            assert getattr(zpfsim, alias.asname or alias.name) is getattr(module, alias.name)
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_stats():

@@ -5,26 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpfsim.field import FieldState, Mode, mode_scales
 from zpfsim.optics import (
     GeometrySpec,
     LensSpec,
-    beam_splitter,
     beam_splitter_transform,
     coherence_ok,
     lens_gain,
-    polarization_rotator,
     ring_radius,
     rotator_transform,
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-def two_mode_state():
-    m1 = Mode((0.0, 0.0, 1.0), 1.0, 0)
-    m2 = Mode((0.0, 0.0, 1.0), 1.0, 1)
-    return FieldState((m1, m2), np.array([0.6 - 0.2j, -0.3 + 0.9j]), mode_scales([m1, m2]))
 
 
 class TestBeamSplitter:
@@ -50,20 +41,6 @@ class TestBeamSplitter:
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         out = beam_splitter_transform(amps, ([0, 1], [2, 3]), t, phase)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(amps) ** 2), rel=1e-10)
-
-    def test_state_wrapper_checks_indices(self):
-        state = two_mode_state()
-        with pytest.raises(ValueError, match="out of range"):
-            beam_splitter(state, ((0, 5),), 0.5)
-        with pytest.raises(ValueError, match="more than one pair"):
-            beam_splitter(state, ((0, 1), (1, 0)), 0.5)
-
-    def test_state_wrapper_applies_transform(self):
-        state = two_mode_state()
-        out = beam_splitter(state, ((0, 1),), 0.3, phase=0.7)
-        expected = beam_splitter_transform(state.amplitudes, (0, 1), 0.3, 0.7)
-        assert np.allclose(out.amplitudes, expected)
-        assert out.modes == state.modes
 
 
 class TestRotator:
@@ -93,12 +70,6 @@ class TestRotator:
         saved = amps.copy()
         rotator_transform(amps, (slice(0, 4, 2), slice(1, 4, 2)), 0.4)
         assert np.array_equal(amps, saved)
-
-    def test_state_wrapper(self):
-        state = two_mode_state()
-        out = polarization_rotator(state, ((0, 1),), 0.4)
-        expected = rotator_transform(state.amplitudes, (0, 1), 0.4)
-        assert np.allclose(out.amplitudes, expected)
 
 
 class TestLensFormulas:

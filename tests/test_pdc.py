@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from zpfsim.field import FieldState, Mode, mode_scales, sample_vacuum_batch
+from zpfsim.field import Mode, sample_vacuum_batch
 from zpfsim.pdc import (
     PERTURBATIVE_G_LIMIT,
     PhaseMatchedPairs,
     PumpSpec,
-    apply_pdc,
     excess_photon_fraction,
-    mean_signal_intensity,
     pair_correlation,
     pdc_transform,
 )
@@ -104,21 +102,24 @@ class TestPdcTransform:
 
 
 class TestApplyPdc:
+    """The crystal step of a scenario build: validate the index pair, then map."""
+
     def test_valid_transform_and_immutability(self):
         modes, pump = matched_modes()
-        state = FieldState(modes, np.array([0.2 + 0.1j, -0.3 + 0.4j]), mode_scales(modes))
-        out = apply_pdc(state, pump, PhaseMatchedPairs(((0, 1),)))
-        assert out is not state
+        amps = np.array([0.2 + 0.1j, -0.3 + 0.4j])
+        saved = amps.copy()
+        PhaseMatchedPairs.from_index((0, 1), len(modes)).validate(modes, pump)
+        out = pdc_transform(amps, (0, 1), pump.g)
+        assert out is not amps
+        assert np.array_equal(amps, saved)
         a = 1.0 + 0.5 * pump.g**2
-        assert out.amplitudes[0] == pytest.approx(
-            a * state.amplitudes[0] + pump.g * np.conj(state.amplitudes[1]))
+        assert out[0] == pytest.approx(a * amps[0] + pump.g * np.conj(amps[1]))
 
     def test_invalid_matching_raises(self):
         modes, _ = matched_modes()
         bad_pump = PumpSpec((0.0, 0.0, 2.0), 2.1, 0.1)
-        state = FieldState(modes, np.zeros(2, dtype=complex), mode_scales(modes))
         with pytest.raises(ValueError, match="frequency"):
-            apply_pdc(state, bad_pump, PhaseMatchedPairs(((0, 1),)))
+            PhaseMatchedPairs.from_index((0, 1), len(modes)).validate(modes, bad_pump)
 
 
 class TestMoments:
@@ -142,17 +143,3 @@ class TestMoments:
         occ = np.abs(out[:, 0]) ** 2
         se_occ = np.std(occ) / np.sqrt(n)
         assert abs(np.mean(occ) - 0.5 - excess_photon_fraction(g)) < 3 * se_occ
-
-    def test_mean_signal_intensity_scalar_and_array(self):
-        pump = PumpSpec((0.0, 0.0, 2.0), 2.0, 0.1)
-        ex = excess_photon_fraction(0.1)
-        assert mean_signal_intensity(pump, 3, 2.0) == pytest.approx(12.0 * ex)
-        got = mean_signal_intensity(pump, 2, np.array([1.0, 3.0]))
-        assert got == pytest.approx(10.0 * ex)
-
-    def test_mean_signal_intensity_validation(self):
-        pump = PumpSpec((0.0, 0.0, 2.0), 2.0, 0.1)
-        with pytest.raises(ValueError, match="n_pairs"):
-            mean_signal_intensity(pump, 0)
-        with pytest.raises(ValueError, match="length"):
-            mean_signal_intensity(pump, 3, np.array([1.0, 2.0]))
