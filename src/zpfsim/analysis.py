@@ -9,7 +9,6 @@ beyond statistical noise.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,8 @@ __all__ = [
     "classify_regime",
     "tradeoff_report",
     "min_rate_bound",
+    "chsh_variants",
+    "chsh_summary",
     "chsh_scan",
 ]
 
@@ -56,6 +57,8 @@ class TradeoffReport:
 
 
 def _margins(detector: DetectorSpec, signal_mean: float):
+    if signal_mean < 0:
+        raise ValueError("signal mean intensity must be non-negative")
     s0 = detector.sigma0
     dark = (detector.threshold - detector.I0) / s0
     linear = (detector.I0 + signal_mean - detector.threshold) / s0
@@ -64,8 +67,6 @@ def _margins(detector: DetectorSpec, signal_mean: float):
 
 def classify_regime(signal_mean: float, detector: DetectorSpec) -> RegimeReport:
     """Dark / linear / saturated classification of Eq.-level operation."""
-    if signal_mean < 0:
-        raise ValueError("signal mean intensity must be non-negative")
     dark_m, lin_m = _margins(detector, signal_mean)
     x = detector.zeta * signal_mean
     if signal_mean == 0:
@@ -91,12 +92,10 @@ def tradeoff_report(detector: DetectorSpec, signal_mean: float, k: float = 3.0) 
     constraint I0 + Ibar_s - I_m >= k sigma0 are jointly satisfiable iff
     Ibar_s >= 2 k sigma0.
     """
-    if signal_mean < 0:
-        raise ValueError("signal mean intensity must be non-negative")
     if k <= 0:
         raise ValueError("constraint strength k must be positive")
-    s0 = detector.sigma0
     dark_m, lin_m = _margins(detector, signal_mean)
+    s0 = detector.sigma0
     lo = detector.I0 + k * s0
     hi = detector.I0 + signal_mean - k * s0
     feasible = signal_mean >= 2.0 * k * s0
@@ -144,32 +143,28 @@ class ChshResult:
                 raise ValueError(f"correlation estimate {e} outside [-1, 1]")
 
 
-def chsh_scan(scenario: Scenario, rot1, rot2, settings, trials: int, seed: int,
-              workers: int | None = None,
-              force_responses: tuple | None = None) -> ChshResult:
-    """Estimate S over four analyzer settings with shared hidden variables.
-
-    ``scenario`` must be a two-station scenario with coincidence pairs
-    ordered (++, +-, -+, --). Every setting reuses the same per-trial
-    vacuum draws, exactly as a deterministic hidden-variables model
-    prescribes. ``force_responses`` (4 constants or None entries) replaces
-    the physical responses for diagnostics.
-    """
+def chsh_variants(scenario: Scenario, rot1, rot2, settings):
+    """The four settings as floats, and per setting the scenario's ops plus both rotators."""
     settings = tuple((float(a), float(b)) for a, b in settings)
     if len(settings) != 4:
         raise ValueError(f"exactly four analyzer settings required, got {len(settings)}")
     if len(scenario.coincidences) != 4 or len(scenario.detector_names) != 4:
         raise ValueError("chsh_scan needs a four-detector, four-pair scenario")
-    if force_responses is not None:
-        scenario = dataclasses.replace(scenario, forced_responses=tuple(force_responses))
-    variant_ops = [
+    return settings, [
         scenario.ops + (("rotator", tuple(rot1), t1), ("rotator", tuple(rot2), t2))
         for t1, t2 in settings
     ]
-    sums = run_variants(scenario, variant_ops, trials, seed, workers)
+
+
+def chsh_summary(settings: tuple, sums, first: int = 0) -> ChshResult:
+    """CHSH estimate from the four variants of ``sums`` that start at ``first``.
+
+    Each variant holds the coincidence pairs (++, +-, -+, --).
+    """
     n = sums.n
-    p = sums.u_sum / n                                   # (16,) setting-major
-    cov = (sums.uu_sum / n - np.outer(p, p))
+    block = slice(4 * first, 4 * first + 16)
+    p = sums.u_sum[block] / n                            # (16,) setting-major
+    cov = sums.uu_sum[block, block] / n - np.outer(p, p)
     if n > 1:
         cov *= n / (n - 1)
     cov /= n                                             # covariance of the mean
@@ -205,3 +200,17 @@ def chsh_scan(scenario: Scenario, rot1, rot2, settings, trials: int, seed: int,
         s_stderr=s_stderr,
         coincidence_probs=tuple(probs),
     )
+
+
+def chsh_scan(scenario: Scenario, rot1, rot2, settings, trials: int, seed: int,
+              workers: int | None = None) -> ChshResult:
+    """Estimate S over four analyzer settings with shared hidden variables.
+
+    ``scenario`` must be a two-station scenario with coincidence pairs
+    ordered (++, +-, -+, --). Every setting reuses the same per-trial
+    vacuum draws, exactly as a deterministic hidden-variables model
+    prescribes.
+    """
+    settings, variants = chsh_variants(scenario, rot1, rot2, settings)
+    return chsh_summary(settings, run_variants(scenario, variants, trials, seed, workers))
+

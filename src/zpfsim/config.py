@@ -1,8 +1,10 @@
 """Declarative experiment configuration: YAML schema, validation, digest.
 
 The schema is strict: unknown keys are errors, because physics configs are
-easy to silently typo. ``load_config`` fills documented defaults and keeps
-a record of every default it applied.
+easy to silently typo. ``_SCHEMA`` is the one table of keys, defaults and
+value checks. ``load_config`` fills documented defaults, keeps a record of
+every default it applied, and checks every sweep point (``sweep_points``):
+a base value that a sweep overrides is never checked.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import yaml
 
@@ -19,23 +22,71 @@ from .scenarios import make_matched_detector
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config", "config_digest"]
 
+
+class ConfigError(ValueError):
+    """Configuration parse or validation failure."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _numbers(n: int):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_number, v))
+
+
+_REQUIRED = object()   # default of a key the config must give
+_NUMBER = ("a number", _is_number)
+_POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0)
+_COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+
 # canonical CHSH analyzer settings (a, b), (a, b'), (a', b), (a', b')
 _DEFAULT_CHSH_SETTINGS = [
     [0.0, math.pi / 8], [0.0, 3 * math.pi / 8],
     [math.pi / 4, math.pi / 8], [math.pi / 4, 3 * math.pi / 8],
 ]
 
-_TOP_KEYS = {"units", "scenario", "detectors", "run", "sweeps", "chsh", "analytic"}
-_SCENARIO_KEYS = {"kind", "g", "n_modes"}
-_DETECTOR_KEYS = {"name", "omega_center", "window", "n_cells", "length", "radius",
-                  "eta", "zeta", "zeta_sigma", "threshold_sigma", "threshold", "axis"}
-_RUN_KEYS = {"trials", "seed", "mode"}
-_CHSH_KEYS = {"settings"}
-_ANALYTIC_KEYS = {"corr"}
-
-
-class ConfigError(ValueError):
-    """Configuration parse or validation failure."""
+# section -> key -> (default, what a valid value is, check). Section "" holds
+# the top-level keys and "detectors" every list entry. A key given as null
+# takes its default; a None default also admits None; a callable default is
+# called with the section's dotted prefix.
+_SCHEMA = {
+    "": {
+        "units": ("dimensionless", "'dimensionless' (hbar = c = eps0 = 1; for SI inputs "
+                  "use `zpfsim rate-bound`)", lambda v: v == "dimensionless"),
+    },
+    "scenario": {
+        "kind": (_REQUIRED, "vacuum, pdc or chsh", lambda v: v in ("vacuum", "pdc", "chsh")),
+        "g": (0.0, "a non-negative number", lambda v: _is_number(v) and v >= 0),
+        "n_modes": (None, *_COUNT),
+    },
+    "detectors": {
+        "name": (lambda prefix: "d" + prefix.split(".")[1], "a string",
+                 lambda v: isinstance(v, str)),
+        **dict.fromkeys(("omega_center", "window"), (_REQUIRED, *_POSITIVE)),
+        "n_cells": (_REQUIRED, *_COUNT),
+        **dict.fromkeys(("length", "radius", "eta"), (1.0, *_NUMBER)),
+        **dict.fromkeys(("zeta", "zeta_sigma", "threshold_sigma", "threshold"), (None, *_NUMBER)),
+        "axis": ([0.0, 0.0, 1.0], "three numbers", _numbers(3)),
+    },
+    "run": {
+        "trials": (10000, *_COUNT),
+        "seed": (0, "a non-negative integer", lambda v: _is_int(v) and v >= 0),
+        "mode": ("both", "mc, analytic or both", lambda v: v in ("mc", "analytic", "both")),
+    },
+    "chsh": {
+        "settings": (_DEFAULT_CHSH_SETTINGS, "four [angle1, angle2] pairs of numbers",
+                     lambda v: isinstance(v, list) and len(v) == 4 and all(map(_numbers(2), v))),
+    },
+    "analytic": {
+        "corr": (None, "a number in [-1, 1]", lambda v: _is_number(v) and -1.0 <= v <= 1.0),
+    },
+}
+_SECTIONS = ("scenario", "run", "chsh", "analytic", "sweeps")
 
 
 @dataclass(frozen=True)
@@ -53,23 +104,9 @@ class ExperimentConfig:
         """Build the DetectorSpec list; raises ConfigError on bad physics."""
         specs = []
         for dcfg in self.data["detectors"]:
-            kwargs = dict(
-                omega_center=dcfg["omega_center"],
-                window=dcfg["window"],
-                n_cells=dcfg["n_cells"],
-                length=dcfg["length"],
-                radius=dcfg["radius"],
-                eta=dcfg["eta"],
-                zeta=dcfg["zeta"],
-                zeta_sigma=dcfg["zeta_sigma"],
-                axis=tuple(dcfg["axis"]),
-            )
-            if dcfg["threshold_sigma"] is not None:
-                kwargs["threshold_sigma"] = dcfg["threshold_sigma"]
-            else:
-                kwargs["threshold"] = dcfg["threshold"]
             try:
-                specs.append(make_matched_detector(**kwargs))
+                specs.append(make_matched_detector(
+                    **{key: value for key, value in dcfg.items() if key != "name"}))
             except ValueError as exc:
                 raise ConfigError(f"detector {dcfg['name']!r}: {exc}") from exc
         return specs
@@ -81,173 +118,118 @@ def config_digest(data: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _default(section: dict, key: str, value, defaults: dict, where: str):
-    if key not in section or section[key] is None:
-        section[key] = value
-        defaults[f"{where}.{key}"] = value
-    return section[key]
-
-
-def _check_number(value, name: str, positive: bool = False):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+def _sections(data: dict):
+    """(dotted prefix, mapping, schema) of every schema section of ``data``."""
+    yield "", data, _SCHEMA[""]
+    for name in _SECTIONS[:-1]:
+        yield f"{name}.", data[name], _SCHEMA[name]
+    for idx, det in enumerate(data["detectors"]):
+        yield f"detectors.{idx}.", det, _SCHEMA["detectors"]
 
 
 def check_point(data: dict) -> None:
-    """Checks run on the base config and on every sweep point.
+    """Check one sweep point: every value against the schema, then the cross-key rules.
 
-    Seeds key a SeedSequence, which takes only non-negative integers;
     ``scenario.n_modes`` is read only by the vacuum builder. An analytic-only
     PDC run has no Monte Carlo estimate of the signal-idler correlation, so
-    it needs ``analytic.corr``; a base config whose sweep sets it is exempt,
-    since no point runs with the base value.
+    it needs ``analytic.corr``.
     """
-    seed = data["run"]["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"run.seed must be a non-negative integer, got {seed!r}")
+    for prefix, section, schema in _sections(data):
+        for key, (default, what, ok) in schema.items():
+            value = section[key]
+            if not (value is None and default is None or ok(value)):
+                raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
     kind = data["scenario"]["kind"]
+    names = [det["name"] for det in data["detectors"]]
+    if kind != "vacuum" and len(names) != 2:
+        raise ConfigError(f"scenario kind {kind!r} requires exactly 2 detectors")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate detector name in {names}")
     if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
         raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
-    if (kind == "pdc" and data["run"]["mode"] == "analytic"
-            and data["analytic"]["corr"] is None and "analytic.corr" not in data["sweeps"]):
+    if kind == "pdc" and data["run"]["mode"] == "analytic" and data["analytic"]["corr"] is None:
         raise ConfigError("kind 'pdc' with run.mode 'analytic' requires analytic.corr "
                           "(there is no Monte Carlo correlation to fall back on)")
 
 
+def sweep_points(data: dict) -> list:
+    """(overrides, point data, detector specs) of every sweep point.
+
+    A point is the config with its sweep values set and ``sweeps`` emptied;
+    a config without sweeps is its own single point. Every point passes
+    ``check_point`` and builds its detector specs. Raises ConfigError naming
+    the first invalid point.
+    """
+    sweeps = data["sweeps"]
+    points = []
+    for combo in product(*sweeps.values()):
+        overrides = dict(zip(sweeps, combo))
+        point = copy.deepcopy(data)
+        for path, value in overrides.items():
+            set_by_path(point, path, value)
+        point["sweeps"] = {}
+        try:
+            check_point(point)
+            specs = ExperimentConfig(point).detector_specs()
+        except ConfigError as exc:
+            if not overrides:
+                raise
+            raise ConfigError(f"sweep point {overrides}: {exc}") from exc
+        points.append((overrides, point, specs))
+    return points
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed mapping and fill defaults."""
+    """Check the structure, fill defaults and check every sweep point."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     data = copy.deepcopy(raw)
-    defaults: dict = {}
-    _require_keys(data, _TOP_KEYS, "config root")
-    _default(data, "units", "dimensionless", defaults, "")
-    if data["units"] != "dimensionless":
-        raise ConfigError(
-            f"units must be 'dimensionless', got {data['units']!r}; the simulator works "
-            "in hbar = c = eps0 = 1 units (for SI inputs use `zpfsim rate-bound`)")
-
-    scenario = data.get("scenario")
-    if not isinstance(scenario, dict):
-        raise ConfigError("config requires a 'scenario' mapping")
-    _require_keys(scenario, _SCENARIO_KEYS, "scenario")
-    kind = scenario.get("kind")
-    if kind not in ("vacuum", "pdc", "chsh"):
-        raise ConfigError(f"scenario.kind must be vacuum, pdc or chsh, got {kind!r}")
-    _default(scenario, "g", 0.0, defaults, "scenario")
-    _check_number(scenario["g"], "scenario.g")
-    if scenario["g"] < 0:
-        raise ConfigError("scenario.g must be non-negative")
-    _default(scenario, "n_modes", None, defaults, "scenario")
-
+    for name in _SECTIONS:
+        if data.get(name) is None:
+            data[name] = {}
+        if not isinstance(data[name], dict):
+            raise ConfigError(f"'{name}' must be a mapping")
     detectors = data.get("detectors")
-    if not isinstance(detectors, list) or not detectors:
-        raise ConfigError("config requires a non-empty 'detectors' list")
-    if kind in ("pdc", "chsh") and len(detectors) != 2:
-        raise ConfigError(f"scenario kind {kind!r} requires exactly 2 detectors")
-    names = set()
-    for idx, det in enumerate(detectors):
-        where = f"detectors[{idx}]"
-        if not isinstance(det, dict):
-            raise ConfigError(f"{where} must be a mapping")
-        _require_keys(det, _DETECTOR_KEYS, where)
-        _default(det, "name", f"d{idx}", defaults, where)
-        if det["name"] in names:
-            raise ConfigError(f"duplicate detector name {det['name']!r}")
-        names.add(det["name"])
-        for key in ("omega_center", "window"):
-            if key not in det:
-                raise ConfigError(f"{where} requires {key}")
-            _check_number(det[key], f"{where}.{key}", positive=True)
-        if "n_cells" not in det:
-            raise ConfigError(f"{where} requires n_cells")
-        if not isinstance(det["n_cells"], int) or det["n_cells"] < 1:
-            raise ConfigError(f"{where}.n_cells must be a positive integer")
-        _default(det, "length", 1.0, defaults, where)
-        _default(det, "radius", 1.0, defaults, where)
-        _default(det, "eta", 1.0, defaults, where)
-        _default(det, "zeta", None, defaults, where)
-        _default(det, "zeta_sigma", None, defaults, where)
-        _default(det, "axis", [0.0, 0.0, 1.0], defaults, where)
-        _default(det, "threshold", None, defaults, where)
-        _default(det, "threshold_sigma", None, defaults, where)
-        if (det["threshold"] is None) == (det["threshold_sigma"] is None):
-            raise ConfigError(f"{where}: give exactly one of threshold and threshold_sigma")
-        if det["zeta"] is not None and det["zeta_sigma"] is not None:
-            raise ConfigError(f"{where}: give at most one of zeta and zeta_sigma")
+    if (not isinstance(detectors, list) or not detectors
+            or not all(isinstance(det, dict) for det in detectors)):
+        raise ConfigError("config requires a non-empty 'detectors' list of mappings")
 
-    run = _default(data, "run", {}, defaults, "")
-    if not isinstance(run, dict):
-        raise ConfigError("'run' must be a mapping")
-    _require_keys(run, _RUN_KEYS, "run")
-    _default(run, "trials", 10000, defaults, "run")
-    _default(run, "seed", 0, defaults, "run")
-    _default(run, "mode", "both", defaults, "run")
-    if not isinstance(run["trials"], int) or run["trials"] < 1:
-        raise ConfigError("run.trials must be a positive integer")
-    if run["mode"] not in ("mc", "analytic", "both"):
-        raise ConfigError(f"run.mode must be mc, analytic or both, got {run['mode']!r}")
+    defaults: dict = {}
+    leaves = set()
+    for prefix, section, schema in _sections(data):
+        unknown = set(section) - set(schema) - (set() if prefix else {*_SECTIONS, "detectors"})
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {prefix[:-1] or 'config root'}: "
+                              f"{', '.join(sorted(map(str, unknown)))}")
+        for key, (default, _, _) in schema.items():
+            leaves.add(prefix + key)
+            if section.get(key) is not None:
+                continue
+            if default is _REQUIRED:
+                raise ConfigError(f"{prefix[:-1]} requires {key}")
+            section[key] = default(prefix) if callable(default) else copy.deepcopy(default)
+            defaults[prefix + key] = section[key]
+    for path, values in data["sweeps"].items():
+        if path not in leaves:
+            raise ConfigError(f"sweep path {path!r} does not address a config field")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep axis {path!r} must be a non-empty list of values")
 
-    chsh = _default(data, "chsh", {}, defaults, "")
-    if not isinstance(chsh, dict):
-        raise ConfigError("'chsh' must be a mapping")
-    _require_keys(chsh, _CHSH_KEYS, "chsh")
-    _default(chsh, "settings", copy.deepcopy(_DEFAULT_CHSH_SETTINGS), defaults, "chsh")
-    settings = chsh["settings"]
-    if (not isinstance(settings, list) or len(settings) != 4
-            or any(len(pair) != 2 for pair in settings)):
-        raise ConfigError("chsh.settings must be four [angle1, angle2] pairs")
-
-    analytic = _default(data, "analytic", {}, defaults, "")
-    if not isinstance(analytic, dict):
-        raise ConfigError("'analytic' must be a mapping")
-    _require_keys(analytic, _ANALYTIC_KEYS, "analytic")
-    _default(analytic, "corr", None, defaults, "analytic")
-    if analytic["corr"] is not None:
-        _check_number(analytic["corr"], "analytic.corr")
-        if not -1.0 <= analytic["corr"] <= 1.0:
-            raise ConfigError("analytic.corr must lie in [-1, 1]")
-
-    sweeps = _default(data, "sweeps", {}, defaults, "")
-    if not isinstance(sweeps, dict):
-        raise ConfigError("'sweeps' must be a mapping of dotted paths to value lists")
-    for path, values in sweeps.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep axis {path!r} must be a list of values")
-        probe = copy.deepcopy(data)
-        for value in values:
-            set_by_path(probe, path, value)   # raises ConfigError on a bad path
-
-    check_point(data)
-    cfg = ExperimentConfig(data, defaults)
-    cfg.detector_specs()   # physics validation (e.g. the I_m > I0 requirement)
-    return cfg
+    sweep_points(data)
+    return ExperimentConfig(data, defaults)
 
 
 def set_by_path(data: dict, path: str, value) -> None:
-    """Assign ``value`` at a dotted path like ``detectors.0.threshold_sigma``."""
-    parts = path.split(".")
+    """Assign ``value`` at a dotted path like ``detectors.0.threshold_sigma``.
+
+    The path is not checked here: ``parse_config`` accepts only sweep paths
+    that name a schema key.
+    """
+    *parents, leaf = path.split(".")
     node = data
-    try:
-        for part in parts[:-1]:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        leaf = parts[-1]
-        if isinstance(node, list):
-            node[int(leaf)] = value
-        else:
-            if leaf not in node:
-                raise KeyError(leaf)
-            node[leaf] = value
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep path {path!r} does not address a config field") from exc
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[leaf] = value
 
 
 def load_config(path) -> ExperimentConfig:

@@ -86,8 +86,9 @@ class DetectorSpec:
         if not 0 < self.eta <= 1:
             raise ValueError(f"quantum efficiency must lie in (0, 1], got {self.eta}")
         ax = np.asarray(self.axis, dtype=float)
-        ax = ax / np.linalg.norm(ax)
-        object.__setattr__(self, "axis", tuple(ax))
+        if ax.shape != (3,) or not np.any(ax):
+            raise ValueError(f"axis must be a nonzero 3-vector, got {self.axis}")
+        object.__setattr__(self, "axis", tuple(ax / np.linalg.norm(ax)))
         if self.threshold <= self.I0:
             raise ValueError(
                 f"threshold I_m={self.threshold:g} must exceed the vacuum mean "
@@ -221,17 +222,10 @@ class EffectiveIntensityDist:
 
     mean: float
     sigma: float
-    kind: str = "vacuum"
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.kind not in ("vacuum", "signal"):
-            raise ValueError(f"kind must be 'vacuum' or 'signal', got {self.kind!r}")
-
-    def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -249,15 +243,14 @@ class BivariateIntensityDist:
 
 def rho_vacuum(detector: DetectorSpec) -> EffectiveIntensityDist:
     """Vacuum law: mean I0 = wbar dw / (8 pi c L), sigma = I0 sqrt(tau/T)."""
-    return EffectiveIntensityDist(detector.I0, detector.sigma0, "vacuum")
+    return EffectiveIntensityDist(detector.I0, detector.sigma0)
 
 
 def rho_signal(detector: DetectorSpec, signal_mean: float) -> EffectiveIntensityDist:
     """Signal law: mean I0 + Ibar_s, deviation unchanged from the vacuum."""
     if signal_mean < 0:
         raise ValueError(f"signal mean intensity must be non-negative, got {signal_mean}")
-    kind = "vacuum" if signal_mean == 0 else "signal"
-    return EffectiveIntensityDist(detector.I0 + signal_mean, detector.sigma0, kind)
+    return EffectiveIntensityDist(detector.I0 + signal_mean, detector.sigma0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
 field.TRIAL_BLOCK), so each chunk draws its amplitudes from the single
-generator keyed by (seed, block). Chunk results are folded in chunk order,
-so the outcome is bit-identical for any worker count.
+generator keyed by (seed, block). ``run_variants`` samples each chunk once
+and runs every op variant (for CHSH: the scenario's own ops and the four
+analyzer settings) over the same amplitudes, accumulating sufficient
+statistics; ``detection_summary`` reads variant 0 of them. Chunk results
+are folded in chunk order, so the outcome is bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .detection import intensity_batch, q_model
 from .field import TRIAL_BLOCK, sample_vacuum_batch
 from .scenarios import Scenario, apply_ops
 
-__all__ = ["Estimate", "DetectionResult", "mc_detect", "mc_intensity_samples", "run_variants"]
+__all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
 
 CHUNK_TRIALS = TRIAL_BLOCK
 
@@ -66,11 +70,10 @@ def _chunk_worker(args) -> _ChunkSums:
     b = stop - start
     q = np.empty((n_var, n_det, b))
     i = np.empty((n_var, n_det, b))
-    forced = scenario.forced_responses or (None,) * n_det
     for v, ops in enumerate(variant_ops):
         i[v] = intensity_batch(apply_ops(amps0, ops), scenario.weights).T
         for d, spec in enumerate(scenario.detector_specs):
-            q[v, d] = q_model(i[v, d], spec) if forced[d] is None else forced[d]
+            q[v, d] = q_model(i[v, d], spec)
     qq = np.empty((n_var, n_pair, b))
     for p, (a, c) in enumerate(pairs):
         qq[:, p, :] = q[:, a, :] * q[:, c, :]
@@ -98,10 +101,6 @@ def _fold(chunks: list[_ChunkSums]) -> _ChunkSums:
     return _ChunkSums(n=n, **acc)
 
 
-def _chunk_bounds(trials: int) -> list[tuple[int, int]]:
-    return [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
-
-
 def default_workers() -> int:
     return max(1, int(os.environ.get("ZPFSIM_WORKERS", "1")))
 
@@ -113,7 +112,8 @@ def run_variants(scenario: Scenario, variant_ops, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if workers is None:
         workers = default_workers()
-    args = [(scenario, tuple(variant_ops), seed, s, e) for s, e in _chunk_bounds(trials)]
+    args = [(scenario, tuple(variant_ops), seed, s, min(s + CHUNK_TRIALS, trials))
+            for s in range(0, trials, CHUNK_TRIALS)]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_worker, args))
@@ -130,23 +130,20 @@ def _mean_se(total: float, total_sq: float, n: int) -> Estimate:
     return Estimate(mean, math.sqrt(var / n))
 
 
-def mc_detect(scenario: Scenario, trials: int, seed: int,
-              workers: int | None = None) -> DetectionResult:
-    """Direct Monte Carlo of singles and coincidences over the vacuum ensemble."""
-    sums = run_variants(scenario, [scenario.ops], trials, seed, workers)
+def detection_summary(scenario: Scenario, sums: _ChunkSums) -> DetectionResult:
+    """Singles, coincidences and intensity statistics of variant 0 of ``sums``."""
     n = sums.n
     names = scenario.detector_names
-    singles = {nm: _mean_se(sums.q_sum[0, d], sums.q2_sum[0, d], n)
-               for d, nm in enumerate(names)}
-    imean, istd = {}, {}
+    singles, imean, istd = {}, {}, {}
     for d, nm in enumerate(names):
+        singles[nm] = _mean_se(sums.q_sum[0, d], sums.q2_sum[0, d], n)
         est = _mean_se(sums.i_sum[0, d], sums.i2_sum[0, d], n)
         imean[nm] = est
         istd[nm] = est.stderr * math.sqrt(n)
     coinc, icorr = {}, {}
     for p, (a, c) in enumerate(scenario.coincidences):
         key = (names[a], names[c])
-        # one variant: u_sum[p] sums Q_a Q_c and uu_sum[p, p] its square
+        # variant 0: u_sum[p] sums Q_a Q_c and uu_sum[p, p] its square
         coinc[key] = _mean_se(sums.u_sum[p], sums.uu_sum[p, p], n)
         cov = sums.ii_sum[0, p] / n - (sums.i_sum[0, a] / n) * (sums.i_sum[0, c] / n)
         sa = math.sqrt(max(sums.i2_sum[0, a] / n - (sums.i_sum[0, a] / n) ** 2, 0.0))
@@ -158,11 +155,8 @@ def mc_detect(scenario: Scenario, trials: int, seed: int,
     )
 
 
-def mc_intensity_samples(scenario: Scenario, trials: int, seed: int) -> dict:
-    """Per-detector effective-intensity samples (single worker, test helper)."""
-    out = np.empty((trials, len(scenario.detector_names)))
-    for start, stop in _chunk_bounds(trials):
-        amps = apply_ops(sample_vacuum_batch(scenario.n_modes, seed, range(start, stop)),
-                         scenario.ops)
-        out[start:stop] = intensity_batch(amps, scenario.weights)
-    return {nm: out[:, d] for d, nm in enumerate(scenario.detector_names)}
+def mc_detect(scenario: Scenario, trials: int, seed: int,
+              workers: int | None = None) -> DetectionResult:
+    """Direct Monte Carlo of singles and coincidences over the vacuum ensemble."""
+    sums = run_variants(scenario, [scenario.ops], trials, seed, workers)
+    return detection_summary(scenario, sums)

@@ -1,10 +1,10 @@
 """Linear optical elements and the lens feasibility formulas.
 
-Amplitude maps (beam splitter, polarization rotator) act unitarily on an
-amplitude array of shape (..., n_modes); the mode pairs they mix are given
-as one index pair. The lens is handled at the intensity level: it multiplies
-the signal mean by the gain b^2 and fixes the recommended detector radius,
-but leaves the zeropoint statistics untouched.
+The polarization rotator acts unitarily on an amplitude array of shape
+(..., n_modes); the (H, V) mode pairs it mixes are given as one index pair.
+The lens is handled at the intensity level: it multiplies the signal mean
+by the gain b^2 and fixes the recommended detector radius, but leaves the
+zeropoint statistics untouched.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "LensSpec",
     "GeometrySpec",
-    "beam_splitter_transform",
     "rotator_transform",
     "lens_gain",
     "ring_radius",
@@ -54,27 +53,6 @@ class GeometrySpec:
     def __post_init__(self):
         if min(self.distance, self.crystal_radius) <= 0:
             raise ValueError("distance and crystal radius must be positive")
-
-
-def beam_splitter_transform(amps: np.ndarray, index, transmittance: float, phase: float = 0.0) -> np.ndarray:
-    """Beam splitter on amplitude array of shape (..., n_modes).
-
-    ``index`` is a pair ``(a, b)`` of equal-length mode indices (ints,
-    slices or integer arrays). Convention: symmetric i-phase on reflection,
-        (a, b) -> (sqrt(t) a + i sqrt(1-t) e^{i phi} b,
-                   i sqrt(1-t) e^{-i phi} a + sqrt(t) b).
-    """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
-    out = np.array(amps, dtype=complex, copy=True)
-    ct = math.sqrt(transmittance)
-    st = math.sqrt(1.0 - transmittance)
-    a_idx, b_idx = index
-    a = amps[..., a_idx]
-    b = amps[..., b_idx]
-    out[..., a_idx] = ct * a + 1j * st * np.exp(1j * phase) * b
-    out[..., b_idx] = 1j * st * np.exp(-1j * phase) * a + ct * b
-    return out
 
 
 def rotator_transform(amps: np.ndarray, index, angle: float) -> np.ndarray:

@@ -10,15 +10,13 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 from dataclasses import dataclass
-from itertools import product
 
 from . import __version__
-from .analysis import chsh_scan, classify_regime, tradeoff_report
-from .config import ConfigError, ExperimentConfig, check_point, config_digest, set_by_path
+from .analysis import chsh_summary, chsh_variants, classify_regime, tradeoff_report
+from .config import ConfigError, ExperimentConfig, config_digest, sweep_points
 from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
-from .engine import default_workers, mc_detect
+from .engine import detection_summary, mc_detect, run_variants
 from .field import RNG_STREAM
 from .scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
@@ -47,79 +45,52 @@ class RunRecord:
         }
 
 
-def _build_scenario(data: dict):
+def _build_scenario(data: dict, specs: list):
     """Scenario plus CHSH rotator pairs (None for non-CHSH kinds)."""
-    cfg = ExperimentConfig(data)
-    specs = cfg.detector_specs()
     kind = data["scenario"]["kind"]
     g = data["scenario"]["g"]
     names = [d["name"] for d in data["detectors"]]
     if kind == "vacuum":
-        scen = vacuum_scenario(specs, names, data["scenario"]["n_modes"])
-        return scen, None, None
+        return vacuum_scenario(specs, names, data["scenario"]["n_modes"]), None, None
     if kind == "pdc":
         return pdc_scenario(specs[0], specs[1], g, (names[0], names[1])), None, None
-    scen, rot1, rot2 = chsh_scenario(specs[0], specs[1], g)
-    return scen, rot1, rot2
+    return chsh_scenario(specs[0], specs[1], g)
 
 
-def _sweep_points(data: dict):
-    sweeps = data.get("sweeps") or {}
-    axes = list(sweeps.items())
-    if not axes:
-        yield {}, data
-        return
-    paths = [path for path, _ in axes]
-    for combo in product(*(values for _, values in axes)):
-        point = copy.deepcopy(data)
-        overrides = {}
-        for path, value in zip(paths, combo):
-            set_by_path(point, path, value)
-            overrides[path] = value
-        point["sweeps"] = {}
-        yield overrides, point
+def validate_points(config: ExperimentConfig) -> list:
+    """(overrides, point data, built scenario) of every sweep point, as ``run`` computes them.
 
-
-def _built_points(data: dict) -> list:
-    """(overrides, point data, built scenario) for every sweep point.
-
-    Raises ConfigError naming the first point that fails ``check_point`` or
-    whose scenario cannot be built.
+    Raises ConfigError naming the first point that fails its checks
+    (``config.sweep_points``) or whose scenario cannot be built.
     """
     built = []
-    for overrides, point_data in _sweep_points(data):
-        where = f"sweep point {overrides or '(base)'}"
+    for overrides, point_data, specs in sweep_points(config.data):
         try:
-            check_point(point_data)
-            built.append((overrides, point_data, _build_scenario(point_data)))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            built.append((overrides, point_data, _build_scenario(point_data, specs)))
         except ValueError as exc:
-            raise ConfigError(f"{where}: cannot build scenario: {exc}") from exc
+            raise ConfigError(f"sweep point {overrides or '(base)'}: cannot build scenario: "
+                              f"{exc}") from exc
     return built
 
 
-def validate_points(config: ExperimentConfig) -> None:
-    """Check and build the scenario of every sweep point, as ``run`` does first.
-
-    Raises ConfigError naming the first invalid point.
-    """
-    _built_points(config.data)
-
-
-def _point_result(data: dict, built: tuple, trials: int, seed: int, workers: int) -> dict:
+def _point_result(data: dict, built: tuple, workers: int | None) -> dict:
     scen, rot1, rot2 = built
-    mode = data["run"]["mode"]
+    mode, trials, seed = data["run"]["mode"], data["run"]["trials"], data["run"]["seed"]
     kind = data["scenario"]["kind"]
-    want_mc = mode in ("mc", "both") or kind == "chsh"
     want_analytic = mode in ("analytic", "both")
 
-    mc = mc_detect(scen, trials, seed, workers) if want_mc else None
+    mc = chsh = None
+    if kind == "chsh":
+        # one sampling pass: variant 0 is the scenario's own ops, 1-4 the settings
+        settings, variants = chsh_variants(scen, rot1, rot2, data["chsh"]["settings"])
+        sums = run_variants(scen, [scen.ops, *variants], trials, seed, workers)
+        mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums, first=1)
+    elif mode != "analytic":
+        mc = mc_detect(scen, trials, seed, workers)
 
     detectors = {}
-    for idx, name in enumerate(scen.detector_names):
-        det = scen.detector_specs[idx]
-        signal_mean = scen.signal_means[idx]
+    for name, det, signal_mean in zip(scen.detector_names, scen.detector_specs,
+                                      scen.signal_means):
         regime = classify_regime(signal_mean, det)
         trade = tradeoff_report(det, signal_mean)
         entry = {
@@ -169,14 +140,13 @@ def _point_result(data: dict, built: tuple, trials: int, seed: int, workers: int
         coincidences[key] = entry
 
     point = {"detectors": detectors, "coincidences": coincidences}
-    if kind == "chsh":
-        res = chsh_scan(scen, rot1, rot2, data["chsh"]["settings"], trials, seed, workers)
+    if chsh is not None:
         point["chsh"] = {
-            "settings": [list(s) for s in res.settings],
-            "correlations": list(res.correlations),
-            "correlation_stderr": list(res.correlation_stderr),
-            "S": res.s_value,
-            "S_stderr": res.s_stderr,
+            "settings": [list(s) for s in chsh.settings],
+            "correlations": list(chsh.correlations),
+            "correlation_stderr": list(chsh.correlation_stderr),
+            "S": chsh.s_value,
+            "S_stderr": chsh.s_stderr,
         }
     return point
 
@@ -193,13 +163,10 @@ def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = 
         data["run"]["trials"] = trials
     if seed is not None:
         data["run"]["seed"] = seed
-    if workers is None:
-        workers = default_workers()
     points = []
-    for overrides, point_data, built in _built_points(data):
+    for overrides, point_data, built in validate_points(ExperimentConfig(data)):
         try:
-            result = _point_result(point_data, built, point_data["run"]["trials"],
-                                   point_data["run"]["seed"], workers)
+            result = _point_result(point_data, built, workers)
         except Exception as exc:
             raise RuntimeError(f"sweep point {overrides or '(base)'} failed: {exc}") from exc
         result["overrides"] = overrides

@@ -1,7 +1,7 @@
 """Declarative experiment scenarios.
 
 A ``Scenario`` bundles the mode list, the ordered amplitude-map operations
-(crystal, rotators, beam splitters) and the diagonal intensity weights of
+(crystal, then polarization rotators) and the diagonal intensity weights of
 its detectors. Everything is plain data so scenarios can be shipped to
 worker processes.
 
@@ -27,7 +27,7 @@ import numpy as np
 from .detection import DetectorSpec, vacuum_moments
 from .field import Mode, _check_distinct
 from .pdc import PhaseMatchedPairs, PumpSpec, excess_photon_fraction, pdc_transform
-from .optics import beam_splitter_transform, rotator_transform
+from .optics import rotator_transform
 
 __all__ = [
     "Scenario",
@@ -50,8 +50,6 @@ class Scenario:
     weights: np.ndarray                    # (n_modes, n_det) scale^2 on own modes
     coincidences: tuple[tuple[int, int], ...] = ()
     signal_means: tuple[float, ...] = ()   # analytic Ibar_s per detector
-    # diagnostic override: constant response per detector (None = physical Q)
-    forced_responses: tuple = ()
 
     @property
     def n_modes(self) -> int:
@@ -67,8 +65,6 @@ def apply_ops(amps: np.ndarray, ops) -> np.ndarray:
             out = pdc_transform(out, op[1], op[2])
         elif kind == "rotator":
             out = rotator_transform(out, op[1], op[2])
-        elif kind == "beam_splitter":
-            out = beam_splitter_transform(out, op[1], op[2], op[3])
         else:
             raise ValueError(f"unknown op {kind!r}")
     return out
@@ -167,29 +163,36 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
     )
 
 
+def _collinear_pump(det1: DetectorSpec, det2: DetectorSpec, g: float) -> PumpSpec:
+    """Pump of a collinear two-band source, after checking that the detectors fit it.
+
+    Both detectors must share the window T, axis and element count, so that
+    every phase-matched pair satisfies k1 + k2 = k0 exactly, and their bands
+    must be well separated.
+    """
+    if det1.window != det2.window:
+        raise ValueError("the two detectors must share the window T")
+    if det1.axis != det2.axis:
+        raise ValueError("collinear scenario requires a common detector axis")
+    if det1.n_elements != det2.n_elements:
+        raise ValueError("the two detectors must have equal element counts")
+    if abs(det1.omega_center - det2.omega_center) < 4.0 * max(det1.bandwidth, det2.bandwidth):
+        raise ValueError("the two detector bands must be well separated")
+    omega0 = det1.omega_center + det2.omega_center
+    return PumpSpec(tuple(omega0 * np.asarray(det1.axis, dtype=float)), omega0, g)
+
+
 def pdc_scenario(det_signal: DetectorSpec, det_idler: DetectorSpec, g: float,
                  names: tuple[str, str] = ("signal", "idler")) -> Scenario:
     """Collinear PDC: signal and idler beams in separate frequency bands.
 
-    Both detectors must share the window T and axis so that every
-    phase-matched pair satisfies k_s + k_i = k0 exactly. Pair j couples the
-    j-th signal grid mode with the frequency-mirrored idler grid mode.
+    Pair j couples the j-th signal grid mode with the frequency-mirrored
+    idler grid mode; ``_collinear_pump`` states what the detectors must share.
     """
-    if det_signal.window != det_idler.window:
-        raise ValueError("signal and idler detectors must share the window T")
-    if det_signal.axis != det_idler.axis:
-        raise ValueError("collinear scenario requires a common detector axis")
-    if det_signal.n_elements != det_idler.n_elements:
-        raise ValueError("signal and idler detectors must have equal element counts")
+    pump = _collinear_pump(det_signal, det_idler, g)
     n = det_signal.n_elements
     sig_modes, sig_weights = _matched_beam(det_signal, None)
     idl_modes, idl_weights = _matched_beam(det_idler, None)
-    omega0 = det_signal.omega_center + det_idler.omega_center
-    if abs(det_signal.omega_center - det_idler.omega_center) < 4.0 * max(
-            det_signal.bandwidth, det_idler.bandwidth):
-        raise ValueError("signal and idler bands must be well separated")
-    ax = np.asarray(det_signal.axis, dtype=float)
-    pump = PumpSpec(tuple(omega0 * ax), omega0, g)
     # pair j: signal omega_c1 + j dw (mode j) with idler omega_c2 - j dw (mode 2n-1-j)
     signal, idler = slice(0, n), slice(2 * n - 1, n - 1, -1)
     modes = tuple(sig_modes) + tuple(idl_modes)
@@ -217,19 +220,8 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     (H, V) index pairs of each station, to which rotator ops for a concrete
     analyzer setting are appended per variant.
     """
-    if det_station1.window != det_station2.window:
-        raise ValueError("stations must share the window T")
-    if det_station1.n_elements != det_station2.n_elements:
-        raise ValueError("stations must have equal slot counts")
+    pump = _collinear_pump(det_station1, det_station2, g)
     n = det_station1.n_elements
-    if abs(det_station1.omega_center - det_station2.omega_center) < 4.0 * max(
-            det_station1.bandwidth, det_station2.bandwidth):
-        raise ValueError("station bands must be well separated")
-    omega0 = det_station1.omega_center + det_station2.omega_center
-    ax = np.asarray(det_station1.axis, dtype=float)
-    if det_station1.axis != det_station2.axis:
-        raise ValueError("collinear scenario requires a common detector axis")
-    pump = PumpSpec(tuple(omega0 * ax), omega0, g)
 
     modes: list[Mode] = []
     station_weights = []

@@ -24,7 +24,7 @@ from zpfsim.detection import (
     rho_signal,
     rho_vacuum,
 )
-from zpfsim.engine import mc_detect, mc_intensity_samples
+from zpfsim.engine import mc_detect
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.pdc import excess_photon_fraction, pair_correlation, pdc_transform
 from zpfsim.scenarios import (
@@ -34,7 +34,7 @@ from zpfsim.scenarios import (
     vacuum_scenario,
 )
 
-from conftest import WINDOW_1K, detector, record_criterion
+from conftest import WINDOW_1K, detector, mc_intensity_samples, record_criterion
 
 
 def test_criterion_1_vacuum_statistics():

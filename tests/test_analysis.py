@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from zpfsim.analysis import (
     chsh_scan,
+    chsh_summary,
     classify_regime,
     min_rate_bound,
     tradeoff_report,
 )
+from zpfsim.engine import _ChunkSums
 from zpfsim.scenarios import chsh_scenario
 
 from conftest import detector
@@ -111,10 +113,16 @@ class TestChshScan:
             chsh_scan(scen, rot1, rot2, SETTINGS[:3], 100, seed=0)
 
     def test_forced_unit_response_gives_s_of_two(self):
-        # all four detectors always click: every E = 1, S = 2 exactly
-        scen, rot1, rot2 = small_chsh()
-        res = chsh_scan(scen, rot1, rot2, SETTINGS, 256, seed=0,
-                        force_responses=(1.0, 0.0, 1.0, 0.0))
+        # constant responses (1+, 1-, 2+, 2-) = (1, 0, 1, 0) in every trial of
+        # every setting: only ++ fires, so every E = 1 and S = 2 exactly
+        scen, _, _ = small_chsh()
+        n, q = 256, np.array([1.0, 0.0, 1.0, 0.0])
+        u = np.tile([q[a] * q[c] for a, c in scen.coincidences], 4)
+        const = np.tile(n * q, (4, 1))
+        sums = _ChunkSums(n=n, q_sum=const, q2_sum=const, i_sum=np.zeros((4, 4)),
+                          i2_sum=np.zeros((4, 4)), ii_sum=np.zeros((4, 4)),
+                          u_sum=n * u, uu_sum=n * np.outer(u, u))
+        res = chsh_summary(SETTINGS, sums)
         assert res.correlations == (1.0, 1.0, 1.0, 1.0)
         assert res.s_value == 2.0
         assert res.s_stderr == 0.0

@@ -14,8 +14,12 @@ from zpfsim.config import (
     parse_config,
     set_by_path,
 )
-from zpfsim import runner
+from zpfsim import engine, runner
+from zpfsim.analysis import chsh_scan
+from zpfsim.engine import CHUNK_TRIALS, mc_detect
+from zpfsim.field import sample_vacuum_batch
 from zpfsim.runner import emit, run, validate_points
+from zpfsim.scenarios import chsh_scenario
 
 
 def base_config(**overrides):
@@ -29,6 +33,18 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def chsh_config(**overrides):
+    dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 100,
+             "n_cells": 4, "threshold_sigma": 1.0, "zeta_sigma": 0.5}
+            for name, omega in (("s1", 1.25), ("s2", 0.75))]
+    return base_config(scenario={"kind": "chsh", "g": 0.2}, detectors=dets, **overrides)
+
+
+def with_value(raw, path, value):
+    set_by_path(raw, path, value)
+    return raw
 
 
 def pdc_config(**overrides):
@@ -200,6 +216,29 @@ class TestRunner:
         assert len(header.split(",")) == len(row.split(","))
         assert "detectors.a.p_mc" in header
 
+    def test_chsh_point_samples_each_chunk_once(self, monkeypatch):
+        # one sampling pass serves the detector statistics and all four settings
+        trials = 2 * CHUNK_TRIALS + 5
+        cfg = parse_config(chsh_config(run={"trials": trials, "seed": 5}))
+        calls = []
+        monkeypatch.setattr(engine, "sample_vacuum_batch",
+                            lambda n, seed, rows: calls.append(rows) or sample_vacuum_batch(
+                                n, seed, rows))
+        (point,) = run(cfg, workers=1).points
+        assert calls == [range(0, CHUNK_TRIALS), range(CHUNK_TRIALS, 2 * CHUNK_TRIALS),
+                         range(2 * CHUNK_TRIALS, trials)]
+        monkeypatch.undo()
+        # the same numbers as separate mc_detect and chsh_scan passes
+        specs = cfg.detector_specs()
+        scen, rot1, rot2 = chsh_scenario(specs[0], specs[1], 0.2)
+        mc = mc_detect(scen, trials, 5, workers=1)
+        res = chsh_scan(scen, rot1, rot2, cfg.data["chsh"]["settings"], trials, 5, workers=1)
+        for name in scen.detector_names:
+            assert point["detectors"][name]["p_mc"] == mc.singles[name].value
+        assert point["chsh"]["correlations"] == list(res.correlations)
+        assert point["chsh"]["S"] == res.s_value
+        assert point["chsh"]["S_stderr"] == pytest.approx(res.s_stderr, rel=1e-12)
+
     def test_mc_agrees_with_analytic_for_dark_counts(self):
         raw = base_config()
         raw["detectors"][0]["threshold_sigma"] = 1.0
@@ -217,6 +256,13 @@ class TestCli:
         assert result.exit_code == 0
         assert "valid (digest" in result.output
         assert "default run.mode = both" in result.output
+        assert "default units = dimensionless" in result.output
+        assert "default analytic.corr = None" in result.output
+        assert "default detectors.0.length = 1.0" in result.output
+        # leaf keys only: no section-level duplicates such as `.sweeps = {}`
+        assert "default ." not in result.output
+        for section in ("run", "chsh", "analytic", "sweeps"):
+            assert f"default {section} =" not in result.output
 
     def test_validate_rejects_bad_config(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -241,13 +287,60 @@ class TestCli:
 
     def test_validate_rejects_swept_negative_seed(self, tmp_path):
         raw = base_config(sweeps={"run.seed": [1, -3]})
-        parse_config(raw)
+        with pytest.raises(ConfigError, match="'run.seed': -3"):
+            parse_config(raw)
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
         result = CliRunner().invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "'run.seed': -3" in result.output
         assert "non-negative" in result.output
+
+    @pytest.mark.parametrize("raw", [
+        with_value(base_config(), "detectors.0.length", "abc"),
+        with_value(base_config(), "detectors.0.eta", "abc"),
+        with_value(base_config(), "detectors.0.threshold", "abc"),
+        base_config(scenario={"kind": "vacuum", "n_modes": "abc"}),
+        base_config(scenario={"kind": "vacuum", "n_modes": 2.5}),
+        base_config(run={"trials": True, "seed": 1}),
+        with_value(base_config(), "detectors.0.n_cells", True),
+        with_value(base_config(), "detectors.0.axis", [0, 0, 0]),
+        with_value(base_config(), "detectors.0.axis", [1, 0]),
+        chsh_config(chsh={"settings": [[0, "x"], [0, 1], [1, 0], [1, 1]]}),
+        with_value(base_config(), "detectors.0.threshold_sigma", math.nan),
+        with_value(base_config(), "detectors.0.zeta_sigma", math.inf),
+        base_config(sweeps={"scenario.g": []}),
+    ], ids=["length", "eta", "threshold", "n_modes-str", "n_modes-float", "trials-bool",
+            "n_cells-bool", "axis-zero", "axis-2d", "chsh-settings", "threshold_sigma-nan",
+            "zeta_sigma-inf", "empty-sweep"])
+    def test_malformed_config_is_a_config_error(self, tmp_path, raw):
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        for args in (["validate"], ["run", "--out", str(out_path)]):
+            result = CliRunner().invoke(main, args + ["--config", str(cfg_path)])
+            assert result.exit_code == 2, (args, result.output)
+            assert "config error:" in result.output
+        assert not out_path.exists()
+
+    def test_swept_seed_overrides_invalid_base_seed(self, tmp_path):
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        raw = base_config(run={"trials": 100, "seed": -3}, sweeps={"run.seed": [1, 2]})
+        cfg_path.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        assert result.exit_code == 0, result.output
+        points = json.loads(out_path.read_text())["points"]
+        assert [p["overrides"] for p in points] == [{"run.seed": 1}, {"run.seed": 2}]
+        out_path.unlink()
+        raw["sweeps"] = {"run.seed": [1, -3]}
+        cfg_path.write_text(yaml.safe_dump(raw))
+        for args in (["validate"], ["run", "--out", str(out_path)]):
+            result = CliRunner().invoke(main, args + ["--config", str(cfg_path)])
+            assert result.exit_code == 2, args
+            assert "sweep point {'run.seed': -3}" in result.output
+        assert not out_path.exists()
 
     def test_run_writes_output(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"
@@ -276,7 +369,6 @@ class TestCli:
     def test_run_validates_every_point_before_computing(self, tmp_path, monkeypatch):
         dets = [{**base_config()["detectors"][0], "n_cells": 4}]
         raw = base_config(detectors=dets, sweeps={"run.seed": [1, -3]})
-        parse_config(raw)
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))
         computed = []

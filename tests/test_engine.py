@@ -5,13 +5,12 @@ from zpfsim.detection import intensity_batch, q_model
 from zpfsim.engine import (
     CHUNK_TRIALS,
     mc_detect,
-    mc_intensity_samples,
     run_variants,
 )
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.scenarios import apply_ops, vacuum_scenario
 
-from conftest import detector
+from conftest import detector, mc_intensity_samples
 
 
 def two_detector_scenario(n_cells=16):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zpfsim.optics import (
     GeometrySpec,
     LensSpec,
-    beam_splitter_transform,
     coherence_ok,
     lens_gain,
     ring_radius,
@@ -16,31 +15,6 @@ from zpfsim.optics import (
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-class TestBeamSplitter:
-    def test_transmittance_out_of_range(self):
-        with pytest.raises(ValueError, match="transmittance"):
-            beam_splitter_transform(np.zeros(2, dtype=complex), (0, 1), 1.5)
-
-    def test_full_transmission_is_identity(self):
-        amps = np.array([1.0 + 2j, 3.0 - 1j])
-        assert np.allclose(beam_splitter_transform(amps, (0, 1), 1.0), amps)
-
-    def test_balanced_hand_values(self):
-        amps = np.array([1.0 + 0j, 0.0 + 0j])
-        out = beam_splitter_transform(amps, (0, 1), 0.5)
-        r = 1.0 / math.sqrt(2.0)
-        assert out[0] == pytest.approx(r)
-        assert out[1] == pytest.approx(1j * r)
-
-    @given(t=st.floats(min_value=0.0, max_value=1.0, allow_nan=False), phase=angles)
-    @settings(max_examples=50, deadline=None)
-    def test_unitarity(self, t, phase):
-        rng = np.random.default_rng(3)
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        out = beam_splitter_transform(amps, ([0, 1], [2, 3]), t, phase)
-        assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(amps) ** 2), rel=1e-10)
 
 
 class TestRotator:

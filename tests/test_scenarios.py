@@ -5,7 +5,7 @@ import pytest
 
 from zpfsim.detection import intensity_batch, response_matrix
 from zpfsim.field import sample_vacuum_batch
-from zpfsim.optics import beam_splitter_transform, rotator_transform
+from zpfsim.optics import rotator_transform
 from zpfsim.pdc import PhaseMatchedPairs, pdc_transform
 from zpfsim.scenarios import (
     apply_ops,
@@ -25,11 +25,10 @@ class TestApplyOps:
         ops = (
             ("pdc", (0, 1), 0.2),
             ("rotator", (2, 3), 0.7),
-            ("beam_splitter", (0, 2), 0.5, 0.1),
+            ("rotator", (0, 2), -0.3),
         )
-        expected = beam_splitter_transform(
-            rotator_transform(pdc_transform(amps, (0, 1), 0.2), (2, 3), 0.7),
-            (0, 2), 0.5, 0.1)
+        expected = rotator_transform(
+            rotator_transform(pdc_transform(amps, (0, 1), 0.2), (2, 3), 0.7), (0, 2), -0.3)
         assert np.allclose(apply_ops(amps, ops), expected, rtol=1e-14)
 
     def test_unknown_op_rejected(self):
