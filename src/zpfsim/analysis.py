@@ -112,12 +112,19 @@ def min_rate_bound(eta: float, focal: float, crystal_radius: float, length: floa
     """Lower bound on usable single rates (counts/s, SI inputs):
 
         Rate >> eta f^2 R_C^2 / (2 L d^2 lambda sqrt(tau T)).
+
+    The inputs must be finite and positive, with eta <= 1 and tau <= T as
+    for ``DetectorSpec``.
     """
     params = dict(eta=eta, focal=focal, crystal_radius=crystal_radius, length=length,
                   distance=distance, wavelength=wavelength, tau=tau, window=window)
     for name, value in params.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+    if eta > 1:
+        raise ValueError(f"quantum efficiency must lie in (0, 1], got {eta}")
+    if tau > window:
+        raise ValueError("coherence time tau must not exceed the window T")
     return (eta * focal**2 * crystal_radius**2
             / (2.0 * length * distance**2 * wavelength * math.sqrt(tau * window)))
 

@@ -24,12 +24,14 @@ Ibar = sum_m scale_m^2 |alpha_m|^2 over that detector's modes. The Monte
 Carlo therefore works with diagonal intensity weights (``intensity_batch``).
 ``response_matrix`` evaluates the general geometry and serves as its test
 oracle: the filtered fields of an amplitude vector are
-``response_matrix(modes, scales, detector) @ amps``.
+``response_matrix(modes, scales, detector) @ amps``. No run calls it, and it
+alone needs scipy (for J1), which is a test dependency.
 
 The analytic detection probabilities ``p_single`` and ``p_joint`` integrate
 the gaussian laws against Q in closed form: one gaussian tail minus one
 exponentially tilted tail, and four tilted bivariate-normal orthants
 (Owen's T function), all in log space and with no truncation of the tails.
+The special functions behind them are in ``zpfsim._special``.
 
 All formulas below use dimensionless units (hbar = c = eps0 = 1).
 """
@@ -41,7 +43,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, j1, log_ndtr, ndtr, owens_t
+
+from ._special import erfcx, log_ndtr, ndtr, owens_t
 
 __all__ = [
     "DetectorSpec",
@@ -153,6 +156,8 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 
 def _airy_disc(x: np.ndarray) -> np.ndarray:
     """2 J1(x)/x with the x -> 0 limit (disc overlap factor)."""
+    from scipy.special import j1      # test dependency: only the test oracle gets here
+
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
     nz = np.abs(x) > 1e-12
@@ -288,7 +293,7 @@ def _log_mills(u: float) -> float:
     """log R(u) with R = Phic / phi the Mills ratio."""
     if u >= 0.0:
         return math.log(math.sqrt(0.5 * math.pi) * erfcx(u / math.sqrt(2.0)))
-    return float(log_ndtr(-u)) + 0.5 * u * u + _LOG_SQRT_2PI
+    return log_ndtr(-u) + 0.5 * u * u + _LOG_SQRT_2PI
 
 
 def _log_owens_tc(h: float, a: float) -> float:
@@ -310,11 +315,11 @@ def _log_owens_tc(h: float, a: float) -> float:
         return -p * (1.0 + a * a) + math.log(s / (4.0 * math.pi * p))
     if h <= 2.0:
         return math.log(0.5 * ndtr(-h) - owens_t(h, a))
-    log_tail = float(log_ndtr(-h))
+    log_tail = log_ndtr(-h)
     if a * h < 1e-5:
         return log_tail - math.log(2.0) + math.log1p(
             -a / math.pi * math.exp(-0.5 * h * h - log_tail))
-    log_box = log_tail + float(log_ndtr(-a * h))
+    log_box = log_tail + log_ndtr(-a * h)
     return log_box + _log1mexp(_log_owens_tc(a * h, 1.0 / a) - log_box)
 
 
@@ -327,25 +332,25 @@ def _log_orthant(h: float, k: float, corr: float) -> float:
     into a marginal tail minus an orthant whose corner is nearest.
     """
     if corr >= _DEGENERATE_CORR:
-        return float(log_ndtr(-max(h, k)))
+        return log_ndtr(-max(h, k))
     if corr <= -_DEGENERATE_CORR:
         # Y = -X: P(h < X < -k) = Phic(h) - Phic(-k), or by symmetry with
         # h and k swapped, taking the difference between the smaller tails
         if h + k >= 0.0:
             return -math.inf
         lo, hi = (h, k) if h > 0.0 else (k, h)
-        top = float(log_ndtr(-lo))
-        return top + _log1mexp(float(log_ndtr(hi)) - top)
+        top = log_ndtr(-lo)
+        return top + _log1mexp(log_ndtr(hi) - top)
     if h == 0.0 and k == 0.0:
         return math.log(0.25 + math.asin(corr) / (2.0 * math.pi))
     if h <= 0.0 and k <= 0.0:
         # 1 - Phi(h) - Phi(k) + P(X < h, Y < k): two non-negative parts
         return math.log(ndtr(-h) - ndtr(k) + math.exp(_log_orthant(-h, -k, corr)))
     if k < corr * h:                       # nearest point on the edge X = h
-        top = float(log_ndtr(-h))
+        top = log_ndtr(-h)
         return top + _log1mexp(_log_orthant(h, -k, -corr) - top)
     if h < corr * k:                       # nearest point on the edge Y = k
-        top = float(log_ndtr(-k))
+        top = log_ndtr(-k)
         return top + _log1mexp(_log_orthant(-h, k, -corr) - top)
     s = math.sqrt((1.0 - corr) * (1.0 + corr))
 
@@ -381,7 +386,7 @@ def p_single(dist: EffectiveIntensityDist, detector: DetectorSpec) -> float:
     else:
         drop = _log_mills(z) - _log_mills(z + eps)
     log_kept = _log1mexp(-detector.zeta * (detector.threshold - detector.I0) - drop)
-    return math.exp(float(log_ndtr(-z)) + log_kept)
+    return math.exp(log_ndtr(-z) + log_kept)
 
 
 def p_joint(dist: BivariateIntensityDist, det1: DetectorSpec, det2: DetectorSpec) -> float:

@@ -102,7 +102,15 @@ def _fold(chunks: list[_ChunkSums]) -> _ChunkSums:
 
 
 def default_workers() -> int:
-    return max(1, int(os.environ.get("ZPFSIM_WORKERS", "1")))
+    """Worker count from ZPFSIM_WORKERS (default 1); ValueError unless a positive integer."""
+    raw = os.environ.get("ZPFSIM_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ZPFSIM_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_variants(scenario: Scenario, variant_ops, trials: int, seed: int,

@@ -16,7 +16,7 @@ from . import __version__
 from .analysis import chsh_summary, chsh_variants, classify_regime, tradeoff_report
 from .config import ConfigError, ExperimentConfig, config_digest, sweep_points
 from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
-from .engine import detection_summary, mc_detect, run_variants
+from .engine import default_workers, detection_summary, mc_detect, run_variants
 from .field import RNG_STREAM
 from .scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
@@ -155,9 +155,16 @@ def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = 
         workers: int | None = None) -> RunRecord:
     """Execute every sweep point; deterministic for fixed (config, seed).
 
-    Every point is validated (``validate_points``) before the first one is
-    computed: an invalid point raises ConfigError, a failing one RuntimeError.
+    Every point is validated (``validate_points``) and the worker count read
+    (``default_workers`` unless given) before the first one is computed: an
+    invalid point or ZPFSIM_WORKERS raises ConfigError, a failing point
+    RuntimeError.
     """
+    if workers is None:
+        try:
+            workers = default_workers()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     data = copy.deepcopy(config.data)
     if trials is not None:
         data["run"]["trials"] = trials

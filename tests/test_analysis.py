@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zpfsim.analysis import (
@@ -81,6 +81,7 @@ class TestMinRateBound:
     @settings(max_examples=50, deadline=None)
     def test_matches_direct_formula(self, eta, focal, crystal_radius, length,
                                     distance, wavelength, tau, window):
+        assume(tau <= window)
         got = min_rate_bound(eta, focal, crystal_radius, length, distance,
                              wavelength, tau, window)
         expected = (eta * focal**2 * crystal_radius**2
@@ -92,6 +93,18 @@ class TestMinRateBound:
             min_rate_bound(0.1, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="eta"):
             min_rate_bound(0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "eta"),
+        ((0.1, math.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "focal"),
+        ((0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.inf), "window"),
+        ((5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "efficiency"),
+        ((0.1, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-9, 1e-12), "tau"),
+    ])
+    def test_rejects_what_a_detector_rejects(self, args, match):
+        # non-finite inputs, eta outside (0, 1] and tau > T, as DetectorSpec
+        with pytest.raises(ValueError, match=match):
+            min_rate_bound(*args)
 
 
 SETTINGS = ((0.0, math.pi / 8), (0.0, 3 * math.pi / 8),

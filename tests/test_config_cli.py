@@ -451,3 +451,30 @@ class TestCli:
             "--distance", "1.0", "--wavelength", "8e-7",
             "--tau", "1e-12", "--window", "1e-8"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--eta", "nan"), ("--focal", "inf"), ("--distance", "-inf"), ("--eta", "5"),
+        ("--tau", "1e-7"),
+    ])
+    def test_rate_bound_rejects_invalid_inputs(self, option, value):
+        args = {"--eta": "0.1", "--focal": "5e-3", "--crystal-radius": "1e-3",
+                "--detector-length": "5e-3", "--distance": "1.0", "--wavelength": "8e-7",
+                "--tau": "1e-12", "--window": "1e-8", option: value}
+        result = CliRunner().invoke(main, ["rate-bound", *(t for kv in args.items() for t in kv)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_run_rejects_invalid_worker_count(self, tmp_path, monkeypatch, value):
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        cfg_path.write_text(yaml.safe_dump(base_config()))
+        computed = []
+        monkeypatch.setattr(runner, "_point_result", lambda *args: computed.append(args))
+        monkeypatch.setenv("ZPFSIM_WORKERS", value)
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        assert result.exit_code == 2, result.output
+        assert (f"config error: ZPFSIM_WORKERS must be a positive integer, got {value!r}"
+                in result.output)
+        assert computed == []
+        assert not out_path.exists()

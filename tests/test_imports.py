@@ -33,11 +33,49 @@ def test_package_imports_resolve():
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_stats():
-    # both cost a noticeable share of every process's start-up and the
-    # package needs neither; import in a fresh interpreter to see the truth
+    # scipy (and numpy.f2py, which scipy's array-API layer pulls in) cost
+    # about half of every process's start-up and the package needs neither;
+    # import in a fresh interpreter to see the truth
     src = str(Path(zpfsim.__file__).resolve().parents[1])
     code = ("import sys, zpfsim.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith(('scipy.', 'numpy.f2py'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+_PDC_BOTH = """
+scenario: {kind: pdc, g: 0.1}
+detectors:
+  - {name: signal, omega_center: 1.25, window: 6283.185307179586, n_cells: 16,
+     threshold_sigma: 2.0, zeta_sigma: 0.5}
+  - {name: idler, omega_center: 0.75, window: 6283.185307179586, n_cells: 16,
+     threshold_sigma: 2.0, zeta_sigma: 0.5}
+run: {trials: 300, seed: 1, mode: both}
+"""
+
+_CHSH = """
+scenario: {kind: chsh, g: 0.2}
+detectors:
+  - {name: s1, omega_center: 1.25, window: 628.3185307179587, n_cells: 4,
+     threshold_sigma: 1.0, zeta_sigma: 0.5}
+  - {name: s2, omega_center: 0.75, window: 628.3185307179587, n_cells: 4,
+     threshold_sigma: 1.0, zeta_sigma: 0.5}
+run: {trials: 300, seed: 1}
+"""
+
+
+@pytest.mark.parametrize("config", [_PDC_BOTH, _CHSH], ids=["pdc-both", "chsh"])
+def test_run_succeeds_with_scipy_blocked(tmp_path, config):
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    src = str(Path(zpfsim.__file__).resolve().parents[1])
+    cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+    cfg_path.write_text(config)
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from zpfsim.cli import main; "
+            f"main(['run', '--config', {str(cfg_path)!r}, '--out', {str(out_path)!r}])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "ZPFSIM_WORKERS": "1"}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out_path.exists()
