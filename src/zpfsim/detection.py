@@ -188,9 +188,16 @@ def intensity_batch(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Effective intensities (B, n_det) of an amplitude batch (B, n_modes).
 
     ``weights[m, d]`` is scale_m^2 when mode m lies on detector d's element
-    grid and 0 otherwise, so every detector is summed in one pass.
+    grid and 0 otherwise. Each row is reduced on its own (a contiguous row
+    sum, whose order depends only on n_modes), so a trial's intensity is
+    bitwise the same in any batch; a BLAS matrix product is not, nor is
+    ``einsum`` once rows exceed its 8192-element buffer.
     """
-    return (amps.real**2 + amps.imag**2) @ weights
+    power = amps.real**2 + amps.imag**2
+    out = np.empty((power.shape[0], weights.shape[1]))
+    for d in range(weights.shape[1]):
+        out[:, d] = (power * weights[:, d]).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,24 @@ field.TRIAL_BLOCK), so each chunk draws its amplitudes from the single
 generator keyed by (seed, block). ``run_variants`` samples each chunk once
 and runs every op variant (for CHSH: the scenario's own ops and the four
 analyzer settings) over the same amplitudes, accumulating sufficient
-statistics; ``detection_summary`` reads variant 0 of them. Chunk results
-are folded in chunk order, so the outcome is bit-identical for any worker
-count.
+statistics; ``detection_summary`` reads variant 0 of them.
+
+A chunk is processed in row tiles of about TILE_AMPS amplitudes (1 MiB):
+each tile is sampled, mapped by every variant's ops and reduced to
+effective intensities while it is still in cache, and its rows of the
+chunk's (variants, detectors, trials) intensity array are filled in. The
+tiles of a chunk continue the block's one generator (see ``field``), and
+each intensity is reduced over its own row alone, so a trial's intensity
+does not depend on the tile it was computed in. Q and the sufficient
+statistics are then computed over the whole chunk. Chunk results are
+folded in chunk order, so the outcome is bit-identical for any tile size
+or worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,9 @@ from .scenarios import Scenario, apply_ops
 __all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
 
 CHUNK_TRIALS = TRIAL_BLOCK
+# Complex amplitudes per row tile (16 bytes each): a 1 MiB tile and its
+# mapped copies stay in L2 cache.
+TILE_AMPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,18 +71,33 @@ class _ChunkSums:
     uu_sum: np.ndarray      # (V*P, V*P)
 
 
+def chunk_intensities(scenario: Scenario, variant_ops, seed: int,
+                      start: int, stop: int) -> np.ndarray:
+    """Effective intensities (V, D, stop - start) of trials [start, stop).
+
+    The trials are sampled, mapped by each variant's ops and reduced one row
+    tile at a time; ``run_variants`` passes one sampling block per call.
+    """
+    n_modes = scenario.n_modes
+    step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
+    i = np.empty((len(variant_ops), len(scenario.detector_specs), stop - start))
+    for t in range(start, stop, step):
+        rows = range(t, min(t + step, stop))
+        amps = sample_vacuum_batch(n_modes, seed, rows)
+        for v, ops in enumerate(variant_ops):
+            i[v, :, t - start:rows.stop - start] = intensity_batch(
+                apply_ops(amps, ops), scenario.weights).T
+    return i
+
+
 def _chunk_worker(args) -> _ChunkSums:
     scenario, variant_ops, seed, start, stop = args
-    amps0 = sample_vacuum_batch(scenario.n_modes, seed, range(start, stop))
-    n_var = len(variant_ops)
-    n_det = len(scenario.detector_specs)
+    i = chunk_intensities(scenario, variant_ops, seed, start, stop)
+    n_var, n_det, b = i.shape
     pairs = scenario.coincidences
     n_pair = len(pairs)
-    b = stop - start
-    q = np.empty((n_var, n_det, b))
-    i = np.empty((n_var, n_det, b))
-    for v, ops in enumerate(variant_ops):
-        i[v] = intensity_batch(apply_ops(amps0, ops), scenario.weights).T
+    q = np.empty_like(i)
+    for v in range(n_var):
         for d, spec in enumerate(scenario.detector_specs):
             q[v, d] = q_model(i[v, d], spec)
     qq = np.empty((n_var, n_pair, b))
@@ -123,6 +149,8 @@ def run_variants(scenario: Scenario, variant_ops, trials: int, seed: int,
     args = [(scenario, tuple(variant_ops), seed, s, min(s + CHUNK_TRIALS, trials))
             for s in range(0, trials, CHUNK_TRIALS)]
     if workers > 1 and len(args) > 1:
+        # imported here: it loads multiprocessing, logging and socket
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_worker, args))
     else:

@@ -9,8 +9,15 @@ is one (trials x modes) complex array; there is no per-realization type.
 Sampling is block-keyed: block b of seed s holds trials
 [b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK) and fills them, row by row, from
 one PCG64 generator seeded by SeedSequence((s, b)). A trial's amplitudes
-therefore depend only on (seed, t), whatever chunking or worker count
-produced them.
+therefore depend only on (seed, t), whatever chunking, tiling or worker
+count produced them.
+
+A block may be drawn in several calls: the engine samples each chunk in
+row tiles. Each thread remembers the generator of its last call, with the
+trial it stopped before; a call that starts there, inside the same block,
+resumes that generator. Any other call builds the block's generator afresh
+and draws and discards the rows before its start. Resuming only saves the
+re-draw; the values are the same either way.
 
 Everything is expressed in dimensionless units (hbar = c = epsilon_0 = 1)
 unless stated otherwise.
@@ -18,6 +25,8 @@ unless stated otherwise.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,9 @@ _DISPERSION_RTOL = 1e-9
 TRIAL_BLOCK = 2048
 # Identifier of the amplitude stream, recorded with every run.
 RNG_STREAM = f"pcg64-seedseq-block{TRIAL_BLOCK}"
+
+# Per thread: .last = (n_modes, seed, next trial, generator) of the last call.
+_resume = threading.local()
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class Mode:
             raise ValueError(f"mode frequency must be positive, got {self.omega}")
         if self.polarization not in (0, 1):
             raise ValueError(f"polarization index must be 0 or 1, got {self.polarization}")
-        knorm = float(np.linalg.norm(self.k))
+        knorm = math.hypot(*self.k)
         if abs(knorm - self.omega) > _DISPERSION_RTOL * self.omega:
             raise ValueError(
                 f"dispersion relation violated: |k|={knorm:g} but omega={self.omega:g}"
@@ -61,9 +73,10 @@ class Mode:
 
 
 def _check_distinct(modes) -> None:
+    kvecs = np.round(np.array([m.k for m in modes], dtype=float), 12).tolist()
     seen = set()
-    for m in modes:
-        key = (tuple(np.round(m.k_array, 12)), m.polarization)
+    for m, k in zip(modes, kvecs):
+        key = (*k, m.polarization)
         if key in seen:
             raise ValueError(f"duplicate mode (k={m.k}, pol={m.polarization})")
         seen.add(key)
@@ -80,14 +93,19 @@ def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.nda
         raise ValueError("n_modes must be >= 1")
     if not isinstance(trial_indices, range) or trial_indices.step != 1:
         raise ValueError("trial_indices must be a contiguous ascending range")
+    last, _resume.last = getattr(_resume, "last", None), None
     out = np.empty((len(trial_indices), n_modes), dtype=complex)
     flat = out.view(np.float64)       # Re and Im interleaved
     first = t = trial_indices.start
+    rng = None
     while t < trial_indices.stop:
         block, skip = divmod(t, TRIAL_BLOCK)
         stop = min(trial_indices.stop, (block + 1) * TRIAL_BLOCK)
         rows = flat[t - first:stop - first]
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+        if skip and last is not None and last[:3] == (n_modes, seed, t):
+            rng, skip = last[3], 0
+        else:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
         while skip:
             # draw and discard the block's leading rows, using ``rows`` as scratch
             k = min(skip, len(rows))
@@ -95,5 +113,7 @@ def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.nda
             skip -= k
         rng.standard_normal(out=rows)
         t = stop
+    if rng is not None:
+        _resume.last = (n_modes, seed, t, rng)
     out *= 0.5
     return out

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zpfsim.detection import intensity_batch
-from zpfsim.field import TRIAL_BLOCK, sample_vacuum_batch
-from zpfsim.scenarios import apply_ops, make_matched_detector
+from zpfsim.engine import CHUNK_TRIALS, chunk_intensities
+from zpfsim.scenarios import make_matched_detector
 
 WINDOW_1K = 2.0 * math.pi * 1000.0
 
@@ -49,14 +48,14 @@ def detector(n_cells=100, threshold_sigma=5.0, zeta_sigma=0.01, omega_center=1.0
 
 
 def mc_intensity_samples(scenario, trials, seed):
-    """Per-detector effective-intensity samples, drawn one sampling block at a time.
+    """Per-detector effective-intensity samples, computed as the engine does.
 
-    Chunked because a whole run can be too large to hold at once (10^5 trials
-    x 10^4 modes in criterion 1).
+    One sampling block at a time, each in the engine's row tiles, because a
+    whole run can be too large to hold at once (10^5 trials x 10^4 modes in
+    criterion 1).
     """
-    out = np.empty((trials, len(scenario.detector_names)))
-    for start in range(0, trials, TRIAL_BLOCK):
-        rows = range(start, min(start + TRIAL_BLOCK, trials))
-        amps = apply_ops(sample_vacuum_batch(scenario.n_modes, seed, rows), scenario.ops)
-        out[start:rows.stop] = intensity_batch(amps, scenario.weights)
-    return {nm: out[:, d] for d, nm in enumerate(scenario.detector_names)}
+    out = np.empty((len(scenario.detector_names), trials))
+    for start in range(0, trials, CHUNK_TRIALS):
+        stop = min(start + CHUNK_TRIALS, trials)
+        out[:, start:stop] = chunk_intensities(scenario, [scenario.ops], seed, start, stop)[0]
+    return {nm: out[d] for d, nm in enumerate(scenario.detector_names)}

@@ -239,6 +239,29 @@ class TestRunner:
         assert point["chsh"]["S"] == res.s_value
         assert point["chsh"]["S_stderr"] == pytest.approx(res.s_stderr, rel=1e-12)
 
+    def test_chsh_point_samples_each_chunk_in_row_tiles(self, monkeypatch):
+        # at 2048 modes a chunk is sampled in several tiles; together they
+        # still draw every trial once, in order, each tile within one block
+        trials = 2 * CHUNK_TRIALS + 5
+        raw = chsh_config(run={"trials": trials, "seed": 5})
+        for det in raw["detectors"]:
+            det.update(n_cells=512, window=2 * math.pi * 1e5)
+        cfg = parse_config(raw)
+        calls = []
+        monkeypatch.setattr(engine, "sample_vacuum_batch",
+                            lambda n, seed, rows: calls.append((n, rows)) or sample_vacuum_batch(
+                                n, seed, rows))
+        run(cfg, workers=1)
+        assert {n for n, _ in calls} == {2048}
+        ranges = [rows for _, rows in calls]
+        assert len(ranges) > 3
+        assert ranges[0].start == 0 and ranges[-1].stop == trials
+        for prev, cur in zip(ranges, ranges[1:]):
+            assert cur.start == prev.stop
+        for rows in ranges:
+            assert len(rows) >= 1 and rows.step == 1
+            assert rows.start // CHUNK_TRIALS == (rows.stop - 1) // CHUNK_TRIALS
+
     def test_mc_agrees_with_analytic_for_dark_counts(self):
         raw = base_config()
         raw["detectors"][0]["threshold_sigma"] = 1.0

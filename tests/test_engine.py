@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from zpfsim import engine
+from zpfsim.analysis import chsh_variants
 from zpfsim.detection import intensity_batch, q_model
 from zpfsim.engine import (
     CHUNK_TRIALS,
@@ -8,7 +10,7 @@ from zpfsim.engine import (
     run_variants,
 )
 from zpfsim.field import sample_vacuum_batch
-from zpfsim.scenarios import apply_ops, vacuum_scenario
+from zpfsim.scenarios import apply_ops, chsh_scenario, pdc_scenario, vacuum_scenario
 
 from conftest import detector, mc_intensity_samples
 
@@ -35,6 +37,29 @@ class TestRunVariants:
         assert s1.n == s2.n == trials
         for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
             assert np.array_equal(getattr(s1, f), getattr(s2, f)), f
+
+
+    @pytest.mark.parametrize("kind", ["pdc", "chsh"])
+    def test_tile_size_and_worker_count_do_not_change_sums(self, kind, monkeypatch):
+        dets = (detector(n_cells=16, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=1.25),
+                detector(n_cells=16, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
+        if kind == "pdc":
+            scen = pdc_scenario(*dets, 0.2)
+            variants = [scen.ops]
+        else:
+            scen, rot1, rot2 = chsh_scenario(*dets, 0.2)
+            settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
+            variants = [scen.ops, *chsh_variants(scen, rot1, rot2, settings)[1]]
+        trials = 2 * CHUNK_TRIALS + 5
+        ref = run_variants(scen, variants, trials, seed=8, workers=1)
+        runs = {"workers 2": run_variants(scen, variants, trials, seed=8, workers=2)}
+        for rows in (1, 7, CHUNK_TRIALS):
+            monkeypatch.setattr(engine, "TILE_AMPS", rows * scen.n_modes)
+            runs[f"{rows}-row tiles"] = run_variants(scen, variants, trials, seed=8, workers=1)
+        for label, sums in runs.items():
+            assert sums.n == trials
+            for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
+                assert np.array_equal(getattr(sums, f), getattr(ref, f)), (label, f)
 
 
 class TestMcDetect:

@@ -95,6 +95,25 @@ class TestBlockKeyedSampling:
             single = sample_vacuum_batch(3, seed=7, trial_indices=range(k, k + 1))
             assert np.array_equal(single[0], batch[k]), k
 
+    def test_tiles_equal_whole_batch_whatever_calls_come_between(self):
+        # a tile that starts where the last call stopped resumes that call's
+        # generator; a call for another mode count, seed or block must not
+        trials = 2 * TRIAL_BLOCK + 5
+        whole = sample_vacuum_batch(4, seed=21, trial_indices=range(trials + 8))
+        others = {"modes": sample_vacuum_batch(5, seed=21, trial_indices=range(trials + 8)),
+                  "seed": sample_vacuum_batch(4, seed=22, trial_indices=range(trials + 8))}
+        tiles = []
+        for k, start in enumerate(range(0, trials, 8)):
+            rows = range(start, min(start + 8, trials))
+            tiles.append(sample_vacuum_batch(4, seed=21, trial_indices=rows))
+            if k % 3:
+                # starts where the tile stopped, which may be the next block's first row
+                n, seed, label = (5, 21, "modes") if k % 3 == 1 else (4, 22, "seed")
+                other = sample_vacuum_batch(n, seed=seed, trial_indices=range(rows.stop,
+                                                                               rows.stop + 3))
+                assert np.array_equal(other, others[label][rows.stop:rows.stop + 3]), (label, k)
+        assert np.array_equal(np.concatenate(tiles), whole[:trials])
+
     @pytest.mark.parametrize("indices", [[0, 2], range(0, 10, 2), range(5, 0, -1), [0, 1]])
     def test_non_contiguous_indices_rejected(self, indices):
         with pytest.raises(ValueError, match="contiguous"):

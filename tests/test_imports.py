@@ -32,17 +32,26 @@ def test_package_imports_resolve():
             assert getattr(zpfsim, alias.asname or alias.name) is getattr(module, alias.name)
 
 
-def test_cli_import_leaves_out_scipy_integrate_and_stats():
-    # scipy (and numpy.f2py, which scipy's array-API layer pulls in) cost
-    # about half of every process's start-up and the package needs neither;
+def _modules_after_cli_import(prefixes):
     # import in a fresh interpreter to see the truth
     src = str(Path(zpfsim.__file__).resolve().parents[1])
     code = ("import sys, zpfsim.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith(('scipy.', 'numpy.f2py'))))")
+            f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_stats():
+    # scipy (and numpy.f2py, which scipy's array-API layer pulls in) cost
+    # about half of every process's start-up and the package needs neither
+    assert _modules_after_cli_import(("scipy", "numpy.f2py")) == "[]"
+
+
+def test_cli_import_leaves_out_process_pool():
+    # only a multi-worker run needs the process pool and what it loads
+    prefixes = ("concurrent.futures.process", "multiprocessing", "logging", "socket")
+    assert _modules_after_cli_import(prefixes) == "[]"
 
 
 _PDC_BOTH = """

@@ -210,6 +210,30 @@ class TestDiagonalWeightsOracle:
                     assert batch[r, d] == pytest.approx(intensity, rel=1e-12), (kind, d, r)
 
 
+def batching_scenarios():
+    """Vacuum past numpy's 8192-element einsum buffer; PDC and CHSH at 2048 modes."""
+    pdc, chsh = ((detector(n_cells=n, window=WINDOW_1E5, omega_center=1.25),
+                  detector(n_cells=n, window=WINDOW_1E5, omega_center=0.75)) for n in (1024, 512))
+    return {
+        "vacuum": lambda: vacuum_scenario([detector(n_cells=9000, window=WINDOW_1E5)]),
+        "pdc": lambda: pdc_scenario(*pdc, 0.1),
+        "chsh": lambda: chsh_scenario(*chsh, 0.1)[0],
+    }
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "pdc", "chsh"])
+def test_intensity_batch_rows_do_not_depend_on_the_batch(kind):
+    # the engine computes intensities in row tiles; a trial's value must be
+    # bitwise the one it gets in any other batch
+    scen = batching_scenarios()[kind]()
+    amps = apply_ops(sample_vacuum_batch(scen.n_modes, 9, range(66)), scen.ops)
+    whole = intensity_batch(amps, scen.weights)
+    for rows in (1, 3, 8, 33):
+        parts = [intensity_batch(amps[s:s + rows].copy(), scen.weights)
+                 for s in range(0, len(amps), rows)]
+        assert np.array_equal(np.concatenate(parts), whole), rows
+
+
 def crystal_reference(amps, pairs, g):
     out = amps.copy()
     a = 1.0 + 0.5 * g * g
