@@ -151,14 +151,17 @@ class ChshResult:
 
 
 def chsh_variants(scenario: Scenario, rot1, rot2, settings):
-    """The four settings as floats, and per setting the scenario's ops plus both rotators."""
+    """The four settings as floats, and per setting its two rotator ops.
+
+    The rotators act after the scenario's own ops (``engine.run_variants``).
+    """
     settings = tuple((float(a), float(b)) for a, b in settings)
     if len(settings) != 4:
         raise ValueError(f"exactly four analyzer settings required, got {len(settings)}")
     if len(scenario.coincidences) != 4 or len(scenario.detector_names) != 4:
         raise ValueError("chsh_scan needs a four-detector, four-pair scenario")
     return settings, [
-        scenario.ops + (("rotator", tuple(rot1), t1), ("rotator", tuple(rot2), t2))
+        (("rotator", tuple(rot1), t1), ("rotator", tuple(rot2), t2))
         for t1, t2 in settings
     ]
 

@@ -2,15 +2,18 @@
 
 Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
 field.TRIAL_BLOCK), so each chunk draws its amplitudes from the single
-generator keyed by (seed, block). ``run_variants`` samples each chunk once
-and runs every op variant (for CHSH: the scenario's own ops and the four
-analyzer settings) over the same amplitudes, accumulating sufficient
-statistics; ``detection_summary`` reads variant 0 of them.
+generator keyed by (seed, block). ``run_variants`` samples each chunk once,
+maps it by the scenario's own ops (the crystal) once, and then runs every
+op variant over the same mapped amplitudes, accumulating sufficient
+statistics; ``detection_summary`` reads variant 0 of them. A variant lists
+only the ops that follow the scenario's: ``()`` for the plain run, and for
+CHSH the two analyzer rotators of one setting.
 
 A chunk is processed in row tiles of about TILE_AMPS amplitudes (1 MiB):
-each tile is sampled, mapped by every variant's ops and reduced to
-effective intensities while it is still in cache, and its rows of the
-chunk's (variants, detectors, trials) intensity array are filled in. The
+each tile is sampled, mapped by the crystal and by every variant's ops and
+reduced to effective intensities while it is still in cache, and its rows
+of the chunk's (variants, detectors, trials) intensity array are filled in.
+Each detector is reduced over its own modes only (``Scenario.parts``). The
 tiles of a chunk continue the block's one generator (see ``field``), and
 each intensity is reduced over its own row alone, so a trial's intensity
 does not depend on the tile it was computed in. Q and the sufficient
@@ -75,31 +78,31 @@ def chunk_intensities(scenario: Scenario, variant_ops, seed: int,
                       start: int, stop: int) -> np.ndarray:
     """Effective intensities (V, D, stop - start) of trials [start, stop).
 
-    The trials are sampled, mapped by each variant's ops and reduced one row
-    tile at a time; ``run_variants`` passes one sampling block per call.
+    The trials are sampled, mapped by the scenario's ops and then by each
+    variant's ops, and reduced one row tile at a time; ``run_variants``
+    passes one sampling block per call.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
     i = np.empty((len(variant_ops), len(scenario.detector_specs), stop - start))
     for t in range(start, stop, step):
         rows = range(t, min(t + step, stop))
-        amps = sample_vacuum_batch(n_modes, seed, rows)
+        amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario.ops)
         for v, ops in enumerate(variant_ops):
             i[v, :, t - start:rows.stop - start] = intensity_batch(
-                apply_ops(amps, ops), scenario.weights).T
+                apply_ops(amps, ops), scenario.parts).T
     return i
 
 
 def _chunk_worker(args) -> _ChunkSums:
     scenario, variant_ops, seed, start, stop = args
     i = chunk_intensities(scenario, variant_ops, seed, start, stop)
-    n_var, n_det, b = i.shape
+    n_var, _, b = i.shape
     pairs = scenario.coincidences
     n_pair = len(pairs)
     q = np.empty_like(i)
-    for v in range(n_var):
-        for d, spec in enumerate(scenario.detector_specs):
-            q[v, d] = q_model(i[v, d], spec)
+    for d, spec in enumerate(scenario.detector_specs):
+        q[:, d] = q_model(i[:, d], spec)
     qq = np.empty((n_var, n_pair, b))
     for p, (a, c) in enumerate(pairs):
         qq[:, p, :] = q[:, a, :] * q[:, c, :]
@@ -141,7 +144,11 @@ def default_workers() -> int:
 
 def run_variants(scenario: Scenario, variant_ops, trials: int, seed: int,
                  workers: int | None = None) -> _ChunkSums:
-    """Accumulated sufficient statistics for every op variant."""
+    """Accumulated sufficient statistics for every op variant.
+
+    Each variant lists the ops applied after ``scenario.ops``; ``()`` runs
+    the scenario as built.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers is None:
@@ -194,5 +201,5 @@ def detection_summary(scenario: Scenario, sums: _ChunkSums) -> DetectionResult:
 def mc_detect(scenario: Scenario, trials: int, seed: int,
               workers: int | None = None) -> DetectionResult:
     """Direct Monte Carlo of singles and coincidences over the vacuum ensemble."""
-    sums = run_variants(scenario, [scenario.ops], trials, seed, workers)
+    sums = run_variants(scenario, [()], trials, seed, workers)
     return detection_summary(scenario, sums)

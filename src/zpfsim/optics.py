@@ -57,14 +57,19 @@ class GeometrySpec:
 
 def rotator_transform(amps: np.ndarray, index, angle: float) -> np.ndarray:
     """Polarization rotation by ``angle`` on the (H, V) index pair ``index``."""
-    out = np.array(amps, dtype=complex, copy=True)
+    amps = np.asarray(amps, dtype=complex)
     c = math.cos(angle)
     s = math.sin(angle)
     h_idx, v_idx = index
-    out[..., h_idx] *= c
-    out[..., h_idx] += s * amps[..., v_idx]
-    out[..., v_idx] *= c
-    out[..., v_idx] += -s * amps[..., h_idx]
+    h, v = amps[..., h_idx], amps[..., v_idx]
+    # each rotated half straight from the input, made before the one copy it
+    # is assigned into (as in ``pdc.pdc_transform``)
+    new_h = s * v
+    new_h += c * h
+    new_v = -s * h
+    new_v += c * v
+    out = amps.copy()
+    out[..., h_idx], out[..., v_idx] = new_h, new_v
     return out
 
 

@@ -81,9 +81,9 @@ def _point_result(data: dict, built: tuple, workers: int | None) -> dict:
 
     mc = chsh = None
     if kind == "chsh":
-        # one sampling pass: variant 0 is the scenario's own ops, 1-4 the settings
+        # one sampling pass: variant 0 is the crystal alone, 1-4 the settings
         settings, variants = chsh_variants(scen, rot1, rot2, data["chsh"]["settings"])
-        sums = run_variants(scen, [scen.ops, *variants], trials, seed, workers)
+        sums = run_variants(scen, [(), *variants], trials, seed, workers)
         mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums, first=1)
     elif mode != "analytic":
         mc = mc_detect(scen, trials, seed, workers)

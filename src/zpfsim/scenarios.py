@@ -1,14 +1,15 @@
 """Declarative experiment scenarios.
 
 A ``Scenario`` bundles the mode list, the ordered amplitude-map operations
-(crystal, then polarization rotators) and the diagonal intensity weights of
-its detectors. Everything is plain data so scenarios can be shipped to
-worker processes.
+(the crystal; CHSH analyzer rotators follow per variant, see ``engine``)
+and, per detector, the index of its own modes with their weights. Everything
+is plain data so scenarios can be shipped to worker processes.
 
 Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
-Ibar_d = sum_m weights[m, d] |alpha_m|^2 with weights[m, d] = scale_m^2 on
-its own modes and 0 elsewhere. The builders fill the weights by slices.
+Ibar_d = sum_m scale_m^2 |alpha_m|^2 over its own modes m only. Detector d's
+entry ``parts[d]`` = (index, scale^2) holds those modes as a slice and
+their scale^2 in index order.
 Mode scales are calibrated so that each detector's vacuum-ensemble mean of
 the effective intensity equals its analytic value I0; this amounts to
 fixing the quantization box length per beam.
@@ -41,13 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """Modes, amplitude-map ops and detector intensity weights."""
+    """Modes, amplitude-map ops and each detector's own modes with their weights."""
 
     modes: tuple[Mode, ...]
     ops: tuple[tuple, ...]
     detector_names: tuple[str, ...]
     detector_specs: tuple[DetectorSpec, ...]
-    weights: np.ndarray                    # (n_modes, n_det) scale^2 on own modes
+    parts: tuple[tuple, ...]               # per detector: (own-mode index, scale^2)
     coincidences: tuple[tuple[int, int], ...] = ()
     signal_means: tuple[float, ...] = ()   # analytic Ibar_s per detector
 
@@ -130,13 +131,11 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None, polarization: int = 0)
     return modes, 2.0 * det.I0 * omegas / np.sum(omegas)
 
 
-def _own_weights(n_modes: int, parts) -> np.ndarray:
-    """(n_modes, n_det) weights; ``parts[d]`` = (index of detector d's modes, their scale^2)."""
-    weights = np.zeros((n_modes, len(parts)))
-    for d, (idx, w) in enumerate(parts):
-        weights[idx, d] = w
-    weights.setflags(write=False)
-    return weights
+def _own_parts(parts) -> tuple[tuple, ...]:
+    """Each detector's (own-mode index, scale^2), with the weights made read-only."""
+    for _, w in parts:
+        w.setflags(write=False)
+    return tuple(parts)
 
 
 def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = None,
@@ -157,7 +156,7 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
         ops=(),
         detector_names=tuple(names),
         detector_specs=tuple(detectors),
-        weights=_own_weights(len(modes), parts),
+        parts=_own_parts(parts),
         coincidences=coinc,
         signal_means=tuple(0.0 for _ in detectors),
     )
@@ -203,7 +202,7 @@ def pdc_scenario(det_signal: DetectorSpec, det_idler: DetectorSpec, g: float,
         ops=(("pdc", (signal, idler), g),),
         detector_names=tuple(names),
         detector_specs=(det_signal, det_idler),
-        weights=_own_weights(2 * n, [(signal, sig_weights), (slice(n, 2 * n), idl_weights)]),
+        parts=_own_parts([(signal, sig_weights), (slice(n, 2 * n), idl_weights)]),
         coincidences=((0, 1),),
         signal_means=(2.0 * det_signal.I0 * excess, 2.0 * det_idler.I0 * excess),
     )
@@ -217,8 +216,8 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     into '+' (H after rotation) and '-' (V after rotation) detectors.
 
     Returns (scenario, rotator_index_station1, rotator_index_station2): the
-    (H, V) index pairs of each station, to which rotator ops for a concrete
-    analyzer setting are appended per variant.
+    (H, V) index pairs of each station, on which the rotator ops of a
+    concrete analyzer setting act after the crystal (one variant each).
     """
     pump = _collinear_pump(det_station1, det_station2, g)
     n = det_station1.n_elements
@@ -242,7 +241,7 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
 
     rot1 = (slice(0, off, 2), slice(1, off, 2))
     rot2 = (slice(off, 2 * off, 2), slice(off + 1, 2 * off, 2))
-    weights = _own_weights(2 * off, [
+    parts = _own_parts([
         (rot1[0], station_weights[0]), (rot1[1], station_weights[0]),
         (rot2[0], station_weights[1]), (rot2[1], station_weights[1]),
     ])
@@ -253,7 +252,7 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
         ops=(("pdc", crystal, g),),
         detector_names=("1+", "1-", "2+", "2-"),
         detector_specs=det_specs,
-        weights=weights,
+        parts=parts,
         coincidences=((0, 2), (0, 3), (1, 2), (1, 3)),
         signal_means=tuple(2.0 * d.I0 * excess for d in det_specs),
     )

@@ -57,5 +57,13 @@ def mc_intensity_samples(scenario, trials, seed):
     out = np.empty((len(scenario.detector_names), trials))
     for start in range(0, trials, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, trials)
-        out[:, start:stop] = chunk_intensities(scenario, [scenario.ops], seed, start, stop)[0]
+        out[:, start:stop] = chunk_intensities(scenario, [()], seed, start, stop)[0]
     return {nm: out[d] for d, nm in enumerate(scenario.detector_names)}
+
+
+def dense_weights(scenario):
+    """(n_modes, n_det) matrix of scale^2 on each detector's own modes, 0 elsewhere."""
+    weights = np.zeros((scenario.n_modes, len(scenario.parts)))
+    for d, (idx, w) in enumerate(scenario.parts):
+        weights[idx, d] = w
+    return weights

@@ -14,7 +14,7 @@ from zpfsim.config import (
     parse_config,
     set_by_path,
 )
-from zpfsim import engine, runner
+from zpfsim import engine, runner, scenarios
 from zpfsim.analysis import chsh_scan
 from zpfsim.engine import CHUNK_TRIALS, mc_detect
 from zpfsim.field import sample_vacuum_batch
@@ -261,6 +261,30 @@ class TestRunner:
         for rows in ranges:
             assert len(rows) >= 1 and rows.step == 1
             assert rows.start // CHUNK_TRIALS == (rows.stop - 1) // CHUNK_TRIALS
+
+    def test_chsh_point_maps_each_tile_by_the_crystal_once(self, monkeypatch):
+        # five variants (the plain run and four settings) share one crystal
+        # pass per tile; only the rotators run per setting
+        trials = CHUNK_TRIALS + 5
+        cfg = parse_config(chsh_config(run={"trials": trials, "seed": 5}))
+        monkeypatch.setattr(engine, "TILE_AMPS", 7 * 16)      # 7-row tiles of 16 modes
+        calls = {"tiles": 0, "pdc": 0, "rotator": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(engine, "sample_vacuum_batch",
+                            counted("tiles", engine.sample_vacuum_batch))
+        monkeypatch.setattr(scenarios, "pdc_transform", counted("pdc", scenarios.pdc_transform))
+        monkeypatch.setattr(scenarios, "rotator_transform",
+                            counted("rotator", scenarios.rotator_transform))
+        run(cfg, workers=1)
+        assert calls["tiles"] == math.ceil(CHUNK_TRIALS / 7) + 1
+        assert calls["pdc"] == calls["tiles"]
+        assert calls["rotator"] == 4 * 2 * calls["tiles"]
 
     def test_mc_agrees_with_analytic_for_dark_counts(self):
         raw = base_config()

@@ -6,6 +6,7 @@ from zpfsim.analysis import chsh_variants
 from zpfsim.detection import intensity_batch, q_model
 from zpfsim.engine import (
     CHUNK_TRIALS,
+    detection_summary,
     mc_detect,
     run_variants,
 )
@@ -27,13 +28,13 @@ class TestRunVariants:
     def test_trials_validated(self):
         scen = two_detector_scenario()
         with pytest.raises(ValueError, match="trials"):
-            run_variants(scen, [scen.ops], 0, seed=1)
+            run_variants(scen, [()], 0, seed=1)
 
     def test_worker_count_does_not_change_sums(self):
         scen = two_detector_scenario()
         trials = 3 * CHUNK_TRIALS + 17
-        s1 = run_variants(scen, [scen.ops], trials, seed=4, workers=1)
-        s2 = run_variants(scen, [scen.ops], trials, seed=4, workers=4)
+        s1 = run_variants(scen, [()], trials, seed=4, workers=1)
+        s2 = run_variants(scen, [()], trials, seed=4, workers=4)
         assert s1.n == s2.n == trials
         for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
             assert np.array_equal(getattr(s1, f), getattr(s2, f)), f
@@ -45,11 +46,11 @@ class TestRunVariants:
                 detector(n_cells=16, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
         if kind == "pdc":
             scen = pdc_scenario(*dets, 0.2)
-            variants = [scen.ops]
+            variants = [()]
         else:
             scen, rot1, rot2 = chsh_scenario(*dets, 0.2)
             settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
-            variants = [scen.ops, *chsh_variants(scen, rot1, rot2, settings)[1]]
+            variants = [(), *chsh_variants(scen, rot1, rot2, settings)[1]]
         trials = 2 * CHUNK_TRIALS + 5
         ref = run_variants(scen, variants, trials, seed=8, workers=1)
         runs = {"workers 2": run_variants(scen, variants, trials, seed=8, workers=2)}
@@ -62,13 +63,38 @@ class TestRunVariants:
                 assert np.array_equal(getattr(sums, f), getattr(ref, f)), (label, f)
 
 
+class TestSharedCrystal:
+    def test_chsh_variant_zero_equals_mc_detect(self):
+        # the crystal is applied once per tile and shared by all five variants;
+        # variant 0 (no further ops) is exactly the plain Monte Carlo
+        dets = (detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=1.25),
+                detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
+        scen, rot1, rot2 = chsh_scenario(*dets, 0.2)
+        settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
+        trials = 2 * CHUNK_TRIALS + 5
+        point = run_variants(scen, [(), *chsh_variants(scen, rot1, rot2, settings)[1]],
+                             trials, seed=8, workers=1)
+        plain = run_variants(scen, [()], trials, seed=8, workers=1)
+        n_pair = len(scen.coincidences)
+        for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum"):
+            assert np.array_equal(getattr(point, f)[0], getattr(plain, f)[0]), f
+        assert np.array_equal(point.u_sum[:n_pair], plain.u_sum)
+        # a BLAS product; its blocking may depend on the number of variants
+        assert np.allclose(point.uu_sum[:n_pair, :n_pair], plain.uu_sum, rtol=1e-12, atol=0)
+        ours, theirs = detection_summary(scen, point), mc_detect(scen, trials, seed=8, workers=1)
+        for f in ("singles", "intensity_mean", "intensity_std", "intensity_corr"):
+            assert getattr(ours, f) == getattr(theirs, f), f
+        for key, est in ours.coincidences.items():
+            assert est.value == theirs.coincidences[key].value, key
+
+
 class TestMcDetect:
     def test_matches_direct_recomputation(self):
         scen = two_detector_scenario(n_cells=8)
         trials = 500
         res = mc_detect(scen, trials, seed=3)
         amps = apply_ops(sample_vacuum_batch(scen.n_modes, 3, range(trials)), scen.ops)
-        intensities = intensity_batch(amps, scen.weights)
+        intensities = intensity_batch(amps, scen.parts)
         for d, name in enumerate(scen.detector_names):
             i = intensities[:, d]
             q = q_model(i, scen.detector_specs[d])
@@ -100,6 +126,6 @@ class TestMcIntensitySamples:
         trials = CHUNK_TRIALS + 100       # spans a chunk boundary
         samples = mc_intensity_samples(scen, trials, seed=6)
         amps = apply_ops(sample_vacuum_batch(scen.n_modes, 6, range(trials)), scen.ops)
-        intensities = intensity_batch(amps, scen.weights)
+        intensities = intensity_batch(amps, scen.parts)
         for d, name in enumerate(scen.detector_names):
             assert np.allclose(samples[name], intensities[:, d], rtol=1e-12)

@@ -15,7 +15,7 @@ from zpfsim.scenarios import (
     vacuum_scenario,
 )
 
-from conftest import WINDOW_1K, detector
+from conftest import WINDOW_1K, dense_weights, detector
 
 
 class TestApplyOps:
@@ -59,15 +59,15 @@ class TestVacuumScenario:
         assert scen.n_modes == 32
         assert scen.coincidences == ((0, 1),)
         assert scen.signal_means == (0.0, 0.0)
-        assert scen.weights.shape == (32, 2)
+        assert dense_weights(scen).shape == (32, 2)
         # diagonal weights: analytic vacuum mean sum w / 2 equals I0
         for d, det in enumerate(dets):
-            assert 0.5 * np.sum(scen.weights[:, d]) == pytest.approx(det.I0, rel=1e-10)
+            assert 0.5 * np.sum(scen.parts[d][1]) == pytest.approx(det.I0, rel=1e-10)
 
     def test_masks_are_orthogonal(self):
         dets = [detector(n_cells=8), detector(n_cells=8, omega_center=2.0)]
         scen = vacuum_scenario(dets)
-        support = [set(np.nonzero(w)[0]) for w in scen.weights.T]
+        support = [set(np.nonzero(w)[0]) for w in dense_weights(scen).T]
         assert not (support[0] & support[1])
 
     def test_central_slice_mode_subset(self):
@@ -150,7 +150,7 @@ class TestChshScenario:
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
         scen, _, _ = chsh_scenario(d1, d2, 0.1)
-        support = [set(np.nonzero(w)[0]) for w in scen.weights.T]
+        support = [set(np.nonzero(w)[0]) for w in dense_weights(scen).T]
         assert support[0] | support[1] == set(range(8))
         assert support[2] | support[3] == set(range(8, 16))
         for a in range(4):
@@ -162,7 +162,7 @@ WINDOW_1E5 = 2.0 * math.pi * 1e5
 
 
 def oracle_scenarios(window):
-    """Vacuum (full and central-slice beams), PDC and CHSH scenarios at ``window``."""
+    """Vacuum (full beams; central slices for two and three detectors), PDC and CHSH."""
     vac = [detector(n_cells=16, window=window),
            detector(n_cells=16, window=window, omega_center=2.0)]
     pdc = (detector(n_cells=16, window=window, omega_center=1.25),
@@ -170,6 +170,8 @@ def oracle_scenarios(window):
     return {
         "vacuum": vacuum_scenario(vac),
         "vacuum-slice": vacuum_scenario(vac, n_modes=6),
+        "vacuum-3-slice": vacuum_scenario(
+            vac + [detector(n_cells=16, window=window, omega_center=3.0)], n_modes=6),
         "pdc": pdc_scenario(*pdc, 0.1),
         "chsh": chsh_scenario(*pdc, 0.1)[0],
     }
@@ -181,11 +183,12 @@ class TestDiagonalWeightsOracle:
     @pytest.mark.parametrize("window", [WINDOW_1K, WINDOW_1E5])
     def test_response_matrix_reduces_to_weights(self, window):
         for kind, scen in oracle_scenarios(window).items():
-            scale_max = math.sqrt(scen.weights.max())
+            weights = dense_weights(scen)
+            scale_max = math.sqrt(weights.max())
             for d, det in enumerate(scen.detector_specs):
-                own = np.nonzero(scen.weights[:, d])[0]
+                own = np.nonzero(weights[:, d])[0]
                 modes = [scen.modes[m] for m in own]
-                scales = np.sqrt(scen.weights[own, d])
+                scales = np.sqrt(weights[own, d])
                 resp = response_matrix(modes, scales, det)      # (n_elements, n_own)
                 # each own mode sits on exactly one element of the detector's grid
                 omegas = np.array([m.omega for m in modes])
@@ -198,12 +201,13 @@ class TestDiagonalWeightsOracle:
     def test_intensity_batch_matches_effective_intensity(self):
         for kind, scen in oracle_scenarios(WINDOW_1K).items():
             amps = apply_ops(sample_vacuum_batch(scen.n_modes, 8, range(5)), scen.ops)
-            batch = intensity_batch(amps, scen.weights)
+            batch = intensity_batch(amps, scen.parts)
+            weights = dense_weights(scen)
             assert batch.shape == (5, len(scen.detector_specs))
             for d, det in enumerate(scen.detector_specs):
-                own = np.nonzero(scen.weights[:, d])[0]
+                own = np.nonzero(weights[:, d])[0]
                 modes = [scen.modes[m] for m in own]
-                resp = response_matrix(modes, np.sqrt(scen.weights[own, d]), det)
+                resp = response_matrix(modes, np.sqrt(weights[own, d]), det)
                 for r in range(5):
                     # Ibar = sum_l |Ebar_l|^2 in the general geometry
                     intensity = np.sum(np.abs(resp @ amps[r, own]) ** 2)
@@ -227,9 +231,9 @@ def test_intensity_batch_rows_do_not_depend_on_the_batch(kind):
     # bitwise the one it gets in any other batch
     scen = batching_scenarios()[kind]()
     amps = apply_ops(sample_vacuum_batch(scen.n_modes, 9, range(66)), scen.ops)
-    whole = intensity_batch(amps, scen.weights)
+    whole = intensity_batch(amps, scen.parts)
     for rows in (1, 3, 8, 33):
-        parts = [intensity_batch(amps[s:s + rows].copy(), scen.weights)
+        parts = [intensity_batch(amps[s:s + rows].copy(), scen.parts)
                  for s in range(0, len(amps), rows)]
         assert np.array_equal(np.concatenate(parts), whole), rows
 
@@ -250,6 +254,35 @@ def rotator_reference(amps, pairs, angle):
         out[:, h] = c * amps[:, h] + s * amps[:, v]
         out[:, v] = -s * amps[:, h] + c * amps[:, v]
     return out
+
+
+def signed_zero_amps(rows, n_modes, seed):
+    """Gaussian amplitudes with +0.0 or -0.0 in about a third of the parts."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, rows, n_modes))
+    zero = rng.random(parts.shape) < 1 / 3
+    parts[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    amps = np.empty((rows, n_modes), dtype=complex)
+    amps.real, amps.imag = parts      # set directly: arithmetic would drop some signs
+    return amps
+
+
+@pytest.mark.parametrize("index, pairs", [
+    ((slice(0, 4), slice(4, 8)), [(j, 4 + j) for j in range(4)]),
+    ((slice(0, 8, 2), slice(7, 0, -2)), [(2 * j, 7 - 2 * j) for j in range(4)]),
+    ((np.array([5, 0, 3]), np.array([1, 6, 2])), [(5, 1), (0, 6), (3, 2)]),
+], ids=["basic", "reversed-step", "int-array"])
+@pytest.mark.parametrize("g", [0.2, -0.3])
+def test_maps_equal_per_pair_loop_bitwise(index, pairs, g):
+    # byte comparison, so a signed zero must come out with the loop's sign
+    amps = signed_zero_amps(9, 8, seed=3)
+    for part in (amps.real, amps.imag):
+        assert ((part == 0) & np.signbit(part)).any() and ((part == 0) & ~np.signbit(part)).any()
+    saved = amps.copy()
+    assert pdc_transform(amps, index, g).tobytes() == crystal_reference(amps, pairs, g).tobytes()
+    assert rotator_transform(amps, index, g).tobytes() == (
+        rotator_reference(amps, pairs, g).tobytes())
+    assert amps.tobytes() == saved.tobytes()
 
 
 class TestSliceIndexedMaps:
