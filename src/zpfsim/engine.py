@@ -9,7 +9,7 @@ statistics; ``detection_summary`` reads variant 0 of them. A variant lists
 only the ops that follow the scenario's: ``()`` for the plain run, and for
 CHSH the two analyzer rotators of one setting.
 
-A chunk is processed in row tiles of about TILE_AMPS amplitudes (1 MiB):
+A chunk is processed in row tiles of about TILE_AMPS amplitudes (512 KiB):
 each tile is sampled, mapped by the crystal and by every variant's ops and
 reduced to effective intensities while it is still in cache, and its rows
 of the chunk's (variants, detectors, trials) intensity array are filled in.
@@ -37,9 +37,9 @@ from .scenarios import Scenario, apply_ops
 __all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
 
 CHUNK_TRIALS = TRIAL_BLOCK
-# Complex amplitudes per row tile (16 bytes each): a 1 MiB tile and its
-# mapped copies stay in L2 cache.
-TILE_AMPS = 1 << 16
+# Complex amplitudes per row tile (16 bytes each): a 512 KiB tile (16 rows
+# at 2048 modes) and its mapped copies fit in a 2 MiB per-core L2 cache.
+TILE_AMPS = 1 << 15
 
 
 @dataclass(frozen=True)

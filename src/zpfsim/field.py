@@ -8,9 +8,10 @@ is one (trials x modes) complex array; there is no per-realization type.
 
 Sampling is block-keyed: block b of seed s holds trials
 [b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK) and fills them, row by row, from
-one PCG64 generator seeded by SeedSequence((s, b)). A trial's amplitudes
+one SFC64 generator seeded by SeedSequence((s, b)). A trial's amplitudes
 therefore depend only on (seed, t), whatever chunking, tiling or worker
-count produced them.
+count produced them. SFC64 is used for speed: its ziggurat normals take
+about a fifth less time than PCG64's (numpy 2.4.6, 2-vCPU x86-64 VM).
 
 A block may be drawn in several calls: the engine samples each chunk in
 row tiles. Each thread remembers the generator of its last call, with the
@@ -38,7 +39,7 @@ _DISPERSION_RTOL = 1e-9
 
 TRIAL_BLOCK = 2048
 # Identifier of the amplitude stream, recorded with every run.
-RNG_STREAM = f"pcg64-seedseq-block{TRIAL_BLOCK}"
+RNG_STREAM = f"sfc64-seedseq-block{TRIAL_BLOCK}"
 
 # Per thread: .last = (n_modes, seed, next trial, generator) of the last call.
 _resume = threading.local()
@@ -105,7 +106,7 @@ def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.nda
         if skip and last is not None and last[:3] == (n_modes, seed, t):
             rng, skip = last[3], 0
         else:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
         while skip:
             # draw and discard the block's leading rows, using ``rows`` as scratch
             k = min(skip, len(rows))

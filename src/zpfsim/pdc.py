@@ -115,17 +115,23 @@ def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:
         return amps.copy()
     s_idx, i_idx = index
     a = 1.0 + 0.5 * g * g
-    # Each mapped half is computed straight from the input and assigned into
-    # one copy. Both halves are made before the copy: copying first made the
-    # halves fault in fresh pages on every 1 MiB tile of the engine.
+    # Both mapped halves are computed straight from the input before the
+    # output is allocated (a full copy made first faulted in fresh pages for
+    # the halves on every row tile of the engine). Only the modes that neither
+    # index names are copied in: every builder's crystal pairs every mode, so
+    # on the run path nothing is copied.
     halves = []
     for own, partner in ((s_idx, i_idx), (i_idx, s_idx)):
         t = np.conj(amps[..., partner])
         t *= g
         t += a * amps[..., own]
         halves.append(t)
-    out = amps.copy()
+    out = np.empty_like(amps)
     out[..., s_idx], out[..., i_idx] = halves
+    keep = np.ones(amps.shape[-1], dtype=bool)
+    keep[s_idx] = keep[i_idx] = False
+    if keep.any():
+        out[..., keep] = amps[..., keep]
     return out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zpfsim.field import TRIAL_BLOCK, Mode, _check_distinct, sample_vacuum_batch
+from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, Mode, _check_distinct, sample_vacuum_batch
 
 N_TRIALS = 1_000_000
 
@@ -113,6 +113,19 @@ class TestBlockKeyedSampling:
                                                                                rows.stop + 3))
                 assert np.array_equal(other, others[label][rows.stop:rows.stop + 3]), (label, k)
         assert np.array_equal(np.concatenate(tiles), whole[:trials])
+
+    def test_stream_is_sfc64_keyed_by_seed_and_block(self):
+        # pins the generator: a resumed tile of block 0 and the rows it runs
+        # on into block 1 equal direct draws from each block's own SFC64
+        n_modes, seed = 3, 31
+        sample_vacuum_batch(n_modes, seed=seed, trial_indices=range(5))
+        tile = sample_vacuum_batch(n_modes, seed=seed, trial_indices=range(5, TRIAL_BLOCK + 7))
+        direct = [0.5 * np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b))))
+                  .standard_normal((rows, 2 * n_modes)).view(complex)
+                  for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
+        assert np.array_equal(tile[:TRIAL_BLOCK - 5], direct[0][5:])
+        assert np.array_equal(tile[TRIAL_BLOCK - 5:], direct[1])
+        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}"
 
     @pytest.mark.parametrize("indices", [[0, 2], range(0, 10, 2), range(5, 0, -1), [0, 1]])
     def test_non_contiguous_indices_rejected(self, indices):

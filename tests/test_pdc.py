@@ -92,6 +92,22 @@ class TestPdcTransform:
         pdc_transform(amps, (0, 1), 0.3)
         assert np.array_equal(amps, saved)
 
+    @pytest.mark.parametrize("index", [([0, 4], [3, 1]), (slice(0, 2), slice(2, 4)), (5, 0)])
+    def test_unpaired_modes_pass_through_bitwise(self, index):
+        # the output is not a copy of the input, so every mode that neither
+        # index names must be copied in, signed zeros and NaN payloads too
+        rng = np.random.default_rng(8)
+        amps = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        amps[0, :] = complex(-0.0, 0.0)
+        amps[1, :] = complex(np.nan, -0.0)
+        saved = amps.copy()
+        out = pdc_transform(amps, index, 0.2)
+        assert amps.tobytes() == saved.tobytes()
+        keep = np.ones(6, dtype=bool)
+        keep[index[0]] = keep[index[1]] = False
+        assert keep.any()
+        assert out[:, keep].tobytes() == amps[:, keep].tobytes()
+
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(5)
         amps = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
