@@ -4,8 +4,7 @@ a CHSH harness."""
 
 __version__ = "0.1.0"
 
-from .field import Mode
-from .pdc import PhaseMatchedPairs, PumpSpec
+from .pdc import PumpSpec
 from .optics import GeometrySpec, LensSpec, coherence_ok, lens_gain, ring_radius
 from .detection import (
     BivariateIntensityDist,

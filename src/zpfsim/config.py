@@ -131,8 +131,8 @@ def check_point(data: dict) -> None:
     """Check one sweep point: every value against the schema, then the cross-key rules.
 
     ``scenario.n_modes`` is read only by the vacuum builder. An analytic-only
-    PDC run has no Monte Carlo estimate of the signal-idler correlation, so
-    it needs ``analytic.corr``.
+    PDC or CHSH run has no Monte Carlo estimate of the intensity correlation
+    of its coincidences, so it needs ``analytic.corr``.
     """
     for prefix, section, schema in _sections(data):
         for key, (default, what, ok) in schema.items():
@@ -147,8 +147,8 @@ def check_point(data: dict) -> None:
         raise ConfigError(f"duplicate detector name in {names}")
     if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
         raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
-    if kind == "pdc" and data["run"]["mode"] == "analytic" and data["analytic"]["corr"] is None:
-        raise ConfigError("kind 'pdc' with run.mode 'analytic' requires analytic.corr "
+    if kind != "vacuum" and data["run"]["mode"] == "analytic" and data["analytic"]["corr"] is None:
+        raise ConfigError(f"kind {kind!r} with run.mode 'analytic' requires analytic.corr "
                           "(there is no Monte Carlo correlation to fall back on)")
 
 

@@ -25,7 +25,8 @@ Carlo therefore reduces each detector over its own modes only, with their
 scale^2 as weights (``intensity_batch``).
 ``response_matrix`` evaluates the general geometry and serves as its test
 oracle: the filtered fields of an amplitude vector are
-``response_matrix(modes, scales, detector) @ amps``. No run calls it, and it
+``response_matrix(k, omega, scales, detector) @ amps`` for modes with
+wavevectors k (n, 3) and frequencies omega (n,). No run calls it, and it
 alone needs scipy (for J1), which is a test dependency.
 
 The analytic detection probabilities ``p_single`` and ``p_joint`` integrate
@@ -166,18 +167,17 @@ def _airy_disc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def response_matrix(modes, scales, detector: DetectorSpec) -> np.ndarray:
+def response_matrix(k, omega, scales, detector: DetectorSpec) -> np.ndarray:
     """Dense (n_elements x n_modes) map from amplitudes to filtered fields.
 
+    The modes have wavevectors ``k`` (n_modes, 3) and frequencies ``omega``.
     The cylinder is centered at the origin with its axis along
     ``detector.axis``; the time factor carries the e^{i dw T / 2} phase of
     the one-sided window.
     """
-    kmat = np.array([m.k_array for m in modes])
-    omegas = np.array([m.omega for m in modes])
-    dw = omegas[None, :] - detector.element_omegas[:, None]
+    dw = np.asarray(omega, dtype=float)[None, :] - detector.element_omegas[:, None]
     time_factor = np.exp(0.5j * dw * detector.window) * _sinc(0.5 * dw * detector.window)
-    dk = kmat[None, :, :] - detector.element_kvecs[:, None, :]     # (n_el, n_modes, 3)
+    dk = np.asarray(k, dtype=float)[None] - detector.element_kvecs[:, None]  # (n_el, n_modes, 3)
     dpar = dk @ np.asarray(detector.axis, dtype=float)
     dperp_sq = np.maximum(np.einsum("ijk,ijk->ij", dk, dk) - dpar**2, 0.0)
     vol_factor = (_sinc(0.5 * dpar * detector.length)

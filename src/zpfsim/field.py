@@ -1,6 +1,7 @@
-"""Plane-wave modes and vacuum sampling.
+"""Vacuum sampling of the plane-wave mode amplitudes.
 
 The hidden variables of the whole simulator live here: each plane-wave mode
+(its wavevector, frequency and polarization are arrays on the ``Scenario``)
 carries a complex amplitude alpha whose vacuum distribution is the circular
 gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
 independent normals with mean 0 and variance 1/4. A batch of realizations
@@ -26,16 +27,11 @@ unless stated otherwise.
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mode", "TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch"]
-
-# Relative tolerance on the dispersion relation omega = |k| (c = 1).
-_DISPERSION_RTOL = 1e-9
+__all__ = ["TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch"]
 
 TRIAL_BLOCK = 2048
 # Identifier of the amplitude stream, recorded with every run.
@@ -43,44 +39,6 @@ RNG_STREAM = f"sfc64-seedseq-block{TRIAL_BLOCK}"
 
 # Per thread: .last = (n_modes, seed, next trial, generator) of the last call.
 _resume = threading.local()
-
-
-@dataclass(frozen=True)
-class Mode:
-    """A plane-wave mode: wavevector, angular frequency and polarization index.
-
-    The dispersion relation omega = c|k| is enforced at construction
-    (c = 1 in dimensionless units).
-    """
-
-    k: tuple[float, float, float]
-    omega: float
-    polarization: int = 0
-
-    def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"mode frequency must be positive, got {self.omega}")
-        if self.polarization not in (0, 1):
-            raise ValueError(f"polarization index must be 0 or 1, got {self.polarization}")
-        knorm = math.hypot(*self.k)
-        if abs(knorm - self.omega) > _DISPERSION_RTOL * self.omega:
-            raise ValueError(
-                f"dispersion relation violated: |k|={knorm:g} but omega={self.omega:g}"
-            )
-
-    @property
-    def k_array(self) -> np.ndarray:
-        return np.asarray(self.k, dtype=float)
-
-
-def _check_distinct(modes) -> None:
-    kvecs = np.round(np.array([m.k for m in modes], dtype=float), 12).tolist()
-    seen = set()
-    for m, k in zip(modes, kvecs):
-        key = (*k, m.polarization)
-        if key in seen:
-            raise ValueError(f"duplicate mode (k={m.k}, pol={m.polarization})")
-        seen.add(key)
 
 
 def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.ndarray:

@@ -10,6 +10,9 @@ ensemble this map has the exact moments
 
     E[alpha_s' alpha_i']   = g (1 + g^2/2)
     E[|alpha_s'|^2] - 1/2  = g^2 + g^4/8
+
+The pairs are one ``(signal, idler)`` index pair into the scenario's mode
+arrays; ``check_pairs`` checks them against the pump when a scenario is built.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Mode
-
 __all__ = [
     "PumpSpec",
-    "PhaseMatchedPairs",
+    "check_pairs",
     "pdc_transform",
     "pair_correlation",
     "excess_photon_fraction",
@@ -31,6 +32,8 @@ __all__ = [
 
 # Above this coupling the order-g^2 expansion of the map is dubious.
 PERTURBATIVE_G_LIMIT = 0.3
+# Relative tolerance of the phase-matching conditions.
+PAIR_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,54 +57,30 @@ class PumpSpec:
             )
 
 
-@dataclass(frozen=True)
-class PhaseMatchedPairs:
-    """Partial matching of (signal, idler) mode indices.
+def check_pairs(k: np.ndarray, omega: np.ndarray, index, pump: PumpSpec) -> None:
+    """Raise ValueError naming the first pair of ``index`` that fails a check.
 
-    Each pair must satisfy k_s + k_i = k0 and omega_s + omega_i = omega0
-    within ``rtol``, and no mode may appear twice.
+    ``index`` is a ``(signal, idler)`` pair of mode indices, as ``pdc_transform``
+    takes it, into the mode arrays ``k`` (n, 3) and ``omega`` (n,). No mode may
+    appear in two pairs, and each pair must satisfy k_s + k_i = k0 and
+    omega_s + omega_i = omega0 within ``PAIR_RTOL``. An index outside the
+    modes raises numpy's IndexError.
     """
-
-    pairs: tuple[tuple[int, int], ...]
-    rtol: float = 1e-9
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(a), int(b)) for a, b in self.pairs))
-        used = set()
-        for s, i in self.pairs:
-            for idx in (s, i):
-                if idx in used:
-                    raise ValueError(f"mode index {idx} appears in more than one pair")
-                used.add(idx)
-
-    @classmethod
-    def from_index(cls, index, n_modes: int) -> "PhaseMatchedPairs":
-        """The pairs a ``(signal, idler)`` index pair selects among ``n_modes`` modes."""
-        pos = np.arange(n_modes)
-        s_pos, i_pos = (np.atleast_1d(pos[idx]).tolist() for idx in index)
-        return cls(tuple(zip(s_pos, i_pos, strict=True)))
-
-    def validate(self, modes: tuple[Mode, ...], pump: PumpSpec) -> None:
-        """Raise ValueError naming the first pair that fails a check."""
-        n = len(modes)
-        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
-        unknown = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        s, i = pairs[~unknown].T
-        kvecs = np.array([m.k for m in modes], dtype=float).reshape(-1, 3)
-        omegas = np.array([m.omega for m in modes], dtype=float)
-        k0 = np.asarray(pump.k0, dtype=float)
-        k_bad = np.zeros_like(unknown)
-        w_bad = np.zeros_like(unknown)
-        k_bad[~unknown] = (np.linalg.norm(kvecs[s] + kvecs[i] - k0, axis=1)
-                           > self.rtol * max(np.linalg.norm(k0), 1.0))
-        w_bad[~unknown] = np.abs(omegas[s] + omegas[i] - pump.omega0) > self.rtol * pump.omega0
-        failed = np.flatnonzero(unknown | k_bad | w_bad)
-        if failed.size:
-            p = failed[0]
-            reason = ("references an unknown mode" if unknown[p] else
-                      "violates wavevector matching" if k_bad[p] else
-                      "violates frequency matching")
-            raise ValueError(f"pair {self.pairs[p]} {reason}")
+    pos = np.arange(len(omega))
+    s, i = (np.atleast_1d(pos[idx]) for idx in index)
+    uses = np.bincount(np.concatenate((s, i)), minlength=len(omega))
+    repeat = (uses[s] > 1) | (uses[i] > 1)
+    k0 = np.asarray(pump.k0, dtype=float)
+    k_bad = (np.linalg.norm(k[s] + k[i] - k0, axis=1)
+             > PAIR_RTOL * max(np.linalg.norm(k0), 1.0))
+    w_bad = np.abs(omega[s] + omega[i] - pump.omega0) > PAIR_RTOL * pump.omega0
+    failed = np.flatnonzero(repeat | k_bad | w_bad)
+    if failed.size:
+        p = failed[0]
+        reason = ("uses a mode that appears in more than one pair" if repeat[p] else
+                  "violates wavevector matching" if k_bad[p] else
+                  "violates frequency matching")
+        raise ValueError(f"pair ({s[p]}, {i[p]}) {reason}")
 
 
 def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:

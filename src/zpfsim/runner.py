@@ -80,7 +80,7 @@ def _point_result(data: dict, built: tuple, workers: int | None) -> dict:
     want_analytic = mode in ("analytic", "both")
 
     mc = chsh = None
-    if kind == "chsh":
+    if mode != "analytic" and kind == "chsh":
         # one sampling pass: variant 0 is the crystal alone, 1-4 the settings
         settings, variants = chsh_variants(scen, rot1, rot2, data["chsh"]["settings"])
         sums = run_variants(scen, [(), *variants], trials, seed, workers)

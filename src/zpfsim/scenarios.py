@@ -1,16 +1,18 @@
 """Declarative experiment scenarios.
 
-A ``Scenario`` bundles the mode list, the ordered amplitude-map operations
-(the crystal; CHSH analyzer rotators follow per variant, see ``engine``)
-and, per detector, the index of its own modes with their weights. Everything
-is plain data so scenarios can be shipped to worker processes.
+A ``Scenario`` bundles the modes (read-only arrays ``k``, ``omega`` with
+|k| = omega, and ``pol``; no two modes share both k and pol), the ordered
+amplitude-map operations (the crystal; CHSH analyzer rotators follow per
+variant, see ``engine``) and, per detector, the index of its own modes with
+their weights. Everything is plain data so scenarios can be shipped to
+worker processes.
 
 Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
 Ibar_d = sum_m scale_m^2 |alpha_m|^2 over its own modes m only. Detector d's
 entry ``parts[d]`` = (index, scale^2) holds those modes as a slice and
 their scale^2 in index order.
-Mode scales are calibrated so that each detector's vacuum-ensemble mean of
+The mode scales are calibrated so that each detector's vacuum-ensemble mean of
 the effective intensity equals its analytic value I0; this amounts to
 fixing the quantization box length per beam.
 
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorSpec, vacuum_moments
-from .field import Mode, _check_distinct
-from .pdc import PhaseMatchedPairs, PumpSpec, excess_photon_fraction, pdc_transform
+from .pdc import PumpSpec, check_pairs, excess_photon_fraction, pdc_transform
 from .optics import rotator_transform
 
 __all__ = [
@@ -44,7 +45,9 @@ __all__ = [
 class Scenario:
     """Modes, amplitude-map ops and each detector's own modes with their weights."""
 
-    modes: tuple[Mode, ...]
+    k: np.ndarray                          # (n_modes, 3) wavevectors
+    omega: np.ndarray                      # (n_modes,) frequencies
+    pol: np.ndarray                        # (n_modes,) int8 polarization, 0 = H, 1 = V
     ops: tuple[tuple, ...]
     detector_names: tuple[str, ...]
     detector_specs: tuple[DetectorSpec, ...]
@@ -54,7 +57,7 @@ class Scenario:
 
     @property
     def n_modes(self) -> int:
-        return len(self.modes)
+        return len(self.omega)
 
 
 def apply_ops(amps: np.ndarray, ops) -> np.ndarray:
@@ -112,8 +115,8 @@ def make_matched_detector(
     )
 
 
-def _matched_beam(det: DetectorSpec, n_modes: int | None, polarization: int = 0):
-    """Modes on the detector's element grid and their weights scale^2.
+def _matched_beam(det: DetectorSpec, n_modes: int | None):
+    """Frequencies of the modes on the detector's element grid, and their scale^2.
 
     When ``n_modes`` is smaller than the element count the central slice of
     the grid is used; the calibration always sets sum(scale^2)/2 = I0.
@@ -125,10 +128,27 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None, polarization: int = 0)
         raise ValueError(f"n_modes must lie in [1, {n_el}], got {n_modes}")
     start = (n_el - n_modes) // 2
     omegas = det.element_omegas[start:start + n_modes]
-    kvecs = det.element_kvecs[start:start + n_modes]
-    modes = [Mode(tuple(k), float(w), polarization) for k, w in zip(kvecs, omegas)]
     # scale^2 proportional to omega, normalized to the vacuum mean
-    return modes, 2.0 * det.I0 * omegas / np.sum(omegas)
+    return omegas, 2.0 * det.I0 * omegas / np.sum(omegas)
+
+
+def _mode_arrays(beams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only k = omega * axis, omega and pol of the beams (omegas, pol, axis).
+
+    Raises ValueError on the first mode that repeats an earlier (round(k, 12), pol).
+    """
+    omega = np.concatenate([w for w, _, _ in beams])
+    pol = np.concatenate([np.broadcast_to(np.int8(p), w.shape) for w, p, _ in beams])
+    k = np.concatenate([w[:, None] * np.asarray(axis, dtype=float) for w, _, axis in beams])
+    _, first, inverse = np.unique(np.column_stack((np.round(k, 12), pol)), axis=0,
+                                  return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(omega)))
+    if repeats.size:
+        m = repeats[0]
+        raise ValueError(f"duplicate mode (k={tuple(k[m].tolist())}, pol={pol[m]})")
+    for arr in (k, omega, pol):
+        arr.setflags(write=False)
+    return k, omega, pol
 
 
 def _own_parts(parts) -> tuple[tuple, ...]:
@@ -143,16 +163,15 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
     """One independent matched beam per detector, no source and no optics."""
     if names is None:
         names = [f"d{i}" for i in range(len(detectors))]
-    modes: list[Mode] = []
-    parts = []
+    beams, parts, start = [], [], 0
     for det in detectors:
-        m, s = _matched_beam(det, n_modes)
-        parts.append((slice(len(modes), len(modes) + len(m)), s))
-        modes.extend(m)
-    _check_distinct(modes)
+        omegas, s = _matched_beam(det, n_modes)
+        beams.append((omegas, 0, det.axis))
+        parts.append((slice(start, start + len(omegas)), s))
+        start += len(omegas)
     coinc = tuple((i, j) for i in range(len(detectors)) for j in range(i + 1, len(detectors)))
     return Scenario(
-        modes=tuple(modes),
+        *_mode_arrays(beams),
         ops=(),
         detector_names=tuple(names),
         detector_specs=tuple(detectors),
@@ -190,15 +209,16 @@ def pdc_scenario(det_signal: DetectorSpec, det_idler: DetectorSpec, g: float,
     """
     pump = _collinear_pump(det_signal, det_idler, g)
     n = det_signal.n_elements
-    sig_modes, sig_weights = _matched_beam(det_signal, None)
-    idl_modes, idl_weights = _matched_beam(det_idler, None)
+    sig_omegas, sig_weights = _matched_beam(det_signal, None)
+    idl_omegas, idl_weights = _matched_beam(det_idler, None)
+    k, omega, pol = _mode_arrays([(sig_omegas, 0, det_signal.axis),
+                                  (idl_omegas, 0, det_idler.axis)])
     # pair j: signal omega_c1 + j dw (mode j) with idler omega_c2 - j dw (mode 2n-1-j)
     signal, idler = slice(0, n), slice(2 * n - 1, n - 1, -1)
-    modes = tuple(sig_modes) + tuple(idl_modes)
-    PhaseMatchedPairs.from_index((signal, idler), len(modes)).validate(modes, pump)
+    check_pairs(k, omega, (signal, idler), pump)
     excess = excess_photon_fraction(g)
     return Scenario(
-        modes=modes,
+        k, omega, pol,
         ops=(("pdc", (signal, idler), g),),
         detector_names=tuple(names),
         detector_specs=(det_signal, det_idler),
@@ -222,22 +242,20 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     pump = _collinear_pump(det_station1, det_station2, g)
     n = det_station1.n_elements
 
-    modes: list[Mode] = []
-    station_weights = []
+    beams, station_weights = [], []
     for det in (det_station1, det_station2):
-        base_modes, base_weights = _matched_beam(det, None, polarization=0)
-        for bm in base_modes:
-            modes.append(bm)
-            modes.append(Mode(bm.k, bm.omega, 1))
-        station_weights.append(base_weights)
-    modes = tuple(modes)
+        omegas, weights = _matched_beam(det, None)
+        # slot j holds an H and a V mode with the same k
+        beams.append((np.repeat(omegas, 2), np.tile([0, 1], len(omegas)), det.axis))
+        station_weights.append(weights)
+    k, omega, pol = _mode_arrays(beams)
 
     # index layout: station 1 slots [2j (H), 2j+1 (V)], station 2 offset 2n.
     # Reading station 2 backwards pairs slot j with the frequency-mirrored
     # slot n-1-j and swaps H and V: 1H with 2V, 1V with 2H.
     off = 2 * n
     crystal = (slice(0, off), slice(2 * off - 1, off - 1, -1))
-    PhaseMatchedPairs.from_index(crystal, len(modes)).validate(modes, pump)
+    check_pairs(k, omega, crystal, pump)
 
     rot1 = (slice(0, off, 2), slice(1, off, 2))
     rot2 = (slice(off, 2 * off, 2), slice(off + 1, 2 * off, 2))
@@ -248,7 +266,7 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     det_specs = (det_station1, det_station1, det_station2, det_station2)
     excess = excess_photon_fraction(g)
     scenario = Scenario(
-        modes=modes,
+        k, omega, pol,
         ops=(("pdc", crystal, g),),
         detector_names=("1+", "1-", "2+", "2-"),
         detector_specs=det_specs,

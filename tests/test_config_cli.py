@@ -122,15 +122,16 @@ class TestParseConfig:
             parse_config(base_config(run={"trials": 200, "seed": -3}))
 
     def test_pdc_analytic_requires_corr(self):
-        raw = pdc_config(run={"trials": 1, "seed": 1, "mode": "analytic"})
-        with pytest.raises(ConfigError, match="analytic.corr"):
-            parse_config(raw)
-        parse_config({**raw, "analytic": {"corr": 0.5}})
-        parse_config({**raw, "sweeps": {"analytic.corr": [0.0, 0.6]}})
-        # with a Monte Carlo run the correlation comes from the samples
-        parse_config({**raw, "run": {"trials": 1, "seed": 1, "mode": "both"}})
-        with pytest.raises(ConfigError, match="analytic.corr"):
-            validate_points(parse_config({**raw, "sweeps": {"analytic.corr": [0.6, None]}}))
+        for make in (pdc_config, chsh_config):
+            raw = make(run={"trials": 1, "seed": 1, "mode": "analytic"})
+            with pytest.raises(ConfigError, match="analytic.corr"):
+                parse_config(raw)
+            parse_config({**raw, "analytic": {"corr": 0.5}})
+            parse_config({**raw, "sweeps": {"analytic.corr": [0.0, 0.6]}})
+            # with a Monte Carlo run the correlation comes from the samples
+            parse_config({**raw, "run": {"trials": 1, "seed": 1, "mode": "both"}})
+            with pytest.raises(ConfigError, match="analytic.corr"):
+                validate_points(parse_config({**raw, "sweeps": {"analytic.corr": [0.6, None]}}))
 
     def test_n_modes_only_for_vacuum(self):
         parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7}))
@@ -285,6 +286,20 @@ class TestRunner:
         assert calls["tiles"] == math.ceil(CHUNK_TRIALS / 7) + 1
         assert calls["pdc"] == calls["tiles"]
         assert calls["rotator"] == 4 * 2 * calls["tiles"]
+
+    def test_chsh_analytic_point_runs_no_monte_carlo(self, monkeypatch):
+        cfg = parse_config(chsh_config(run={"trials": 3000, "seed": 1, "mode": "analytic"},
+                                       analytic={"corr": 0.0}))
+        sampled = []
+        monkeypatch.setattr(engine, "sample_vacuum_batch",
+                            lambda *args: sampled.append(args) or sample_vacuum_batch(*args))
+        (point,) = run(cfg, workers=1).points
+        assert sampled == []
+        assert "chsh" not in point
+        for entry in (*point["detectors"].values(), *point["coincidences"].values()):
+            assert "p_mc" not in entry and "corr_mc" not in entry
+            assert 0.0 <= entry["p_analytic"] < 1.0
+        assert {c["corr_used"] for c in point["coincidences"].values()} == {0.0}
 
     def test_mc_agrees_with_analytic_for_dark_counts(self):
         raw = base_config()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, Mode, _check_distinct, sample_vacuum_batch
+from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, sample_vacuum_batch
 
 N_TRIALS = 1_000_000
 
@@ -23,26 +23,10 @@ def quadrature_moment(power):
     return val
 
 
-class TestMode:
-    def test_dispersion_enforced(self):
-        with pytest.raises(ValueError, match="dispersion"):
-            Mode((0.0, 0.0, 1.0), 2.0)
-
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            Mode((0.0, 0.0, 0.0), 0.0)
-
-
 class TestSampleVacuum:
     def test_empty_mode_list_rejected(self):
         with pytest.raises(ValueError, match="n_modes"):
             sample_vacuum_batch(0, seed=1, trial_indices=range(1))
-
-    def test_duplicate_mode_rejected(self):
-        m = Mode((0.0, 0.0, 1.0), 1.0)
-        _check_distinct([m, Mode((0.0, 0.0, 1.0), 1.0, 1)])   # other polarization
-        with pytest.raises(ValueError, match="duplicate"):
-            _check_distinct([m, Mode((0.0, 0.0, 1.0), 1.0)])
 
     def test_determinism_bit_identical(self):
         s1 = sample_vacuum_batch(1, seed=7, trial_indices=range(3, 4))

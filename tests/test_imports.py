@@ -38,7 +38,8 @@ def _modules_after_cli_import(prefixes):
     code = ("import sys, zpfsim.cli; "
             f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": src}, timeout=120)
+                         check=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                         timeout=120)
     return out.stdout.strip()
 
 
@@ -85,6 +86,8 @@ def test_run_succeeds_with_scipy_blocked(tmp_path, config):
             "from zpfsim.cli import main; "
             f"main(['run', '--config', {str(cfg_path)!r}, '--out', {str(out_path)!r}])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src, "ZPFSIM_WORKERS": "1"}, timeout=120)
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+                              "ZPFSIM_WORKERS": "1"},
+                         timeout=120)
     assert out.returncode == 0, out.stderr
     assert out_path.exists()

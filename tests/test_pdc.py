@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from zpfsim.field import Mode, sample_vacuum_batch
+from zpfsim.field import sample_vacuum_batch
 from zpfsim.pdc import (
     PERTURBATIVE_G_LIMIT,
-    PhaseMatchedPairs,
     PumpSpec,
+    check_pairs,
     excess_photon_fraction,
     pair_correlation,
     pdc_transform,
@@ -13,10 +13,9 @@ from zpfsim.pdc import (
 
 
 def matched_modes():
-    """Signal/idler pair phase-matched to a collinear pump (omega0 = 2)."""
-    s = Mode((0.0, 0.0, 1.2), 1.2)
-    i = Mode((0.0, 0.0, 0.8), 0.8)
-    return (s, i), PumpSpec((0.0, 0.0, 2.0), 2.0, 0.1)
+    """k, omega of a signal/idler pair phase-matched to a collinear pump (omega0 = 2)."""
+    k = np.array([[0.0, 0.0, 1.2], [0.0, 0.0, 0.8]])
+    return k, np.array([1.2, 0.8]), PumpSpec((0.0, 0.0, 2.0), 2.0, 0.1)
 
 
 class TestPumpSpec:
@@ -40,32 +39,34 @@ class TestPumpSpec:
 
 
 class TestPhaseMatchedPairs:
+    """``check_pairs`` on (signal, idler) index pairs."""
+
     def test_repeated_index_rejected(self):
-        with pytest.raises(ValueError, match="more than one pair"):
-            PhaseMatchedPairs(((0, 1), (1, 2)))
+        k, omega, pump = matched_modes()
+        k, omega = np.vstack([k, k[:1]]), np.append(omega, omega[0])
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) .*more than one pair"):
+            check_pairs(k, omega, ([0, 1], [1, 2]), pump)
 
     def test_unknown_mode_rejected(self):
-        modes, pump = matched_modes()
-        with pytest.raises(ValueError, match="unknown mode"):
-            PhaseMatchedPairs(((0, 5),)).validate(modes, pump)
+        k, omega, pump = matched_modes()
+        with pytest.raises(IndexError):
+            check_pairs(k, omega, ([0], [5]), pump)
 
     def test_wavevector_mismatch_rejected(self):
-        s = Mode((0.0, 0.0, 1.2), 1.2)
-        i = Mode((0.0, 0.8, 0.0), 0.8)   # right frequency, wrong direction
+        k = np.array([[0.0, 0.0, 1.2], [0.0, 0.8, 0.0]])   # right frequency, wrong direction
         pump = PumpSpec((0.0, 0.0, 2.0), 2.0, 0.1)
         with pytest.raises(ValueError, match="wavevector"):
-            PhaseMatchedPairs(((0, 1),)).validate((s, i), pump)
+            check_pairs(k, np.array([1.2, 0.8]), (0, 1), pump)
 
     def test_frequency_mismatch_rejected(self):
-        s = Mode((0.0, 0.0, 1.3), 1.3)
-        i = Mode((0.0, 0.0, 0.7), 0.7)
+        k = np.array([[0.0, 0.0, 1.3], [0.0, 0.0, 0.7]])
         pump = PumpSpec((0.0, 0.0, 2.0), 1.9, 0.1)
         with pytest.raises(ValueError, match="frequency"):
-            PhaseMatchedPairs(((0, 1),)).validate((s, i), pump)
+            check_pairs(k, np.array([1.3, 0.7]), (0, 1), pump)
 
     def test_valid_pair_passes(self):
-        modes, pump = matched_modes()
-        PhaseMatchedPairs(((0, 1),)).validate(modes, pump)
+        k, omega, pump = matched_modes()
+        check_pairs(k, omega, ([0], [1]), pump)
 
 
 class TestPdcTransform:
@@ -121,10 +122,10 @@ class TestApplyPdc:
     """The crystal step of a scenario build: validate the index pair, then map."""
 
     def test_valid_transform_and_immutability(self):
-        modes, pump = matched_modes()
+        k, omega, pump = matched_modes()
         amps = np.array([0.2 + 0.1j, -0.3 + 0.4j])
         saved = amps.copy()
-        PhaseMatchedPairs.from_index((0, 1), len(modes)).validate(modes, pump)
+        check_pairs(k, omega, (0, 1), pump)
         out = pdc_transform(amps, (0, 1), pump.g)
         assert out is not amps
         assert np.array_equal(amps, saved)
@@ -132,10 +133,10 @@ class TestApplyPdc:
         assert out[0] == pytest.approx(a * amps[0] + pump.g * np.conj(amps[1]))
 
     def test_invalid_matching_raises(self):
-        modes, _ = matched_modes()
+        k, omega, _ = matched_modes()
         bad_pump = PumpSpec((0.0, 0.0, 2.0), 2.1, 0.1)
         with pytest.raises(ValueError, match="frequency"):
-            PhaseMatchedPairs.from_index((0, 1), len(modes)).validate(modes, bad_pump)
+            check_pairs(k, omega, (0, 1), bad_pump)
 
 
 class TestMoments:

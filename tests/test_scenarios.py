@@ -6,7 +6,7 @@ import pytest
 from zpfsim.detection import intensity_batch, response_matrix
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.optics import rotator_transform
-from zpfsim.pdc import PhaseMatchedPairs, pdc_transform
+from zpfsim.pdc import pdc_transform
 from zpfsim.scenarios import (
     apply_ops,
     chsh_scenario,
@@ -74,8 +74,7 @@ class TestVacuumScenario:
         det = detector(n_cells=16)
         scen = vacuum_scenario([det], n_modes=6)
         assert scen.n_modes == 6
-        omegas = np.array([m.omega for m in scen.modes])
-        assert np.all(np.abs(omegas - det.omega_center) <= 4 * 2 * math.pi / det.window)
+        assert np.all(np.abs(scen.omega - det.omega_center) <= 4 * 2 * math.pi / det.window)
 
     def test_identical_detectors_rejected(self):
         # two beams on the same element grid would be one set of modes counted twice
@@ -95,10 +94,11 @@ class TestPdcScenario:
         omega0 = ds.omega_center + di.omega_center
         (kind, index, g), = scen.ops
         assert kind == "pdc" and g == 0.1
-        pairs = PhaseMatchedPairs.from_index(index, scen.n_modes).pairs
-        assert len(pairs) == 16
-        for s, i in pairs:
-            assert scen.modes[s].omega + scen.modes[i].omega == pytest.approx(omega0)
+        s, i = (np.arange(scen.n_modes)[idx] for idx in index)
+        assert len(s) == len(i) == 16
+        assert len(set(s) | set(i)) == 32
+        for a, b in zip(s, i):
+            assert scen.omega[a] + scen.omega[b] == pytest.approx(omega0)
 
     def test_signal_means_formula(self):
         ds, di = self._dets()
@@ -140,11 +140,12 @@ class TestChshScenario:
         d2 = detector(n_cells=4, omega_center=0.75)
         scen, _, _ = chsh_scenario(d1, d2, 0.1)
         (_, index, _), = scen.ops
-        pairs = PhaseMatchedPairs.from_index(index, scen.n_modes).pairs
-        assert len(pairs) == 8
-        for s, i in pairs:
-            assert scen.modes[s].polarization != scen.modes[i].polarization
-            assert scen.modes[s].omega + scen.modes[i].omega == pytest.approx(2.0)
+        s, i = (np.arange(scen.n_modes)[idx] for idx in index)
+        assert len(s) == len(i) == 8
+        assert len(set(s) | set(i)) == 16
+        for a, b in zip(s, i):
+            assert scen.pol[a] != scen.pol[b]
+            assert scen.omega[a] + scen.omega[b] == pytest.approx(2.0)
 
     def test_detector_masks_partition_station_modes(self):
         d1 = detector(n_cells=4, omega_center=1.25)
@@ -177,6 +178,23 @@ def oracle_scenarios(window):
     }
 
 
+def test_mode_arrays_are_read_only_and_on_the_light_cone():
+    for kind, scen in oracle_scenarios(WINDOW_1K).items():
+        k, omega, pol = scen.k, scen.omega, scen.pol
+        assert k.shape == (scen.n_modes, 3) and omega.shape == pol.shape == (scen.n_modes,)
+        assert np.all(np.abs(np.linalg.norm(k, axis=1) - omega) <= 1e-12 * omega), kind
+        assert np.all(omega > 0) and pol.dtype == np.int8 and set(pol.tolist()) <= {0, 1}
+        for arr in (k, omega, pol):
+            assert not arr.flags.writeable, kind
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+    # a CHSH slot's H and V modes share k: only polarization tells them apart,
+    # so it is part of the key under which modes must be distinct
+    chsh = oracle_scenarios(WINDOW_1K)["chsh"]
+    assert np.array_equal(chsh.k[0::2], chsh.k[1::2])
+    assert np.all(chsh.pol[0::2] == 0) and np.all(chsh.pol[1::2] == 1)
+
+
 class TestDiagonalWeightsOracle:
     """The diagonal weights against the general filtered-field geometry."""
 
@@ -187,12 +205,10 @@ class TestDiagonalWeightsOracle:
             scale_max = math.sqrt(weights.max())
             for d, det in enumerate(scen.detector_specs):
                 own = np.nonzero(weights[:, d])[0]
-                modes = [scen.modes[m] for m in own]
                 scales = np.sqrt(weights[own, d])
-                resp = response_matrix(modes, scales, det)      # (n_elements, n_own)
+                resp = response_matrix(scen.k[own], scen.omega[own], scales, det)  # (n_el, n_own)
                 # each own mode sits on exactly one element of the detector's grid
-                omegas = np.array([m.omega for m in modes])
-                hit = np.abs(det.element_omegas[:, None] - omegas[None, :]) < 1e-3 / window
+                hit = np.abs(det.element_omegas[:, None] - scen.omega[None, own]) < 1e-3 / window
                 assert np.all(hit.sum(axis=0) == 1), kind
                 expected = np.zeros((det.n_elements, len(own)))
                 expected[hit] = np.broadcast_to(scales, hit.shape)[hit]
@@ -206,8 +222,7 @@ class TestDiagonalWeightsOracle:
             assert batch.shape == (5, len(scen.detector_specs))
             for d, det in enumerate(scen.detector_specs):
                 own = np.nonzero(weights[:, d])[0]
-                modes = [scen.modes[m] for m in own]
-                resp = response_matrix(modes, np.sqrt(weights[own, d]), det)
+                resp = response_matrix(scen.k[own], scen.omega[own], np.sqrt(weights[own, d]), det)
                 for r in range(5):
                     # Ibar = sum_l |Ebar_l|^2 in the general geometry
                     intensity = np.sum(np.abs(resp @ amps[r, own]) ** 2)
