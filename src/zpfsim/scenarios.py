@@ -135,9 +135,11 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None):
 def _mode_arrays(beams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only k = omega * axis, omega and pol of the beams (omegas, pol, axis).
 
-    Raises ValueError on the first mode that repeats an earlier (round(k, 12), pol).
+    Raises ValueError on a frequency <= 0 or a mode repeating an earlier (round(k, 12), pol).
     """
     omega = np.concatenate([w for w, _, _ in beams])
+    if omega.min() <= 0:
+        raise ValueError(f"mode frequency must be positive, got {omega.min()}")
     pol = np.concatenate([np.broadcast_to(np.int8(p), w.shape) for w, p, _ in beams])
     k = np.concatenate([w[:, None] * np.asarray(axis, dtype=float) for w, _, axis in beams])
     _, first, inverse = np.unique(np.column_stack((np.round(k, 12), pol)), axis=0,

@@ -3,6 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, sample_vacuum_batch
+from zpfsim.scenarios import _mode_arrays, vacuum_scenario
+
+from conftest import detector
 
 N_TRIALS = 1_000_000
 
@@ -23,10 +26,31 @@ def quadrature_moment(power):
     return val
 
 
+class TestMode:
+    """The mode arrays (k, omega, pol) that the scenario builders make."""
+
+    def test_dispersion_enforced(self):
+        # k = omega * axis with the axis normalized, so |k| = omega for any axis length
+        scen = vacuum_scenario([detector(n_cells=8, axis=(0.0, 3.0, 4.0))])
+        assert np.allclose(np.linalg.norm(scen.k, axis=1), scen.omega, rtol=1e-12, atol=0)
+
+    def test_negative_frequency_rejected(self):
+        # a band 2 pi / tau wider than 2 omega_center reaches below omega = 0
+        with pytest.raises(ValueError, match="positive"):
+            vacuum_scenario([detector(n_cells=8, omega_center=1.0, window=10.0)])
+
+
 class TestSampleVacuum:
     def test_empty_mode_list_rejected(self):
         with pytest.raises(ValueError, match="n_modes"):
             sample_vacuum_batch(0, seed=1, trial_indices=range(1))
+
+    def test_duplicate_mode_rejected(self):
+        w = np.array([1.0])
+        axis = (0.0, 0.0, 1.0)
+        _mode_arrays([(w, 0, axis), (w, 1, axis)])   # other polarization
+        with pytest.raises(ValueError, match="duplicate"):
+            _mode_arrays([(w, 0, axis), (w, 0, axis)])
 
     def test_determinism_bit_identical(self):
         s1 = sample_vacuum_batch(1, seed=7, trial_indices=range(3, 4))
