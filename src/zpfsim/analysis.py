@@ -150,29 +150,29 @@ class ChshResult:
                 raise ValueError(f"correlation estimate {e} outside [-1, 1]")
 
 
-def chsh_variants(scenario: Scenario, rot1, rot2, settings):
-    """The four settings as floats, and per setting its two rotator ops.
+def chsh_variants(scenario: Scenario, settings):
+    """The four settings as floats, and the five op variants of a CHSH point.
 
-    The rotators act after the scenario's own ops (``engine.run_variants``).
+    Variant 0 is ``()``; variant 1 + s rotates each station's (H, V) pairs, the
+    own modes of its '+' and '-' detectors (``scenario.parts``), by setting s.
     """
     settings = tuple((float(a), float(b)) for a, b in settings)
     if len(settings) != 4:
         raise ValueError(f"exactly four analyzer settings required, got {len(settings)}")
     if len(scenario.coincidences) != 4 or len(scenario.detector_names) != 4:
-        raise ValueError("chsh_scan needs a four-detector, four-pair scenario")
-    return settings, [
-        (("rotator", tuple(rot1), t1), ("rotator", tuple(rot2), t2))
-        for t1, t2 in settings
-    ]
+        raise ValueError("CHSH analyzer settings need a four-detector, four-pair scenario")
+    (h1, _), (v1, _), (h2, _), (v2, _) = scenario.parts
+    return settings, [(), *((("rotator", (h1, v1), t1), ("rotator", (h2, v2), t2))
+                            for t1, t2 in settings)]
 
 
-def chsh_summary(settings: tuple, sums, first: int = 0) -> ChshResult:
-    """CHSH estimate from the four variants of ``sums`` that start at ``first``.
+def chsh_summary(settings: tuple, sums) -> ChshResult:
+    """CHSH estimate from variants 1-4 of ``sums``, in ``chsh_variants``' order.
 
     Each variant holds the coincidence pairs (++, +-, -+, --).
     """
     n = sums.n
-    block = slice(4 * first, 4 * first + 16)
+    block = slice(4, 20)
     p = sums.u_sum[block] / n                            # (16,) setting-major
     cov = sums.uu_sum[block, block] / n - np.outer(p, p)
     if n > 1:
@@ -212,15 +212,15 @@ def chsh_summary(settings: tuple, sums, first: int = 0) -> ChshResult:
     )
 
 
-def chsh_scan(scenario: Scenario, rot1, rot2, settings, trials: int, seed: int,
+def chsh_scan(scenario: Scenario, settings, trials: int, seed: int,
               workers: int | None = None) -> ChshResult:
     """Estimate S over four analyzer settings with shared hidden variables.
 
     ``scenario`` must be a two-station scenario with coincidence pairs
     ordered (++, +-, -+, --). Every setting reuses the same per-trial
     vacuum draws, exactly as a deterministic hidden-variables model
-    prescribes.
+    prescribes; the five variants are those of a ``runner`` CHSH point.
     """
-    settings, variants = chsh_variants(scenario, rot1, rot2, settings)
+    settings, variants = chsh_variants(scenario, settings)
     return chsh_summary(settings, run_variants(scenario, variants, trials, seed, workers))
 

@@ -25,7 +25,7 @@ def main() -> None:
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override run.seed.")
 @click.option("--trials", type=click.IntRange(min=1), default=None, help="Override run.trials.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Output file (default: stdout path derived from format).")
+              help="Output file (default: zpfsim-run.<format> in the working directory).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
 def run_cmd(config_path, seed, trials, out_path, fmt) -> None:

@@ -130,9 +130,12 @@ def _sections(data: dict):
 def check_point(data: dict) -> None:
     """Check one sweep point: every value against the schema, then the cross-key rules.
 
-    ``scenario.n_modes`` is read only by the vacuum builder. An analytic-only
-    PDC or CHSH run has no Monte Carlo estimate of the intensity correlation
-    of its coincidences, so it needs ``analytic.corr``.
+    A key that the point's run would not read must keep its default:
+    ``scenario.n_modes`` is read only by the vacuum builder, ``scenario.g``
+    only by the crystal of PDC and CHSH, ``chsh.settings`` only by a CHSH
+    Monte Carlo and ``analytic.corr`` only by the analytic path. An
+    analytic-only PDC or CHSH run has no Monte Carlo estimate of the
+    intensity correlation of its coincidences, so it needs ``analytic.corr``.
     """
     for prefix, section, schema in _sections(data):
         for key, (default, what, ok) in schema.items():
@@ -145,9 +148,19 @@ def check_point(data: dict) -> None:
         raise ConfigError(f"scenario kind {kind!r} requires exactly 2 detectors")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate detector name in {names}")
+    mode = data["run"]["mode"]
     if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
         raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
-    if kind != "vacuum" and data["run"]["mode"] == "analytic" and data["analytic"]["corr"] is None:
+    if kind == "vacuum" and data["scenario"]["g"] != 0:
+        raise ConfigError("a non-zero scenario.g applies only to kinds 'pdc' and 'chsh', "
+                          "not 'vacuum'")
+    chsh_mc = kind == "chsh" and mode != "analytic"
+    if not chsh_mc and data["chsh"]["settings"] != _DEFAULT_CHSH_SETTINGS:
+        raise ConfigError("chsh.settings applies only to kind 'chsh' with run.mode 'mc' or "
+                          f"'both', not kind {kind!r} with run.mode {mode!r}")
+    if mode == "mc" and data["analytic"]["corr"] is not None:
+        raise ConfigError("analytic.corr applies only to run.mode 'analytic' or 'both', not 'mc'")
+    if kind != "vacuum" and mode == "analytic" and data["analytic"]["corr"] is None:
         raise ConfigError(f"kind {kind!r} with run.mode 'analytic' requires analytic.corr "
                           "(there is no Monte Carlo correlation to fall back on)")
 

@@ -53,7 +53,7 @@ class PumpSpec:
             warnings.warn(
                 f"coupling g={self.g:g} is outside the perturbative regime "
                 f"(g < {PERTURBATIVE_G_LIMIT})",
-                stacklevel=2,
+                stacklevel=3,   # past the dataclass __init__, to the line that built the pump
             )
 
 

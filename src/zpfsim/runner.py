@@ -3,6 +3,8 @@
 ``run`` walks the sweep grid, executes the analytic and/or Monte Carlo
 paths per point and assembles a RunRecord whose JSON payload is
 byte-identical for identical (config, seed) regardless of worker count.
+A CHSH point runs ``analysis.chsh_variants``' five variants in one pass:
+variant 0 gives the detector statistics and variants 1-4 the CHSH block.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .config import ConfigError, ExperimentConfig, config_digest, sweep_points
 from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
 from .engine import default_workers, detection_summary, mc_detect, run_variants
 from .field import RNG_STREAM
-from .scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
+from .scenarios import Scenario, chsh_scenario, pdc_scenario, vacuum_scenario
 
 __all__ = ["RunRecord", "run", "validate_points", "emit"]
 
@@ -45,20 +47,19 @@ class RunRecord:
         }
 
 
-def _build_scenario(data: dict, specs: list):
-    """Scenario plus CHSH rotator pairs (None for non-CHSH kinds)."""
+def _build_scenario(data: dict, specs: list) -> Scenario:
     kind = data["scenario"]["kind"]
     g = data["scenario"]["g"]
     names = [d["name"] for d in data["detectors"]]
     if kind == "vacuum":
-        return vacuum_scenario(specs, names, data["scenario"]["n_modes"]), None, None
+        return vacuum_scenario(specs, names, data["scenario"]["n_modes"])
     if kind == "pdc":
-        return pdc_scenario(specs[0], specs[1], g, (names[0], names[1])), None, None
+        return pdc_scenario(specs[0], specs[1], g, (names[0], names[1]))
     return chsh_scenario(specs[0], specs[1], g)
 
 
 def validate_points(config: ExperimentConfig) -> list:
-    """(overrides, point data, built scenario) of every sweep point, as ``run`` computes them.
+    """(overrides, point data, Scenario) of every sweep point, as ``run`` computes them.
 
     Raises ConfigError naming the first point that fails its checks
     (``config.sweep_points``) or whose scenario cannot be built.
@@ -73,18 +74,16 @@ def validate_points(config: ExperimentConfig) -> list:
     return built
 
 
-def _point_result(data: dict, built: tuple, workers: int | None) -> dict:
-    scen, rot1, rot2 = built
+def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
     mode, trials, seed = data["run"]["mode"], data["run"]["trials"], data["run"]["seed"]
     kind = data["scenario"]["kind"]
     want_analytic = mode in ("analytic", "both")
 
     mc = chsh = None
     if mode != "analytic" and kind == "chsh":
-        # one sampling pass: variant 0 is the crystal alone, 1-4 the settings
-        settings, variants = chsh_variants(scen, rot1, rot2, data["chsh"]["settings"])
-        sums = run_variants(scen, [(), *variants], trials, seed, workers)
-        mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums, first=1)
+        settings, variants = chsh_variants(scen, data["chsh"]["settings"])
+        sums = run_variants(scen, variants, trials, seed, workers)
+        mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums)
     elif mode != "analytic":
         mc = mc_detect(scen, trials, seed, workers)
 
@@ -171,9 +170,9 @@ def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = 
     if seed is not None:
         data["run"]["seed"] = seed
     points = []
-    for overrides, point_data, built in validate_points(ExperimentConfig(data)):
+    for overrides, point_data, scen in validate_points(ExperimentConfig(data)):
         try:
-            result = _point_result(point_data, built, workers)
+            result = _point_result(point_data, scen, workers)
         except Exception as exc:
             raise RuntimeError(f"sweep point {overrides or '(base)'} failed: {exc}") from exc
         result["overrides"] = overrides

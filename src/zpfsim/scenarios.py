@@ -2,10 +2,13 @@
 
 A ``Scenario`` bundles the modes (read-only arrays ``k``, ``omega`` with
 |k| = omega, and ``pol``; no two modes share both k and pol), the ordered
-amplitude-map operations (the crystal; CHSH analyzer rotators follow per
-variant, see ``engine``) and, per detector, the index of its own modes with
-their weights. Everything is plain data so scenarios can be shipped to
-worker processes.
+amplitude-map operations (the crystal) and, per detector, the index of its
+own modes with their read-only weights. Everything is plain data so
+scenarios can be shipped to worker processes.
+
+PDC and CHSH share one crystal builder (``_crystal_scenario``). A CHSH
+analyzer rotates each station's (H, V) pairs, the own modes of its '+' and
+'-' detectors, per op variant (``analysis.chsh_variants``).
 
 Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -54,6 +58,10 @@ class Scenario:
     parts: tuple[tuple, ...]               # per detector: (own-mode index, scale^2)
     coincidences: tuple[tuple[int, int], ...] = ()
     signal_means: tuple[float, ...] = ()   # analytic Ibar_s per detector
+
+    def __post_init__(self):
+        for arr in (self.k, self.omega, self.pol, *(w for _, w in self.parts)):
+            arr.setflags(write=False)
 
     @property
     def n_modes(self) -> int:
@@ -133,7 +141,7 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None):
 
 
 def _mode_arrays(beams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only k = omega * axis, omega and pol of the beams (omegas, pol, axis).
+    """k = omega * axis, omega and pol of the beams (omegas, pol, axis).
 
     Raises ValueError on a frequency <= 0 or a mode repeating an earlier (round(k, 12), pol).
     """
@@ -148,16 +156,7 @@ def _mode_arrays(beams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if repeats.size:
         m = repeats[0]
         raise ValueError(f"duplicate mode (k={tuple(k[m].tolist())}, pol={pol[m]})")
-    for arr in (k, omega, pol):
-        arr.setflags(write=False)
     return k, omega, pol
-
-
-def _own_parts(parts) -> tuple[tuple, ...]:
-    """Each detector's (own-mode index, scale^2), with the weights made read-only."""
-    for _, w in parts:
-        w.setflags(write=False)
-    return tuple(parts)
 
 
 def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = None,
@@ -177,7 +176,7 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
         ops=(),
         detector_names=tuple(names),
         detector_specs=tuple(detectors),
-        parts=_own_parts(parts),
+        parts=tuple(parts),
         coincidences=coinc,
         signal_means=tuple(0.0 for _ in detectors),
     )
@@ -202,78 +201,56 @@ def _collinear_pump(det1: DetectorSpec, det2: DetectorSpec, g: float) -> PumpSpe
     return PumpSpec(tuple(omega0 * np.asarray(det1.axis, dtype=float)), omega0, g)
 
 
+def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: int,
+                      names) -> Scenario:
+    """Collinear PDC into two beams with ``n_pol`` polarization modes per frequency slot.
+
+    Beam b is detector b's element grid: slot j holds polarization p at index
+    b*off + n_pol*j + p, with off = n_pol * n. Detector q of beam b owns the
+    beam's polarization-q modes. Reading beam 2 backwards pairs slot j with
+    the frequency-mirrored slot n-1-j and, for two polarizations, swaps H and
+    V. ``_collinear_pump`` states what the detectors must share.
+    """
+    pump = _collinear_pump(det1, det2, g)
+    off = n_pol * det1.n_elements
+    beams, parts = [], []
+    for b, det in enumerate((det1, det2)):
+        omegas, weights = _matched_beam(det, None)
+        beams.append((np.repeat(omegas, n_pol), np.tile(np.arange(n_pol), len(omegas)), det.axis))
+        parts += [(slice(b * off + q, (b + 1) * off, n_pol), weights) for q in range(n_pol)]
+    k, omega, pol = _mode_arrays(beams)
+    crystal = (slice(0, off), slice(2 * off - 1, off - 1, -1))
+    check_pairs(k, omega, crystal, pump)
+    specs = (det1,) * n_pol + (det2,) * n_pol
+    excess = excess_photon_fraction(g)
+    return Scenario(
+        k, omega, pol,
+        ops=(("pdc", crystal, g),),
+        detector_names=tuple(names),
+        detector_specs=specs,
+        parts=tuple(parts),
+        coincidences=tuple(product(range(n_pol), range(n_pol, 2 * n_pol))),
+        signal_means=tuple(2.0 * d.I0 * excess for d in specs),
+    )
+
+
 def pdc_scenario(det_signal: DetectorSpec, det_idler: DetectorSpec, g: float,
                  names: tuple[str, str] = ("signal", "idler")) -> Scenario:
     """Collinear PDC: signal and idler beams in separate frequency bands.
 
     Pair j couples the j-th signal grid mode with the frequency-mirrored
-    idler grid mode; ``_collinear_pump`` states what the detectors must share.
+    idler grid mode (``_crystal_scenario`` with one polarization per slot).
     """
-    pump = _collinear_pump(det_signal, det_idler, g)
-    n = det_signal.n_elements
-    sig_omegas, sig_weights = _matched_beam(det_signal, None)
-    idl_omegas, idl_weights = _matched_beam(det_idler, None)
-    k, omega, pol = _mode_arrays([(sig_omegas, 0, det_signal.axis),
-                                  (idl_omegas, 0, det_idler.axis)])
-    # pair j: signal omega_c1 + j dw (mode j) with idler omega_c2 - j dw (mode 2n-1-j)
-    signal, idler = slice(0, n), slice(2 * n - 1, n - 1, -1)
-    check_pairs(k, omega, (signal, idler), pump)
-    excess = excess_photon_fraction(g)
-    return Scenario(
-        k, omega, pol,
-        ops=(("pdc", (signal, idler), g),),
-        detector_names=tuple(names),
-        detector_specs=(det_signal, det_idler),
-        parts=_own_parts([(signal, sig_weights), (slice(n, 2 * n), idl_weights)]),
-        coincidences=((0, 1),),
-        signal_means=(2.0 * det_signal.I0 * excess, 2.0 * det_idler.I0 * excess),
-    )
+    return _crystal_scenario(det_signal, det_idler, g, 1, names)
 
 
-def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: float):
+def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: float) -> Scenario:
     """Two polarization-analyzed stations fed by cross-polarized PDC pairs.
 
     Station s carries two polarization modes (H, V) per frequency slot; the
-    crystal couples (1H, 2V) and (1V, 2H) slot-wise. Each station splits
-    into '+' (H after rotation) and '-' (V after rotation) detectors.
-
-    Returns (scenario, rotator_index_station1, rotator_index_station2): the
-    (H, V) index pairs of each station, on which the rotator ops of a
-    concrete analyzer setting act after the crystal (one variant each).
+    crystal couples (1H, 2V) and (1V, 2H) slot-wise. Station s's '+' and '-'
+    detectors own its H and V modes. An analyzer setting rotates each
+    station's (H, V) pairs after the crystal (``analysis.chsh_variants``), so
+    that '+' reads H after rotation and '-' reads V.
     """
-    pump = _collinear_pump(det_station1, det_station2, g)
-    n = det_station1.n_elements
-
-    beams, station_weights = [], []
-    for det in (det_station1, det_station2):
-        omegas, weights = _matched_beam(det, None)
-        # slot j holds an H and a V mode with the same k
-        beams.append((np.repeat(omegas, 2), np.tile([0, 1], len(omegas)), det.axis))
-        station_weights.append(weights)
-    k, omega, pol = _mode_arrays(beams)
-
-    # index layout: station 1 slots [2j (H), 2j+1 (V)], station 2 offset 2n.
-    # Reading station 2 backwards pairs slot j with the frequency-mirrored
-    # slot n-1-j and swaps H and V: 1H with 2V, 1V with 2H.
-    off = 2 * n
-    crystal = (slice(0, off), slice(2 * off - 1, off - 1, -1))
-    check_pairs(k, omega, crystal, pump)
-
-    rot1 = (slice(0, off, 2), slice(1, off, 2))
-    rot2 = (slice(off, 2 * off, 2), slice(off + 1, 2 * off, 2))
-    parts = _own_parts([
-        (rot1[0], station_weights[0]), (rot1[1], station_weights[0]),
-        (rot2[0], station_weights[1]), (rot2[1], station_weights[1]),
-    ])
-    det_specs = (det_station1, det_station1, det_station2, det_station2)
-    excess = excess_photon_fraction(g)
-    scenario = Scenario(
-        k, omega, pol,
-        ops=(("pdc", crystal, g),),
-        detector_names=("1+", "1-", "2+", "2-"),
-        detector_specs=det_specs,
-        parts=parts,
-        coincidences=((0, 2), (0, 3), (1, 2), (1, 3)),
-        signal_means=tuple(2.0 * d.I0 * excess for d in det_specs),
-    )
-    return scenario, rot1, rot2
+    return _crystal_scenario(det_station1, det_station2, g, 2, ("1+", "1-", "2+", "2-"))

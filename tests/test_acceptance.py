@@ -155,14 +155,14 @@ def test_criterion_7_chsh_bound():
         kw = dict(n_cells=4, threshold_sigma=threshold_sigma, zeta_sigma=zeta_sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scen, rot1, rot2 = chsh_scenario(
+            scen = chsh_scenario(
                 detector(omega_center=1.25, **kw), detector(omega_center=0.75, **kw), g)
         if rng.uniform() < 0.5:
             settings = SETTINGS_CANONICAL
         else:
             settings = tuple((float(a), float(b))
                              for a, b in rng.uniform(0.0, 2.0 * math.pi, size=(4, 2)))
-        res = chsh_scan(scen, rot1, rot2, settings, trials=4000, seed=1000 + trial)
+        res = chsh_scan(scen, settings, trials=4000, seed=1000 + trial)
         slack = abs(res.s_value) - (2.0 + 3.0 * res.s_stderr)
         worst = max(worst, abs(res.s_value))
         if slack > 1e-9:

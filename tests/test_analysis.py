@@ -121,19 +121,18 @@ def small_chsh(g=0.2, n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5):
 
 class TestChshScan:
     def test_requires_four_settings(self):
-        scen, rot1, rot2 = small_chsh()
         with pytest.raises(ValueError, match="four analyzer settings"):
-            chsh_scan(scen, rot1, rot2, SETTINGS[:3], 100, seed=0)
+            chsh_scan(small_chsh(), SETTINGS[:3], 100, seed=0)
 
     def test_forced_unit_response_gives_s_of_two(self):
         # constant responses (1+, 1-, 2+, 2-) = (1, 0, 1, 0) in every trial of
-        # every setting: only ++ fires, so every E = 1 and S = 2 exactly
-        scen, _, _ = small_chsh()
+        # every variant: only ++ fires, so every E = 1 and S = 2 exactly
+        scen = small_chsh()
         n, q = 256, np.array([1.0, 0.0, 1.0, 0.0])
-        u = np.tile([q[a] * q[c] for a, c in scen.coincidences], 4)
-        const = np.tile(n * q, (4, 1))
-        sums = _ChunkSums(n=n, q_sum=const, q2_sum=const, i_sum=np.zeros((4, 4)),
-                          i2_sum=np.zeros((4, 4)), ii_sum=np.zeros((4, 4)),
+        u = np.tile([q[a] * q[c] for a, c in scen.coincidences], 5)
+        const = np.tile(n * q, (5, 1))
+        sums = _ChunkSums(n=n, q_sum=const, q2_sum=const, i_sum=np.zeros((5, 4)),
+                          i2_sum=np.zeros((5, 4)), ii_sum=np.zeros((5, 4)),
                           u_sum=n * u, uu_sum=n * np.outer(u, u))
         res = chsh_summary(SETTINGS, sums)
         assert res.correlations == (1.0, 1.0, 1.0, 1.0)
@@ -141,21 +140,20 @@ class TestChshScan:
         assert res.s_stderr == 0.0
 
     def test_estimates_within_bounds_and_reproducible(self):
-        scen, rot1, rot2 = small_chsh()
-        res = chsh_scan(scen, rot1, rot2, SETTINGS, 4096, seed=7)
+        scen = small_chsh()
+        res = chsh_scan(scen, SETTINGS, 4096, seed=7)
         for e, se in zip(res.correlations, res.correlation_stderr):
             assert -1.0 <= e <= 1.0
             assert se >= 0.0
         for probs in res.coincidence_probs:
             assert all(0.0 <= p <= 1.0 for p in probs)
-        res2 = chsh_scan(scen, rot1, rot2, SETTINGS, 4096, seed=7)
+        res2 = chsh_scan(scen, SETTINGS, 4096, seed=7)
         assert res.s_value == res2.s_value
 
     def test_rotation_by_pi_is_a_symmetry(self):
         # shifting both analyzers by pi flips both arms, leaving E unchanged
-        scen, rot1, rot2 = small_chsh()
-        base = chsh_scan(scen, rot1, rot2, SETTINGS, 2048, seed=3)
-        shifted = chsh_scan(scen, rot1, rot2,
-                            [(a + math.pi, b + math.pi) for a, b in SETTINGS],
+        scen = small_chsh()
+        base = chsh_scan(scen, SETTINGS, 2048, seed=3)
+        shifted = chsh_scan(scen, [(a + math.pi, b + math.pi) for a, b in SETTINGS],
                             2048, seed=3)
         assert np.allclose(base.correlations, shifted.correlations, atol=1e-10)

@@ -231,14 +231,14 @@ class TestRunner:
         monkeypatch.undo()
         # the same numbers as separate mc_detect and chsh_scan passes
         specs = cfg.detector_specs()
-        scen, rot1, rot2 = chsh_scenario(specs[0], specs[1], 0.2)
+        scen = chsh_scenario(specs[0], specs[1], 0.2)
         mc = mc_detect(scen, trials, 5, workers=1)
-        res = chsh_scan(scen, rot1, rot2, cfg.data["chsh"]["settings"], trials, 5, workers=1)
+        res = chsh_scan(scen, cfg.data["chsh"]["settings"], trials, 5, workers=1)
         for name in scen.detector_names:
             assert point["detectors"][name]["p_mc"] == mc.singles[name].value
         assert point["chsh"]["correlations"] == list(res.correlations)
         assert point["chsh"]["S"] == res.s_value
-        assert point["chsh"]["S_stderr"] == pytest.approx(res.s_stderr, rel=1e-12)
+        assert point["chsh"]["S_stderr"] == res.s_stderr
 
     def test_chsh_point_samples_each_chunk_in_row_tiles(self, monkeypatch):
         # at 2048 modes a chunk is sampled in several tiles; together they
@@ -372,9 +372,16 @@ class TestCli:
         with_value(base_config(), "detectors.0.threshold_sigma", math.nan),
         with_value(base_config(), "detectors.0.zeta_sigma", math.inf),
         base_config(sweeps={"scenario.g": []}),
+        # keys that the point's run would not read
+        base_config(scenario={"kind": "vacuum", "g": 0.1}),
+        pdc_config(chsh={"settings": [[0, 1], [0, 2], [1, 1], [1, 2]]}),
+        chsh_config(run={"trials": 1, "seed": 1, "mode": "analytic"}, analytic={"corr": 0.0},
+                    chsh={"settings": [[0, 1], [0, 2], [1, 1], [1, 2]]}),
+        pdc_config(run={"trials": 200, "seed": 1, "mode": "mc"}, analytic={"corr": 0.5}),
     ], ids=["length", "eta", "threshold", "n_modes-str", "n_modes-float", "trials-bool",
             "n_cells-bool", "axis-zero", "axis-2d", "chsh-settings", "threshold_sigma-nan",
-            "zeta_sigma-inf", "empty-sweep"])
+            "zeta_sigma-inf", "empty-sweep", "vacuum-g", "pdc-chsh-settings",
+            "analytic-chsh-settings", "mc-corr"])
     def test_malformed_config_is_a_config_error(self, tmp_path, raw):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))
@@ -383,6 +390,16 @@ class TestCli:
             assert result.exit_code == 2, (args, result.output)
             assert "config error:" in result.output
         assert not out_path.exists()
+
+    def test_swept_ignored_key_names_the_point(self, tmp_path):
+        raw = base_config(sweeps={"scenario.g": [0.0, 0.1]})
+        with pytest.raises(ConfigError, match=r"sweep point \{'scenario.g': 0.1\}: .*'vacuum'"):
+            parse_config(raw)
+        cfg_path = tmp_path / "exp.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        result = CliRunner().invoke(main, ["validate", "--config", str(cfg_path)])
+        assert result.exit_code == 2
+        assert "config error: sweep point {'scenario.g': 0.1}" in result.output
 
     def test_swept_seed_overrides_invalid_base_seed(self, tmp_path):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"

@@ -48,9 +48,9 @@ class TestRunVariants:
             scen = pdc_scenario(*dets, 0.2)
             variants = [()]
         else:
-            scen, rot1, rot2 = chsh_scenario(*dets, 0.2)
+            scen = chsh_scenario(*dets, 0.2)
             settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
-            variants = [(), *chsh_variants(scen, rot1, rot2, settings)[1]]
+            variants = chsh_variants(scen, settings)[1]
         trials = 2 * CHUNK_TRIALS + 5
         ref = run_variants(scen, variants, trials, seed=8, workers=1)
         runs = {"workers 2": run_variants(scen, variants, trials, seed=8, workers=2)}
@@ -69,11 +69,10 @@ class TestSharedCrystal:
         # variant 0 (no further ops) is exactly the plain Monte Carlo
         dets = (detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=1.25),
                 detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
-        scen, rot1, rot2 = chsh_scenario(*dets, 0.2)
+        scen = chsh_scenario(*dets, 0.2)
         settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
         trials = 2 * CHUNK_TRIALS + 5
-        point = run_variants(scen, [(), *chsh_variants(scen, rot1, rot2, settings)[1]],
-                             trials, seed=8, workers=1)
+        point = run_variants(scen, chsh_variants(scen, settings)[1], trials, seed=8, workers=1)
         plain = run_variants(scen, [()], trials, seed=8, workers=1)
         n_pair = len(scen.coincidences)
         for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum"):

@@ -28,8 +28,10 @@ class TestPumpSpec:
             PumpSpec((0.0, 0.0, 2.0), 0.0, 0.1)
 
     def test_strong_coupling_warns(self):
-        with pytest.warns(UserWarning, match="perturbative"):
+        with pytest.warns(UserWarning, match="perturbative") as record:
             PumpSpec((0.0, 0.0, 2.0), 2.0, PERTURBATIVE_G_LIMIT)
+        # the warning names the line that built the pump, not the dataclass __init__
+        assert record[0].filename == __file__
 
     def test_weak_coupling_silent(self):
         import warnings

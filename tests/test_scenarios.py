@@ -124,21 +124,22 @@ class TestChshScenario:
     def test_structure(self):
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
-        scen, rot1, rot2 = chsh_scenario(d1, d2, 0.1)
+        scen = chsh_scenario(d1, d2, 0.1)
         assert scen.detector_names == ("1+", "1-", "2+", "2-")
         assert scen.coincidences == ((0, 2), (0, 3), (1, 2), (1, 3))
         assert scen.n_modes == 16          # 4 slots x 2 polarizations x 2 stations
-        # rotator pairs cover each station once, disjointly
+        # a station's rotator pairs its '+' and '-' detectors' own modes;
+        # together they cover the station once, disjointly
         pos = np.arange(scen.n_modes)
-        idx1 = [i for part in rot1 for i in pos[part]]
-        idx2 = [i for part in rot2 for i in pos[part]]
+        idx1 = [i for index, _ in scen.parts[:2] for i in pos[index]]
+        idx2 = [i for index, _ in scen.parts[2:] for i in pos[index]]
         assert sorted(idx1) == list(range(8))
         assert sorted(idx2) == list(range(8, 16))
 
     def test_pdc_couples_cross_polarizations(self):
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
-        scen, _, _ = chsh_scenario(d1, d2, 0.1)
+        scen = chsh_scenario(d1, d2, 0.1)
         (_, index, _), = scen.ops
         s, i = (np.arange(scen.n_modes)[idx] for idx in index)
         assert len(s) == len(i) == 8
@@ -150,7 +151,7 @@ class TestChshScenario:
     def test_detector_masks_partition_station_modes(self):
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
-        scen, _, _ = chsh_scenario(d1, d2, 0.1)
+        scen = chsh_scenario(d1, d2, 0.1)
         support = [set(np.nonzero(w)[0]) for w in dense_weights(scen).T]
         assert support[0] | support[1] == set(range(8))
         assert support[2] | support[3] == set(range(8, 16))
@@ -174,7 +175,7 @@ def oracle_scenarios(window):
         "vacuum-3-slice": vacuum_scenario(
             vac + [detector(n_cells=16, window=window, omega_center=3.0)], n_modes=6),
         "pdc": pdc_scenario(*pdc, 0.1),
-        "chsh": chsh_scenario(*pdc, 0.1)[0],
+        "chsh": chsh_scenario(*pdc, 0.1),
     }
 
 
@@ -184,7 +185,7 @@ def test_mode_arrays_are_read_only_and_on_the_light_cone():
         assert k.shape == (scen.n_modes, 3) and omega.shape == pol.shape == (scen.n_modes,)
         assert np.all(np.abs(np.linalg.norm(k, axis=1) - omega) <= 1e-12 * omega), kind
         assert np.all(omega > 0) and pol.dtype == np.int8 and set(pol.tolist()) <= {0, 1}
-        for arr in (k, omega, pol):
+        for arr in (k, omega, pol, *(w for _, w in scen.parts)):
             assert not arr.flags.writeable, kind
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -236,7 +237,7 @@ def batching_scenarios():
     return {
         "vacuum": lambda: vacuum_scenario([detector(n_cells=9000, window=WINDOW_1E5)]),
         "pdc": lambda: pdc_scenario(*pdc, 0.1),
-        "chsh": lambda: chsh_scenario(*chsh, 0.1)[0],
+        "chsh": lambda: chsh_scenario(*chsh, 0.1),
     }
 
 
@@ -314,8 +315,8 @@ class TestSliceIndexedMaps:
 
     def test_chsh_layout(self):
         n = 4
-        scen, rot1, rot2 = chsh_scenario(detector(n_cells=n, omega_center=1.25),
-                                         detector(n_cells=n, omega_center=0.75), 0.2)
+        scen = chsh_scenario(detector(n_cells=n, omega_center=1.25),
+                             detector(n_cells=n, omega_center=0.75), 0.2)
         off = 2 * n
         crystal = []
         for j in range(n):
@@ -325,7 +326,8 @@ class TestSliceIndexedMaps:
         amps = sample_vacuum_batch(scen.n_modes, 5, range(64))
         out = pdc_transform(amps, index, g)
         assert np.array_equal(out, crystal_reference(amps, crystal, g))
-        for rot, base in ((rot1, 0), (rot2, off)):
+        (h1, _), (v1, _), (h2, _), (v2, _) = scen.parts
+        for rot, base in (((h1, v1), 0), ((h2, v2), off)):
             pairs = [(base + 2 * j, base + 2 * j + 1) for j in range(n)]
             assert np.array_equal(rotator_transform(out, rot, 0.3),
                                   rotator_reference(out, pairs, 0.3))
