@@ -133,7 +133,8 @@ def check_point(data: dict) -> None:
     A key that the point's run would not read must keep its default:
     ``scenario.n_modes`` is read only by the vacuum builder, ``scenario.g``
     only by the crystal of PDC and CHSH, ``chsh.settings`` only by a CHSH
-    Monte Carlo and ``analytic.corr`` only by the analytic path. An
+    Monte Carlo and ``analytic.corr`` only by the analytic path of a
+    coincidence pair, which a point has when it has two or more detectors. An
     analytic-only PDC or CHSH run has no Monte Carlo estimate of the
     intensity correlation of its coincidences, so it needs ``analytic.corr``.
     """
@@ -160,6 +161,9 @@ def check_point(data: dict) -> None:
                           f"'both', not kind {kind!r} with run.mode {mode!r}")
     if mode == "mc" and data["analytic"]["corr"] is not None:
         raise ConfigError("analytic.corr applies only to run.mode 'analytic' or 'both', not 'mc'")
+    if len(names) < 2 and data["analytic"]["corr"] is not None:
+        raise ConfigError("analytic.corr applies only to a point with a coincidence pair, "
+                          "not to a single detector")
     if kind != "vacuum" and mode == "analytic" and data["analytic"]["corr"] is None:
         raise ConfigError(f"kind {kind!r} with run.mode 'analytic' requires analytic.corr "
                           "(there is no Monte Carlo correlation to fall back on)")

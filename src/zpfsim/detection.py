@@ -21,8 +21,8 @@ Ibar_s and leaves the deviation unchanged.
 When the modes sit on a detector's own element grid (spacing 2 pi / T
 along its axis), the sinc zeros make each element see exactly one mode and
 Ibar = sum_m scale_m^2 |alpha_m|^2 over that detector's modes. The Monte
-Carlo therefore reduces each detector over its own modes only, with their
-scale^2 as weights (``intensity_batch``).
+Carlo therefore reduces each detector's per-mode power |alpha_m|^2 over
+its own modes only, with their scale^2 as weights (``intensity_batch``).
 ``response_matrix`` evaluates the general geometry and serves as its test
 oracle: the filtered fields of an amplitude vector are
 ``response_matrix(k, omega, scales, detector) @ amps`` for modes with
@@ -185,17 +185,17 @@ def response_matrix(k, omega, scales, detector: DetectorSpec) -> np.ndarray:
     return time_factor * vol_factor * np.asarray(scales, dtype=float)[None, :]
 
 
-def intensity_batch(amps: np.ndarray, parts) -> np.ndarray:
-    """Effective intensities (B, n_det) of an amplitude batch (B, n_modes).
+def intensity_batch(power: np.ndarray, parts) -> np.ndarray:
+    """Effective intensities (B, n_det) of a per-mode power batch (B, n_modes).
 
-    ``parts[d]`` = (index, w) gives detector d's own modes, those on its
-    element grid, and their scale^2 in index order; the detector is reduced
-    over them alone. Each row is reduced on its own (a contiguous row sum,
-    whose order depends only on the detector's mode count), so a trial's
-    intensity is bitwise the same in any batch; a BLAS matrix product is
-    not, nor is ``einsum`` once rows exceed its 8192-element buffer.
+    ``power`` holds |alpha|^2 of every mode. ``parts[d]`` = (index, w) gives
+    detector d's own modes, those on its element grid, and their scale^2 in
+    index order; the detector is reduced over them alone. Each row is
+    reduced on its own (a contiguous row sum, whose order depends only on
+    the detector's mode count), so a trial's intensity is bitwise the same
+    in any batch; a BLAS matrix product is not, nor is ``einsum`` once rows
+    exceed its 8192-element buffer.
     """
-    power = amps.real**2 + amps.imag**2
     out = np.empty((power.shape[0], len(parts)))
     for d, (idx, w) in enumerate(parts):
         out[:, d] = (power[:, idx] * w).sum(axis=1)

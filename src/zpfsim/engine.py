@@ -1,13 +1,20 @@
 """Chunked, reproducible Monte Carlo over the hidden variables.
 
 Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
-field.TRIAL_BLOCK), so each chunk draws its amplitudes from the single
+field.TRIAL_BLOCK), so each chunk draws from the single
 generator keyed by (seed, block). ``run_variants`` samples each chunk once,
 maps it by the scenario's own ops (the crystal) once, and then runs every
 op variant over the same mapped amplitudes, accumulating sufficient
 statistics; ``detection_summary`` reads variant 0 of them. A variant lists
 only the ops that follow the scenario's: ``()`` for the plain run, and for
 CHSH the two analyzer rotators of one setting.
+
+What is sampled follows from the ops. When neither the scenario nor any
+variant has an op (a vacuum scenario), a detector reads only each mode's
+|alpha|^2, so the chunk draws that power directly, one exponential per mode
+(``field.sample_vacuum_power``), and every variant shares it. Otherwise it
+draws the amplitudes (``field.sample_vacuum_batch``), maps them, and forms
+|alpha'|^2 of each variant's mapped amplitudes.
 
 A chunk is processed in row tiles of about TILE_AMPS amplitudes (512 KiB):
 each tile is sampled, mapped by the crystal and by every variant's ops and
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import intensity_batch, q_model
-from .field import TRIAL_BLOCK, sample_vacuum_batch
+from .field import TRIAL_BLOCK, sample_vacuum_batch, sample_vacuum_power
 from .scenarios import Scenario, apply_ops
 
 __all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
@@ -79,18 +86,25 @@ def chunk_intensities(scenario: Scenario, variant_ops, seed: int,
     """Effective intensities (V, D, stop - start) of trials [start, stop).
 
     The trials are sampled, mapped by the scenario's ops and then by each
-    variant's ops, and reduced one row tile at a time; ``run_variants``
-    passes one sampling block per call.
+    variant's ops, and reduced one row tile at a time; without any op only
+    the per-mode power is sampled. ``run_variants`` passes one sampling
+    block per call.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
+    op_free = not scenario.ops and not any(variant_ops)
     i = np.empty((len(variant_ops), len(scenario.detector_specs), stop - start))
     for t in range(start, stop, step):
         rows = range(t, min(t + step, stop))
+        cols = slice(t - start, rows.stop - start)
+        if op_free:
+            i[:, :, cols] = intensity_batch(
+                sample_vacuum_power(n_modes, seed, rows), scenario.parts).T
+            continue
         amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario.ops)
         for v, ops in enumerate(variant_ops):
-            i[v, :, t - start:rows.stop - start] = intensity_batch(
-                apply_ops(amps, ops), scenario.parts).T
+            mapped = apply_ops(amps, ops)
+            i[v, :, cols] = intensity_batch(mapped.real**2 + mapped.imag**2, scenario.parts).T
     return i
 
 

@@ -1,25 +1,33 @@
-"""Vacuum sampling of the plane-wave mode amplitudes.
+"""Vacuum sampling of the plane-wave mode amplitudes and of their power.
 
 The hidden variables of the whole simulator live here: each plane-wave mode
 (its wavevector, frequency and polarization are arrays on the ``Scenario``)
 carries a complex amplitude alpha whose vacuum distribution is the circular
 gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
 independent normals with mean 0 and variance 1/4. A batch of realizations
-is one (trials x modes) complex array; there is no per-realization type.
+is one (trials x modes) array; there is no per-realization type.
+
+Two draws are offered. ``sample_vacuum_batch`` draws the amplitudes, two
+normals per mode. ``sample_vacuum_power`` draws the power |alpha|^2 alone,
+which under this law is exactly exponential with mean 1/2: one exponential
+per mode, for a run that reads no amplitude, because no op maps the modes
+(see ``engine``). The two draws of a seed are different random numbers;
+each is a valid sample of the same law.
 
 Sampling is block-keyed: block b of seed s holds trials
 [b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK) and fills them, row by row, from
-one SFC64 generator seeded by SeedSequence((s, b)). A trial's amplitudes
-therefore depend only on (seed, t), whatever chunking, tiling or worker
-count produced them. SFC64 is used for speed: its ziggurat normals take
-about a fifth less time than PCG64's (numpy 2.4.6, 2-vCPU x86-64 VM).
+one SFC64 generator seeded by SeedSequence((s, b)). A trial's draws
+therefore depend only on (draw, seed, t), whatever chunking, tiling or
+worker count produced them. SFC64 is used for speed: its ziggurat normals
+take about a fifth less time than PCG64's, and its ziggurat exponentials
+about half the time of its normals (numpy 2.4.6, 2-vCPU x86-64 VM).
 
 A block may be drawn in several calls: the engine samples each chunk in
 row tiles. Each thread remembers the generator of its last call, with the
-trial it stopped before; a call that starts there, inside the same block,
-resumes that generator. Any other call builds the block's generator afresh
-and draws and discards the rows before its start. Resuming only saves the
-re-draw; the values are the same either way.
+draw and the trial it stopped before; a call of the same draw that starts
+there, inside the same block, resumes that generator. Any other call builds
+the block's generator afresh and draws and discards the rows before its
+start. Resuming only saves the re-draw; the values are the same either way.
 
 Everything is expressed in dimensionless units (hbar = c = epsilon_0 = 1)
 unless stated otherwise.
@@ -31,14 +39,46 @@ import threading
 
 import numpy as np
 
-__all__ = ["TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch"]
+__all__ = ["TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch", "sample_vacuum_power"]
 
 TRIAL_BLOCK = 2048
-# Identifier of the amplitude stream, recorded with every run.
-RNG_STREAM = f"sfc64-seedseq-block{TRIAL_BLOCK}"
+# Identifier of the sampling streams, recorded with every run: normal
+# amplitudes and exponential power, each from the SFC64 keyed by (seed, block).
+RNG_STREAM = f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power"
 
-# Per thread: .last = (n_modes, seed, next trial, generator) of the last call.
+# Per thread: .last = (draw, width, seed, next trial, generator) of the last call.
 _resume = threading.local()
+
+
+def _draw(draw: str, width: int, seed: int, trial_indices: range) -> np.ndarray:
+    """Rows (len(trial_indices), width) of ``Generator.<draw>``, block-keyed as above."""
+    if width < 1:
+        raise ValueError("n_modes must be >= 1")
+    if not isinstance(trial_indices, range) or trial_indices.step != 1:
+        raise ValueError("trial_indices must be a contiguous ascending range")
+    last, _resume.last = getattr(_resume, "last", None), None
+    out = np.empty((len(trial_indices), width))
+    first = t = trial_indices.start
+    rng = None
+    while t < trial_indices.stop:
+        block, skip = divmod(t, TRIAL_BLOCK)
+        stop = min(trial_indices.stop, (block + 1) * TRIAL_BLOCK)
+        rows = out[t - first:stop - first]
+        if skip and last is not None and last[:4] == (draw, width, seed, t):
+            rng, skip = last[4], 0
+        else:
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
+        fill = getattr(rng, draw)
+        while skip:
+            # draw and discard the block's leading rows, using ``rows`` as scratch
+            k = min(skip, len(rows))
+            fill(out=rows[:k])
+            skip -= k
+        fill(out=rows)
+        t = stop
+    if rng is not None:
+        _resume.last = (draw, width, seed, t, rng)
+    return out
 
 
 def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.ndarray:
@@ -48,31 +88,18 @@ def sample_vacuum_batch(n_modes: int, seed: int, trial_indices: range) -> np.nda
     in the module docstring, so it depends only on (seed, t). Re and Im are
     independent N(0, 1/4), hence E[|alpha|^2] = 1/2 and E[alpha^2] = 0.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if not isinstance(trial_indices, range) or trial_indices.step != 1:
-        raise ValueError("trial_indices must be a contiguous ascending range")
-    last, _resume.last = getattr(_resume, "last", None), None
-    out = np.empty((len(trial_indices), n_modes), dtype=complex)
-    flat = out.view(np.float64)       # Re and Im interleaved
-    first = t = trial_indices.start
-    rng = None
-    while t < trial_indices.stop:
-        block, skip = divmod(t, TRIAL_BLOCK)
-        stop = min(trial_indices.stop, (block + 1) * TRIAL_BLOCK)
-        rows = flat[t - first:stop - first]
-        if skip and last is not None and last[:3] == (n_modes, seed, t):
-            rng, skip = last[3], 0
-        else:
-            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
-        while skip:
-            # draw and discard the block's leading rows, using ``rows`` as scratch
-            k = min(skip, len(rows))
-            rng.standard_normal(out=rows[:k])
-            skip -= k
-        rng.standard_normal(out=rows)
-        t = stop
-    if rng is not None:
-        _resume.last = (n_modes, seed, t, rng)
+    out = _draw("standard_normal", 2 * n_modes, seed, trial_indices).view(complex)  # Re, Im
+    out *= 0.5
+    return out
+
+
+def sample_vacuum_power(n_modes: int, seed: int, trial_indices: range) -> np.ndarray:
+    """Vacuum power |alpha|^2 per mode for a contiguous ascending range of trials.
+
+    Returns shape (len(trial_indices), n_modes) of independent exponentials
+    with mean 1/2, the law of |alpha|^2 under the vacuum; trial t depends
+    only on (seed, t), as for ``sample_vacuum_batch``.
+    """
+    out = _draw("standard_exponential", n_modes, seed, trial_indices)
     out *= 0.5
     return out

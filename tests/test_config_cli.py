@@ -211,7 +211,7 @@ class TestRunner:
         emit(record, "csv", cpath)
         payload = json.loads(jpath.read_text())
         assert payload["schema_version"] == 2
-        assert payload["rng"] == "sfc64-seedseq-block2048"
+        assert payload["rng"] == "sfc64-seedseq-block2048-normal-amp-exp-power"
         assert payload["config_digest"] == record.config_digest
         header, row = cpath.read_text().strip().split("\n")
         assert len(header.split(",")) == len(row.split(","))
@@ -378,10 +378,11 @@ class TestCli:
         chsh_config(run={"trials": 1, "seed": 1, "mode": "analytic"}, analytic={"corr": 0.0},
                     chsh={"settings": [[0, 1], [0, 2], [1, 1], [1, 2]]}),
         pdc_config(run={"trials": 200, "seed": 1, "mode": "mc"}, analytic={"corr": 0.5}),
+        base_config(analytic={"corr": 0.5}),
     ], ids=["length", "eta", "threshold", "n_modes-str", "n_modes-float", "trials-bool",
             "n_cells-bool", "axis-zero", "axis-2d", "chsh-settings", "threshold_sigma-nan",
             "zeta_sigma-inf", "empty-sweep", "vacuum-g", "pdc-chsh-settings",
-            "analytic-chsh-settings", "mc-corr"])
+            "analytic-chsh-settings", "mc-corr", "one-detector-corr"])
     def test_malformed_config_is_a_config_error(self, tmp_path, raw):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))

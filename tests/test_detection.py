@@ -133,7 +133,7 @@ class TestResponseMatrix:
         amps = sample_vacuum_batch(16, seed=2, trial_indices=range(40))
         dense = np.sum(np.abs(amps @ resp.T) ** 2, axis=1)
         parts = ((slice(0, 16), scales**2),)
-        assert np.allclose(intensity_batch(amps, parts)[:, 0], dense, rtol=1e-12)
+        assert np.allclose(intensity_batch(np.abs(amps) ** 2, parts)[:, 0], dense, rtol=1e-12)
 
 
 class TestResponseModels:

@@ -10,18 +10,37 @@ from zpfsim.engine import (
     mc_detect,
     run_variants,
 )
-from zpfsim.field import sample_vacuum_batch
+from zpfsim.field import sample_vacuum_batch, sample_vacuum_power
 from zpfsim.scenarios import apply_ops, chsh_scenario, pdc_scenario, vacuum_scenario
 
 from conftest import detector, mc_intensity_samples
 
 
-def two_detector_scenario(n_cells=16):
+def two_detector_scenario(n_cells=16, kind="vacuum"):
+    if kind == "pdc":
+        return pdc_scenario(
+            detector(n_cells=n_cells, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=1.25),
+            detector(n_cells=n_cells, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75),
+            0.2, ("a", "b"))
     return vacuum_scenario(
         [detector(n_cells=n_cells, threshold_sigma=1.0, zeta_sigma=0.5),
          detector(n_cells=n_cells, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=2.0)],
         ["a", "b"],
     )
+
+
+def direct_intensities(scen, kind, trials, seed):
+    """Intensities (trials, n_det) recomputed from the field's draws in one batch.
+
+    A vacuum scenario has no op, so its Monte Carlo draws each mode's power;
+    a PDC scenario draws amplitudes and maps them by the crystal.
+    """
+    if kind == "vacuum":
+        power = sample_vacuum_power(scen.n_modes, seed, range(trials))
+    else:
+        amps = apply_ops(sample_vacuum_batch(scen.n_modes, seed, range(trials)), scen.ops)
+        power = np.abs(amps) ** 2
+    return intensity_batch(power, scen.parts)
 
 
 class TestRunVariants:
@@ -40,11 +59,14 @@ class TestRunVariants:
             assert np.array_equal(getattr(s1, f), getattr(s2, f)), f
 
 
-    @pytest.mark.parametrize("kind", ["pdc", "chsh"])
+    @pytest.mark.parametrize("kind", ["vacuum", "pdc", "chsh"])
     def test_tile_size_and_worker_count_do_not_change_sums(self, kind, monkeypatch):
         dets = (detector(n_cells=16, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=1.25),
                 detector(n_cells=16, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
-        if kind == "pdc":
+        if kind == "vacuum":
+            scen = vacuum_scenario(list(dets))
+            variants = [()]
+        elif kind == "pdc":
             scen = pdc_scenario(*dets, 0.2)
             variants = [()]
         else:
@@ -88,12 +110,12 @@ class TestSharedCrystal:
 
 
 class TestMcDetect:
-    def test_matches_direct_recomputation(self):
-        scen = two_detector_scenario(n_cells=8)
+    @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
+    def test_matches_direct_recomputation(self, kind):
+        scen = two_detector_scenario(n_cells=8, kind=kind)
         trials = 500
         res = mc_detect(scen, trials, seed=3)
-        amps = apply_ops(sample_vacuum_batch(scen.n_modes, 3, range(trials)), scen.ops)
-        intensities = intensity_batch(amps, scen.parts)
+        intensities = direct_intensities(scen, kind, trials, seed=3)
         for d, name in enumerate(scen.detector_names):
             i = intensities[:, d]
             q = q_model(i, scen.detector_specs[d])
@@ -120,11 +142,11 @@ class TestMcDetect:
 
 
 class TestMcIntensitySamples:
-    def test_matches_batch_evaluation(self):
-        scen = two_detector_scenario(n_cells=8)
+    @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
+    def test_matches_batch_evaluation(self, kind):
+        scen = two_detector_scenario(n_cells=8, kind=kind)
         trials = CHUNK_TRIALS + 100       # spans a chunk boundary
         samples = mc_intensity_samples(scen, trials, seed=6)
-        amps = apply_ops(sample_vacuum_batch(scen.n_modes, 6, range(trials)), scen.ops)
-        intensities = intensity_batch(amps, scen.parts)
+        intensities = direct_intensities(scen, kind, trials, seed=6)
         for d, name in enumerate(scen.detector_names):
             assert np.allclose(samples[name], intensities[:, d], rtol=1e-12)

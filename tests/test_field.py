@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, sample_vacuum_batch
+from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, sample_vacuum_batch, sample_vacuum_power
 from zpfsim.scenarios import _mode_arrays, vacuum_scenario
 
 from conftest import detector
@@ -133,7 +133,28 @@ class TestBlockKeyedSampling:
                   for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
         assert np.array_equal(tile[:TRIAL_BLOCK - 5], direct[0][5:])
         assert np.array_equal(tile[TRIAL_BLOCK - 5:], direct[1])
-        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}"
+        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power"
+
+    @pytest.mark.parametrize("before", [
+        lambda n, seed, rows: sample_vacuum_power(n, seed, rows),       # resumed
+        lambda n, seed, rows: sample_vacuum_batch(n, seed, rows),       # drawn fresh
+        lambda n, seed, rows: sample_vacuum_batch(n // 2, seed, rows),  # as many floats
+    ], ids=["after-power", "after-amplitudes", "after-amplitudes-of-half-the-modes"])
+    def test_power_is_half_an_sfc64_exponential_keyed_by_seed_and_block(self, before):
+        # a tile of block 0 that runs on into block 1 equals direct exponential
+        # draws, whether it resumes the last call's generator or, after a call
+        # of the other draw, builds its own. The leading rows are many, because
+        # both ziggurats take one raw draw per value on their fast path: over a
+        # few values, a generator that drew normals is where one that drew
+        # exponentials would be.
+        n_modes, seed, head = 4, 31, 300
+        before(n_modes, seed, range(head))
+        tile = sample_vacuum_power(n_modes, seed=seed, trial_indices=range(head, TRIAL_BLOCK + 7))
+        direct = [0.5 * np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b))))
+                  .standard_exponential((rows, n_modes))
+                  for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
+        assert np.array_equal(tile[:TRIAL_BLOCK - head], direct[0][head:])
+        assert np.array_equal(tile[TRIAL_BLOCK - head:], direct[1])
 
     @pytest.mark.parametrize("indices", [[0, 2], range(0, 10, 2), range(5, 0, -1), [0, 1]])
     def test_non_contiguous_indices_rejected(self, indices):
