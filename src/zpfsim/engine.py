@@ -1,32 +1,28 @@
 """Chunked, reproducible Monte Carlo over the hidden variables.
 
 Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
-field.TRIAL_BLOCK), so each chunk draws from the single
-generator keyed by (seed, block). ``run_variants`` samples each chunk once,
-maps it by the scenario's own ops (the crystal) once, and then runs every
-op variant over the same mapped amplitudes, accumulating sufficient
-statistics; ``detection_summary`` reads variant 0 of them. A variant lists
-only the ops that follow the scenario's: ``()`` for the plain run, and for
-CHSH the two analyzer rotators of one setting.
+field.TRIAL_BLOCK). ``run_variants`` samples each chunk once, maps it by the
+scenario's own ops (the crystal) once, and then runs every op variant over
+the same mapped amplitudes, accumulating sufficient statistics;
+``detection_summary`` reads variant 0 of them. A variant lists only the ops
+that follow the scenario's: ``()`` for the plain run, and for CHSH the two
+analyzer rotators of one setting.
 
-What is sampled follows from the ops. When neither the scenario nor any
-variant has an op (a vacuum scenario), a detector reads only each mode's
-|alpha|^2, so the chunk draws that power directly, one exponential per mode
-(``field.sample_vacuum_power``), and every variant shares it. Otherwise it
-draws the amplitudes (``field.sample_vacuum_batch``), maps them, and forms
-|alpha'|^2 of each variant's mapped amplitudes.
+A detector reads only |alpha'|^2, so a run with no variant op on H modes
+through no op or one crystal pairing every mode (a vacuum or PDC point)
+draws that power: an exponential per vacuum mode (``field.sample_vacuum_power``),
+or one exponential and one amplitude per crystal pair (``pdc.pair_power``).
+Any other run (CHSH) draws the amplitudes (``field.sample_vacuum_batch``),
+maps them, and forms |alpha'|^2 of each variant's mapped amplitudes.
 
 A chunk is processed in row tiles of about TILE_AMPS amplitudes (512 KiB):
-each tile is sampled, mapped by the crystal and by every variant's ops and
-reduced to effective intensities while it is still in cache, and its rows
-of the chunk's (variants, detectors, trials) intensity array are filled in.
-Each detector is reduced over its own modes only (``Scenario.parts``). The
-tiles of a chunk continue the block's one generator (see ``field``), and
-each intensity is reduced over its own row alone, so a trial's intensity
-does not depend on the tile it was computed in. Q and the sufficient
-statistics are then computed over the whole chunk. Chunk results are
-folded in chunk order, so the outcome is bit-identical for any tile size
-or worker count.
+each tile is sampled, mapped and reduced to effective intensities, each
+detector over its own modes (``Scenario.parts``), while it is still in
+cache. The tiles of a chunk continue the block's generators (see ``field``),
+and each intensity is reduced over its own row alone, so a trial's
+intensity does not depend on its tile. Q and the sufficient statistics are
+then computed over the whole chunk. Chunk results are folded in chunk
+order, so the outcome is bit-identical for any tile size or worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import intensity_batch, q_model
-from .field import TRIAL_BLOCK, sample_vacuum_batch, sample_vacuum_power
+from .field import TRIAL_BLOCK, sample_pair_amplitudes, sample_vacuum_batch, sample_vacuum_power
+from .pdc import pair_power
 from .scenarios import Scenario, apply_ops
 
 __all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
@@ -81,25 +78,40 @@ class _ChunkSums:
     uu_sum: np.ndarray      # (V*P, V*P)
 
 
+def _reads_power(scenario: Scenario, variant_ops) -> bool:
+    """Whether the run draws the modes' power, not their amplitudes (see above).
+
+    A CHSH scenario (V modes) keeps its amplitudes even in a plain run, so that
+    the run equals variant 0 of the point's settings run bit for bit.
+    """
+    ops, n = scenario.ops, scenario.n_modes
+    if any(variant_ops) or scenario.pol.any() or len(ops) > 1:
+        return False
+    return not ops or ops[0][0] == "pdc" and 2 * np.arange(n)[ops[0][1][0]].size == n
+
+
 def chunk_intensities(scenario: Scenario, variant_ops, seed: int,
                       start: int, stop: int) -> np.ndarray:
     """Effective intensities (V, D, stop - start) of trials [start, stop).
 
     The trials are sampled, mapped by the scenario's ops and then by each
-    variant's ops, and reduced one row tile at a time; without any op only
-    the per-mode power is sampled. ``run_variants`` passes one sampling
-    block per call.
+    variant's ops, and reduced one row tile at a time; a run that reads only
+    power samples it instead. ``run_variants`` passes one block per call.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
-    op_free = not scenario.ops and not any(variant_ops)
+    power_only = _reads_power(scenario, variant_ops)
     i = np.empty((len(variant_ops), len(scenario.detector_specs), stop - start))
     for t in range(start, stop, step):
         rows = range(t, min(t + step, stop))
         cols = slice(t - start, rows.stop - start)
-        if op_free:
-            i[:, :, cols] = intensity_batch(
-                sample_vacuum_power(n_modes, seed, rows), scenario.parts).T
+        if power_only:
+            power = (pair_power(sample_vacuum_power(n_modes // 2, seed, rows),
+                                sample_pair_amplitudes(n_modes // 2, seed, rows),
+                                *scenario.ops[0][1:])
+                     if scenario.ops else sample_vacuum_power(n_modes, seed, rows))
+            i[:, :, cols] = intensity_batch(power, scenario.parts).T
+            del power   # freed before the next draw, or the allocator re-faults pages per tile
             continue
         amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario.ops)
         for v, ops in enumerate(variant_ops):

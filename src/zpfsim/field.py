@@ -7,27 +7,27 @@ gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
 independent normals with mean 0 and variance 1/4. A batch of realizations
 is one (trials x modes) array; there is no per-realization type.
 
-Two draws are offered. ``sample_vacuum_batch`` draws the amplitudes, two
+Three draws are offered. ``sample_vacuum_batch`` draws the amplitudes, two
 normals per mode. ``sample_vacuum_power`` draws the power |alpha|^2 alone,
-which under this law is exactly exponential with mean 1/2: one exponential
-per mode, for a run that reads no amplitude, because no op maps the modes
-(see ``engine``). The two draws of a seed are different random numbers;
-each is a valid sample of the same law.
+which under this law is exactly exponential with mean 1/2, for a run that
+reads no amplitude (see ``engine``); with one amplitude per crystal pair
+(``sample_pair_amplitudes``) it gives a PDC run's powers (``pdc.pair_power``).
 
 Sampling is block-keyed: block b of seed s holds trials
 [b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK) and fills them, row by row, from
-one SFC64 generator seeded by SeedSequence((s, b)). A trial's draws
-therefore depend only on (draw, seed, t), whatever chunking, tiling or
-worker count produced them. SFC64 is used for speed: its ziggurat normals
-take about a fifth less time than PCG64's, and its ziggurat exponentials
+one SFC64 stream seeded by SeedSequence((s, b)); pair amplitudes come from a
+second, seeded by SeedSequence((s, b, 1)), not to reuse the exponentials' raw values.
+A trial's draws therefore depend only on (draw, seed, t), whatever chunking,
+tiling or worker count produced them. SFC64 is used for speed: its ziggurat
+normals take about a fifth less time than PCG64's, and its exponentials
 about half the time of its normals (numpy 2.4.6, 2-vCPU x86-64 VM).
 
 A block may be drawn in several calls: the engine samples each chunk in
-row tiles. Each thread remembers the generator of its last call, with the
-draw and the trial it stopped before; a call of the same draw that starts
-there, inside the same block, resumes that generator. Any other call builds
-the block's generator afresh and draws and discards the rows before its
-start. Resuming only saves the re-draw; the values are the same either way.
+row tiles. Each thread remembers the generator of each stream's last call,
+with the draw and the trial it stopped before; a call of the same draw that
+starts there, inside the same block, resumes that generator. Any other call
+builds the block's generator afresh and draws and discards the rows before
+its start. Resuming only saves the re-draw; the values are the same either way.
 
 Everything is expressed in dimensionless units (hbar = c = epsilon_0 = 1)
 unless stated otherwise.
@@ -39,24 +39,26 @@ import threading
 
 import numpy as np
 
-__all__ = ["TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch", "sample_vacuum_power"]
+__all__ = ["TRIAL_BLOCK", "RNG_STREAM", "sample_vacuum_batch", "sample_vacuum_power",
+           "sample_pair_amplitudes"]
 
 TRIAL_BLOCK = 2048
 # Identifier of the sampling streams, recorded with every run: normal
-# amplitudes and exponential power, each from the SFC64 keyed by (seed, block).
-RNG_STREAM = f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power"
+# amplitudes and exponential power from the SFC64 keyed by (seed, block), and
+# the crystal pairs' amplitudes from the one keyed by (seed, block, 1).
+RNG_STREAM = f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power-pair-law"
 
-# Per thread: .last = (draw, width, seed, next trial, generator) of the last call.
+# Per thread: .slots[stream] = (draw, width, seed, next trial, generator) of its last call.
 _resume = threading.local()
 
 
-def _draw(draw: str, width: int, seed: int, trial_indices: range) -> np.ndarray:
-    """Rows (len(trial_indices), width) of ``Generator.<draw>``, block-keyed as above."""
+def _draw(draw: str, width: int, seed: int, trial_indices: range, stream=()) -> np.ndarray:
+    """Rows (len(trial_indices), width) of ``Generator.<draw>``, keyed (seed, block, *stream)."""
     if width < 1:
         raise ValueError("n_modes must be >= 1")
     if not isinstance(trial_indices, range) or trial_indices.step != 1:
         raise ValueError("trial_indices must be a contiguous ascending range")
-    last, _resume.last = getattr(_resume, "last", None), None
+    last = _resume.__dict__.setdefault("slots", {}).pop(stream, None)
     out = np.empty((len(trial_indices), width))
     first = t = trial_indices.start
     rng = None
@@ -67,7 +69,8 @@ def _draw(draw: str, width: int, seed: int, trial_indices: range) -> np.ndarray:
         if skip and last is not None and last[:4] == (draw, width, seed, t):
             rng, skip = last[4], 0
         else:
-            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
+            key = np.random.SeedSequence((seed, block, *stream))
+            rng = np.random.Generator(np.random.SFC64(key))
         fill = getattr(rng, draw)
         while skip:
             # draw and discard the block's leading rows, using ``rows`` as scratch
@@ -77,7 +80,7 @@ def _draw(draw: str, width: int, seed: int, trial_indices: range) -> np.ndarray:
         fill(out=rows)
         t = stop
     if rng is not None:
-        _resume.last = (draw, width, seed, t, rng)
+        _resume.slots[stream] = (draw, width, seed, t, rng)
     return out
 
 
@@ -103,3 +106,10 @@ def sample_vacuum_power(n_modes: int, seed: int, trial_indices: range) -> np.nda
     out = _draw("standard_exponential", n_modes, seed, trial_indices)
     out *= 0.5
     return out
+
+
+def sample_pair_amplitudes(n_pairs: int, seed: int, trial_indices: range) -> np.ndarray:
+    """Vacuum amplitudes (rows, n_pairs) as ``sample_vacuum_batch``'s, keyed (seed, b, 1)."""
+    out = _draw("standard_normal", 2 * n_pairs, seed, trial_indices, (1,))
+    out *= 0.5
+    return out.view(complex)   # Re, Im

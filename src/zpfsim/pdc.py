@@ -13,6 +13,16 @@ ensemble this map has the exact moments
 
 The pairs are one ``(signal, idler)`` index pair into the scenario's mode
 arrays; ``check_pairs`` checks them against the pump when a scenario is built.
+
+Pair law. With x = alpha_s, y = conj(alpha_i) and a = 1 + g^2/2 the map,
+x' = a x + g y and y' = a y + g x, is diagonal in p, q = (x +- y)/sqrt(2):
+p' = (a + g) p, q' = (a - g) q. Turned by p's phase, which keeps moduli,
+
+    |alpha_s'|^2, |alpha_i'|^2 = |(a + g) sqrt(P) +- (a - g) q|^2 / 2,  P = |p|^2.
+
+Under the vacuum p and q are independent vacuum amplitudes (the basis change
+is unitary), so P is exponential with mean 1/2 and the turned q a vacuum
+amplitude independent of P: ``pair_power`` needs three random numbers, not four.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "PumpSpec",
     "check_pairs",
     "pdc_transform",
+    "pair_power",
     "pair_correlation",
     "excess_photon_fraction",
 ]
@@ -111,6 +122,30 @@ def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:
     keep[s_idx] = keep[i_idx] = False
     if keep.any():
         out[..., keep] = amps[..., keep]
+    return out
+
+
+def pair_power(pump_power: np.ndarray, q: np.ndarray, index, g: float) -> np.ndarray:
+    """|alpha'|^2 (..., 2 n_pairs) from each pair's P and turned q (..., n_pairs).
+
+    ``index``, as for ``pdc_transform``, must name every mode. Overwrites both inputs.
+    """
+    a = 1.0 + 0.5 * g * g
+    # in place: P ends as the signal's power, Re q as the idler's, Im q as Im^2
+    r = np.sqrt(pump_power, out=pump_power)
+    r *= (a + g) * 0.5**0.5
+    q *= (a - g) * 0.5**0.5
+    re, im = q.real, q.imag
+    np.square(im, out=im)
+    np.subtract(r, re, out=re)
+    r *= 2.0
+    r -= re
+    for x in (r, re):
+        x *= x
+        x += im
+    out = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
+    s_idx, i_idx = (i if isinstance(i, slice) else np.atleast_1d(i) for i in index)
+    out[..., s_idx], out[..., i_idx] = r, re
     return out
 
 

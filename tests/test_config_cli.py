@@ -211,7 +211,7 @@ class TestRunner:
         emit(record, "csv", cpath)
         payload = json.loads(jpath.read_text())
         assert payload["schema_version"] == 2
-        assert payload["rng"] == "sfc64-seedseq-block2048-normal-amp-exp-power"
+        assert payload["rng"] == "sfc64-seedseq-block2048-normal-amp-exp-power-pair-law"
         assert payload["config_digest"] == record.config_digest
         header, row = cpath.read_text().strip().split("\n")
         assert len(header.split(",")) == len(row.split(","))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from zpfsim.engine import (
     mc_detect,
     run_variants,
 )
-from zpfsim.field import sample_vacuum_batch, sample_vacuum_power
-from zpfsim.scenarios import apply_ops, chsh_scenario, pdc_scenario, vacuum_scenario
+from zpfsim.field import sample_pair_amplitudes, sample_vacuum_power
+from zpfsim.scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
 from conftest import detector, mc_intensity_samples
 
@@ -32,14 +34,21 @@ def two_detector_scenario(n_cells=16, kind="vacuum"):
 def direct_intensities(scen, kind, trials, seed):
     """Intensities (trials, n_det) recomputed from the field's draws in one batch.
 
-    A vacuum scenario has no op, so its Monte Carlo draws each mode's power;
-    a PDC scenario draws amplitudes and maps them by the crystal.
+    A vacuum scenario has no op, so its Monte Carlo draws each mode's power.
+    A PDC scenario draws each pair's P and turned difference amplitude q, and
+    its output amplitudes, turned by p's phase, are
+    ((1 + g + g^2/2) sqrt(P) +- (1 - g + g^2/2) q) / sqrt(2).
     """
     if kind == "vacuum":
         power = sample_vacuum_power(scen.n_modes, seed, range(trials))
     else:
-        amps = apply_ops(sample_vacuum_batch(scen.n_modes, seed, range(trials)), scen.ops)
-        power = np.abs(amps) ** 2
+        ((_, (s_idx, i_idx), g),) = scen.ops
+        n_pairs = scen.n_modes // 2
+        p = (1 + g + g * g / 2) * np.sqrt(sample_vacuum_power(n_pairs, seed, range(trials)))
+        q = (1 - g + g * g / 2) * sample_pair_amplitudes(n_pairs, seed, range(trials))
+        power = np.empty((trials, scen.n_modes))
+        power[:, s_idx] = np.abs(p + q) ** 2 / 2
+        power[:, i_idx] = np.abs(p - q) ** 2 / 2
     return intensity_batch(power, scen.parts)
 
 
@@ -83,6 +92,30 @@ class TestRunVariants:
             assert sums.n == trials
             for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
                 assert np.array_equal(getattr(sums, f), getattr(ref, f)), (label, f)
+
+
+class TestPowerPath:
+    @pytest.mark.parametrize("case, expected", [
+        ("vacuum", True), ("pdc", True), ("chsh", False), ("pdc with a rotator", False),
+        ("crystal leaving modes unpaired", False)])
+    def test_which_runs_draw_power(self, case, expected):
+        # only a run that reads power alone from H modes, through no op or one
+        # crystal that pairs every mode, skips the amplitudes
+        dets = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
+        scen = (vacuum_scenario(list(dets)) if case == "vacuum" else
+                chsh_scenario(*dets, 0.2) if case == "chsh" else pdc_scenario(*dets, 0.2))
+        variants = [()]
+        if case == "pdc with a rotator":
+            variants = [(("rotator", (slice(0, 1), slice(1, 2)), 0.3),)]
+        elif case == "crystal leaving modes unpaired":
+            scen = dataclasses.replace(scen, ops=(("pdc", (slice(0, 3), slice(7, 4, -1)), 0.2),))
+        assert engine._reads_power(scen, variants) is expected
+        sampled = []
+        sample = engine.sample_vacuum_batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "sample_vacuum_batch", lambda *a: sampled.append(a) or sample(*a))
+            run_variants(scen, variants, 5, seed=2, workers=1)
+        assert bool(sampled) is not expected
 
 
 class TestSharedCrystal:
@@ -131,6 +164,27 @@ class TestMcDetect:
         # population (ddof=0) correlation of the intensities
         expected_corr = np.corrcoef(ia, ib)[0, 1]
         assert res.intensity_corr[("a", "b")] == pytest.approx(expected_corr, rel=1e-10)
+
+    def test_pdc_intensity_correlation_matches_the_pair_law(self):
+        # each pair adds w_sj w_ij m^2 to the intensity covariance and each
+        # mode w^2 n^2 to a variance, so corr = sum_j w_sj w_ij m^2 /
+        # (n^2 sqrt(sum w_s^2 sum w_i^2)), idler weights in pair order; the
+        # SE is that of the mean of 20 batch correlations
+        scen = two_detector_scenario(n_cells=16, kind="pdc")
+        trials, seed, g = 10 * CHUNK_TRIALS, 12, 0.2
+        weight = np.zeros((2, scen.n_modes))
+        for d, (idx, w) in enumerate(scen.parts):
+            weight[d, idx] = w
+        ((_, (s_idx, i_idx), _),) = scen.ops
+        ws, wi = weight[0, s_idx], weight[1, i_idx]
+        n, m = 0.5 + g * g + g**4 / 8, g * (1 + g * g / 2)
+        expected = np.sum(ws * wi) * m * m / (n * n * np.sqrt(np.sum(ws**2) * np.sum(wi**2)))
+        corr = mc_detect(scen, trials, seed).intensity_corr[("a", "b")]
+        samples = mc_intensity_samples(scen, trials, seed)
+        batches = [np.corrcoef(a, b)[0, 1] for a, b in zip(np.split(samples["a"], 20),
+                                                            np.split(samples["b"], 20))]
+        se = np.std(batches, ddof=1) / np.sqrt(len(batches))
+        assert abs(corr - expected) < 3.0 * se, (corr, expected, se)
 
     def test_deterministic_given_seed(self):
         scen = two_detector_scenario(n_cells=8)

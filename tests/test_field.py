@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from zpfsim.field import RNG_STREAM, TRIAL_BLOCK, sample_vacuum_batch, sample_vacuum_power
+from zpfsim.field import (
+    RNG_STREAM,
+    TRIAL_BLOCK,
+    sample_pair_amplitudes,
+    sample_vacuum_batch,
+    sample_vacuum_power,
+)
 from zpfsim.scenarios import _mode_arrays, vacuum_scenario
 
 from conftest import detector
@@ -133,7 +139,7 @@ class TestBlockKeyedSampling:
                   for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
         assert np.array_equal(tile[:TRIAL_BLOCK - 5], direct[0][5:])
         assert np.array_equal(tile[TRIAL_BLOCK - 5:], direct[1])
-        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power"
+        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power-pair-law"
 
     @pytest.mark.parametrize("before", [
         lambda n, seed, rows: sample_vacuum_power(n, seed, rows),       # resumed
@@ -155,6 +161,44 @@ class TestBlockKeyedSampling:
                   for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
         assert np.array_equal(tile[:TRIAL_BLOCK - head], direct[0][head:])
         assert np.array_equal(tile[TRIAL_BLOCK - head:], direct[1])
+
+    def test_pair_amplitudes_are_an_sfc64_keyed_by_seed_block_and_1(self):
+        # pins the second stream: a resumed tile of block 0 that runs on into
+        # block 1 equals direct draws from SeedSequence((seed, b, 1)), and the
+        # first stream's power drawn between its tiles is that of a whole call
+        n_pairs, seed, head = 3, 31, 5
+        power = [sample_vacuum_power(n_pairs, seed, range(head))]
+        sample_pair_amplitudes(n_pairs, seed, range(head))
+        power.append(sample_vacuum_power(n_pairs, seed, range(head, TRIAL_BLOCK + 7)))
+        tile = sample_pair_amplitudes(n_pairs, seed, range(head, TRIAL_BLOCK + 7))
+        direct = [0.5 * np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b, 1))))
+                  .standard_normal((rows, 2 * n_pairs)).view(complex)
+                  for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
+        assert np.array_equal(tile[:TRIAL_BLOCK - head], direct[0][head:])
+        assert np.array_equal(tile[TRIAL_BLOCK - head:], direct[1])
+        whole = sample_vacuum_power(n_pairs, seed, range(TRIAL_BLOCK + 7))
+        assert np.array_equal(np.concatenate(power), whole)
+
+    @pytest.mark.parametrize("rows", [1, 7, TRIAL_BLOCK])
+    def test_interleaved_streams_resume_each_generator(self, rows, monkeypatch):
+        # a crystal point alternates the two streams tile by tile: each keeps
+        # its own resume slot, so every block builds each of its two
+        # generators once instead of re-drawing its leading rows per tile
+        n_pairs, seed, trials = 4, 17, TRIAL_BLOCK + 9
+        whole_power = sample_vacuum_power(n_pairs, seed, range(trials))
+        whole_q = sample_pair_amplitudes(n_pairs, seed, range(trials))
+        built = []
+        seed_sequence = np.random.SeedSequence
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda entropy: built.append(entropy) or seed_sequence(entropy))
+        power, q = [], []
+        for start in range(0, trials, rows):
+            tile = range(start, min(start + rows, trials))
+            power.append(sample_vacuum_power(n_pairs, seed, tile))
+            q.append(sample_pair_amplitudes(n_pairs, seed, tile))
+        assert np.array_equal(np.concatenate(power), whole_power)
+        assert np.array_equal(np.concatenate(q), whole_q)
+        assert sorted(built) == [(seed, 0), (seed, 0, 1), (seed, 1), (seed, 1, 1)]
 
     @pytest.mark.parametrize("indices", [[0, 2], range(0, 10, 2), range(5, 0, -1), [0, 1]])
     def test_non_contiguous_indices_rejected(self, indices):

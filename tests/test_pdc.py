@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from zpfsim.field import sample_vacuum_batch
+from zpfsim.field import sample_pair_amplitudes, sample_vacuum_batch, sample_vacuum_power
 from zpfsim.pdc import (
     PERTURBATIVE_G_LIMIT,
     PumpSpec,
     check_pairs,
     excess_photon_fraction,
     pair_correlation,
+    pair_power,
     pdc_transform,
 )
 
@@ -162,3 +163,43 @@ class TestMoments:
         occ = np.abs(out[:, 0]) ** 2
         se_occ = np.std(occ) / np.sqrt(n)
         assert abs(np.mean(occ) - 0.5 - excess_photon_fraction(g)) < 3 * se_occ
+
+
+class TestPairPower:
+    """The pair law: each pair's two output powers from P = |p|^2 and the turned q."""
+
+    @pytest.mark.parametrize("index", [(slice(0, 8), slice(15, 7, -1)),
+                                       (np.arange(0, 16, 2), np.arange(15, 0, -2)),
+                                       (0, 1)], ids=["mirrored-slices", "arrays", "ints"])
+    @pytest.mark.parametrize("g", [0.0, 0.05, 0.2, 0.39])
+    def test_law_equals_crystal_map(self, g, index):
+        # from the same amplitudes: x = alpha_s, y = conj(alpha_i),
+        # p = (x + y)/sqrt(2), q = (x - y)/sqrt(2), turned by p's phase
+        n_modes = 2 * np.arange(16)[index[0]].size
+        amps = sample_vacuum_batch(n_modes, seed=14, trial_indices=range(64))
+        x, y = amps[:, index[0]], np.conj(amps[:, index[1]])
+        p, q = (x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0)
+        power = pair_power(np.abs(p).reshape(64, -1) ** 2,
+                           (q * np.conj(p) / np.abs(p)).reshape(64, -1), index, g)
+        expected = np.abs(pdc_transform(amps, index, g)) ** 2
+        assert power.shape == expected.shape
+        assert np.allclose(power, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("g", [0.05, 0.39])
+    def test_moments_of_the_drawn_law(self, g):
+        # each power has mean n = 1/2 + g^2 + g^4/8 and variance n^2, and the
+        # two have covariance m^2 with m = g (1 + g^2/2), all within 4 SE
+        trials = 1_000_000
+        power = pair_power(sample_vacuum_power(1, seed=41, trial_indices=range(trials)),
+                           sample_pair_amplitudes(1, seed=41, trial_indices=range(trials)),
+                           ([0], [1]), g)
+        n = 0.5 + excess_photon_fraction(g)
+        dev = power - power.mean(axis=0)
+        for k in (0, 1):
+            z_mean = (power[:, k].mean() - n) / (power[:, k].std() / np.sqrt(trials))
+            sq = dev[:, k] ** 2
+            z_var = (sq.mean() - n * n) / (sq.std() / np.sqrt(trials))
+            assert abs(z_mean) < 4.0 and abs(z_var) < 4.0, (k, z_mean, z_var)
+        cross = dev[:, 0] * dev[:, 1]
+        z_cov = (cross.mean() - pair_correlation(g) ** 2) / (cross.std() / np.sqrt(trials))
+        assert abs(z_cov) < 4.0, z_cov
