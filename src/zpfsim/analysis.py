@@ -5,6 +5,10 @@ The CHSH harness is the structural check of the whole model: because every
 detector response is bounded in [0, 1) and all four analyzer settings share
 the same hidden-variable realizations, the estimated |S| can never exceed 2
 beyond statistical noise.
+
+The engine reads the four settings from the same sampled tiles as the
+plain run (``engine.run_variants``); this module checks them and turns the
+sums into S.
 """
 
 from __future__ import annotations
@@ -150,20 +154,18 @@ class ChshResult:
                 raise ValueError(f"correlation estimate {e} outside [-1, 1]")
 
 
-def chsh_variants(scenario: Scenario, settings):
-    """The four settings as floats, and the five op variants of a CHSH point.
+def chsh_variants(scenario: Scenario, settings) -> tuple:
+    """The four analyzer settings of a CHSH point as float pairs, checked.
 
-    Variant 0 is ``()``; variant 1 + s rotates each station's (H, V) pairs, the
-    own modes of its '+' and '-' detectors (``scenario.parts``), by setting s.
+    ``run_variants`` runs them as variants 1-4 after the plain run; the
+    scenario must have four detectors (1+, 1-, 2+, 2-) and four pairs.
     """
     settings = tuple((float(a), float(b)) for a, b in settings)
     if len(settings) != 4:
         raise ValueError(f"exactly four analyzer settings required, got {len(settings)}")
     if len(scenario.coincidences) != 4 or len(scenario.detector_names) != 4:
         raise ValueError("CHSH analyzer settings need a four-detector, four-pair scenario")
-    (h1, _), (v1, _), (h2, _), (v2, _) = scenario.parts
-    return settings, [(), *((("rotator", (h1, v1), t1), ("rotator", (h2, v2), t2))
-                            for t1, t2 in settings)]
+    return settings
 
 
 def chsh_summary(settings: tuple, sums) -> ChshResult:
@@ -219,8 +221,8 @@ def chsh_scan(scenario: Scenario, settings, trials: int, seed: int,
     ``scenario`` must be a two-station scenario with coincidence pairs
     ordered (++, +-, -+, --). Every setting reuses the same per-trial
     vacuum draws, exactly as a deterministic hidden-variables model
-    prescribes; the five variants are those of a ``runner`` CHSH point.
+    prescribes; the run is that of a ``runner`` CHSH point.
     """
-    settings, variants = chsh_variants(scenario, settings)
-    return chsh_summary(settings, run_variants(scenario, variants, trials, seed, workers))
+    settings = chsh_variants(scenario, settings)
+    return chsh_summary(settings, run_variants(scenario, settings, trials, seed, workers))
 

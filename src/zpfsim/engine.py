@@ -2,18 +2,24 @@
 
 Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
 field.TRIAL_BLOCK). ``run_variants`` samples each chunk once, maps it by the
-scenario's own ops (the crystal) once, and then runs every op variant over
-the same mapped amplitudes, accumulating sufficient statistics;
-``detection_summary`` reads variant 0 of them. A variant lists only the ops
-that follow the scenario's: ``()`` for the plain run, and for CHSH the two
-analyzer rotators of one setting.
+scenario's own ops (the crystal) once, and accumulates sufficient statistics
+of every variant over the same mapped amplitudes; ``detection_summary``
+reads variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads
+the two stations through analyzer setting k, an angle pair (theta1, theta2).
 
-A detector reads only |alpha'|^2, so a run with no variant op on H modes
-through no op or one crystal pairing every mode (a vacuum or PDC point)
-draws that power: an exponential per vacuum mode (``field.sample_vacuum_power``),
-or one exponential and one amplitude per crystal pair (``pdc.pair_power``).
-Any other run (CHSH) draws the amplitudes (``field.sample_vacuum_batch``),
-maps them, and forms |alpha'|^2 of each variant's mapped amplitudes.
+A detector reads only |alpha'|^2, so a run on H modes alone through no op
+or one crystal pairing every mode (a vacuum or PDC point) draws that power:
+an exponential per vacuum mode (``field.sample_vacuum_power``), or one
+exponential and one amplitude per crystal pair (``pdc.pair_power``). Any
+other run (CHSH) draws the amplitudes (``field.sample_vacuum_batch``) and
+maps them by the crystal.
+
+An analyzer at angle theta rotates a station's (H, V) pairs, which its '+'
+and '-' detectors own with one weight vector w. From A = sum w|h|^2 and
+B = sum w|v|^2 (variant 0's '+' and '-' intensities), C = sum w Re(h conj v),
+c = cos theta and s = sin theta, the station reads I+ = c^2 A + s^2 B + 2cs C
+and I- = s^2 A + c^2 B - 2cs C (``optics.rotator_transform`` up to
+rounding), so a setting costs O(trials) and no rotated copy of the tile.
 
 A chunk is processed in row tiles of about TILE_AMPS amplitudes (512 KiB):
 each tile is sampled, mapped and reduced to effective intensities, each
@@ -78,30 +84,64 @@ class _ChunkSums:
     uu_sum: np.ndarray      # (V*P, V*P)
 
 
-def _reads_power(scenario: Scenario, variant_ops) -> bool:
+def _reads_power(scenario: Scenario) -> bool:
     """Whether the run draws the modes' power, not their amplitudes (see above).
 
     A CHSH scenario (V modes) keeps its amplitudes even in a plain run, so that
     the run equals variant 0 of the point's settings run bit for bit.
     """
     ops, n = scenario.ops, scenario.n_modes
-    if any(variant_ops) or scenario.pol.any() or len(ops) > 1:
+    if scenario.pol.any() or len(ops) > 1:
         return False
     return not ops or ops[0][0] == "pdc" and 2 * np.arange(n)[ops[0][1][0]].size == n
 
 
-def chunk_intensities(scenario: Scenario, variant_ops, seed: int,
-                      start: int, stop: int) -> np.ndarray:
-    """Effective intensities (V, D, stop - start) of trials [start, stop).
+def _stations(scenario: Scenario) -> tuple:
+    """Each station's (H index, V index, weights), from ``parts`` = (1+, 1-, 2+, 2-).
 
-    The trials are sampled, mapped by the scenario's ops and then by each
-    variant's ops, and reduced one row tile at a time; a run that reads only
-    power samples it instead. ``run_variants`` passes one block per call.
+    ValueError unless each '+' owns H modes and '-' V modes with equal weights.
+    """
+    if len(scenario.parts) != 4:
+        raise ValueError("analyzer settings need two stations of '+' and '-' detectors")
+    (h1, w1), (v1, x1), (h2, w2), (v2, x2) = scenario.parts
+    for h, v, w, x in ((h1, v1, w1, x1), (h2, v2, w2, x2)):
+        if scenario.pol[h].any() or not scenario.pol[v].all() or not np.array_equal(w, x):
+            raise ValueError("analyzer settings need each station's '+' detector on its "
+                             "H modes and '-' on its V modes, with equal weights")
+    return (h1, v1, w1), (h2, v2, w2)
+
+
+def _cross_sums(amps: np.ndarray, stations) -> np.ndarray:
+    """C = sum w Re(h conj v) of each station (2, rows), each row reduced on its own."""
+    return np.stack([((amps.real[:, h] * amps.real[:, v] + amps.imag[:, h] * amps.imag[:, v])
+                      * w).sum(axis=1) for h, v, w in stations])
+
+
+def _analyze(i: np.ndarray, cross: np.ndarray, settings) -> None:
+    """Fill variants 1.. of ``i`` (V, 4, rows) from variant 0 and ``cross`` (see above)."""
+    for k, angles in enumerate(settings, start=1):
+        for st, theta in enumerate(angles):
+            c, s = math.cos(theta), math.sin(theta)
+            a, b, x = i[0, 2 * st], i[0, 2 * st + 1], 2 * c * s * cross[st]
+            i[k, 2 * st] = c * c * a + s * s * b + x
+            i[k, 2 * st + 1] = s * s * a + c * c * b - x
+
+
+def chunk_intensities(scenario: Scenario, settings, seed: int,
+                      start: int, stop: int) -> np.ndarray:
+    """Effective intensities (1 + len(settings), D, stop - start) of trials [start, stop).
+
+    The trials are sampled, mapped by the scenario's ops and reduced one row
+    tile at a time to variant 0's intensities and each station's C; a run
+    that reads only power samples it instead. The settings follow over the
+    whole chunk. ``run_variants`` passes one block per call.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
-    power_only = _reads_power(scenario, variant_ops)
-    i = np.empty((len(variant_ops), len(scenario.detector_specs), stop - start))
+    stations = _stations(scenario) if settings else ()
+    power_only = _reads_power(scenario)
+    i = np.empty((1 + len(settings), len(scenario.detector_specs), stop - start))
+    cross = np.empty((len(stations), stop - start))
     for t in range(start, stop, step):
         rows = range(t, min(t + step, stop))
         cols = slice(t - start, rows.stop - start)
@@ -114,15 +154,16 @@ def chunk_intensities(scenario: Scenario, variant_ops, seed: int,
             del power   # freed before the next draw, or the allocator re-faults pages per tile
             continue
         amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario.ops)
-        for v, ops in enumerate(variant_ops):
-            mapped = apply_ops(amps, ops)
-            i[v, :, cols] = intensity_batch(mapped.real**2 + mapped.imag**2, scenario.parts).T
+        i[0, :, cols] = intensity_batch(amps.real**2 + amps.imag**2, scenario.parts).T
+        if stations:
+            cross[:, cols] = _cross_sums(amps, stations)
+    _analyze(i, cross, settings)
     return i
 
 
 def _chunk_worker(args) -> _ChunkSums:
-    scenario, variant_ops, seed, start, stop = args
-    i = chunk_intensities(scenario, variant_ops, seed, start, stop)
+    scenario, settings, seed, start, stop = args
+    i = chunk_intensities(scenario, settings, seed, start, stop)
     n_var, _, b = i.shape
     pairs = scenario.coincidences
     n_pair = len(pairs)
@@ -168,18 +209,21 @@ def default_workers() -> int:
     return workers
 
 
-def run_variants(scenario: Scenario, variant_ops, trials: int, seed: int,
+def run_variants(scenario: Scenario, settings, trials: int, seed: int,
                  workers: int | None = None) -> _ChunkSums:
-    """Accumulated sufficient statistics for every op variant.
+    """Accumulated sufficient statistics of the plain run and every analyzer setting.
 
-    Each variant lists the ops applied after ``scenario.ops``; ``()`` runs
-    the scenario as built.
+    Variant 0 runs the scenario as built; variant 1 + k reads it through
+    ``settings[k]``, one analyzer angle pair (theta1, theta2) for the two
+    stations. ``()`` runs the plain run alone. Settings on a scenario
+    without two H/V stations raise ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    settings = tuple((float(t1), float(t2)) for t1, t2 in settings)
     if workers is None:
         workers = default_workers()
-    args = [(scenario, tuple(variant_ops), seed, s, min(s + CHUNK_TRIALS, trials))
+    args = [(scenario, settings, seed, s, min(s + CHUNK_TRIALS, trials))
             for s in range(0, trials, CHUNK_TRIALS)]
     if workers > 1 and len(args) > 1:
         # imported here: it loads multiprocessing, logging and socket
@@ -227,5 +271,5 @@ def detection_summary(scenario: Scenario, sums: _ChunkSums) -> DetectionResult:
 def mc_detect(scenario: Scenario, trials: int, seed: int,
               workers: int | None = None) -> DetectionResult:
     """Direct Monte Carlo of singles and coincidences over the vacuum ensemble."""
-    sums = run_variants(scenario, [()], trials, seed, workers)
+    sums = run_variants(scenario, (), trials, seed, workers)
     return detection_summary(scenario, sums)

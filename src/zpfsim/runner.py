@@ -3,8 +3,9 @@
 ``run`` walks the sweep grid, executes the analytic and/or Monte Carlo
 paths per point and assembles a RunRecord whose JSON payload is
 byte-identical for identical (config, seed) regardless of worker count.
-A CHSH point runs ``analysis.chsh_variants``' five variants in one pass:
-variant 0 gives the detector statistics and variants 1-4 the CHSH block.
+A CHSH point runs the plain run and its four analyzer settings
+(``analysis.chsh_variants``) in one ``engine.run_variants`` pass: variant 0
+gives the detector statistics and variants 1-4 the CHSH block.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
 
     mc = chsh = None
     if mode != "analytic" and kind == "chsh":
-        settings, variants = chsh_variants(scen, data["chsh"]["settings"])
-        sums = run_variants(scen, variants, trials, seed, workers)
+        settings = chsh_variants(scen, data["chsh"]["settings"])
+        sums = run_variants(scen, settings, trials, seed, workers)
         mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums)
     elif mode != "analytic":
         mc = mc_detect(scen, trials, seed, workers)

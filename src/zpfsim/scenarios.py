@@ -7,8 +7,10 @@ own modes with their read-only weights. Everything is plain data so
 scenarios can be shipped to worker processes.
 
 PDC and CHSH share one crystal builder (``_crystal_scenario``). A CHSH
-analyzer rotates each station's (H, V) pairs, the own modes of its '+' and
-'-' detectors, per op variant (``analysis.chsh_variants``).
+analyzer setting rotates each station's (H, V) pairs, the own modes of its
+'+' and '-' detectors, which share their weights; the engine reads every
+setting from three sums per station (``engine.run_variants``), not from an
+op.
 
 Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
@@ -250,7 +252,7 @@ def chsh_scenario(det_station1: DetectorSpec, det_station2: DetectorSpec, g: flo
     Station s carries two polarization modes (H, V) per frequency slot; the
     crystal couples (1H, 2V) and (1V, 2H) slot-wise. Station s's '+' and '-'
     detectors own its H and V modes. An analyzer setting rotates each
-    station's (H, V) pairs after the crystal (``analysis.chsh_variants``), so
+    station's (H, V) pairs after the crystal (``engine.run_variants``), so
     that '+' reads H after rotation and '-' reads V.
     """
     return _crystal_scenario(det_station1, det_station2, g, 2, ("1+", "1-", "2+", "2-"))

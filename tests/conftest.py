@@ -57,7 +57,7 @@ def mc_intensity_samples(scenario, trials, seed):
     out = np.empty((len(scenario.detector_names), trials))
     for start in range(0, trials, CHUNK_TRIALS):
         stop = min(start + CHUNK_TRIALS, trials)
-        out[:, start:stop] = chunk_intensities(scenario, [()], seed, start, stop)[0]
+        out[:, start:stop] = chunk_intensities(scenario, (), seed, start, stop)[0]
     return {nm: out[d] for d, nm in enumerate(scenario.detector_names)}
 
 
@@ -67,3 +67,14 @@ def dense_weights(scenario):
     for d, (idx, w) in enumerate(scenario.parts):
         weights[idx, d] = w
     return weights
+
+
+def signed_zero_amps(rows, n_modes, seed):
+    """Gaussian amplitudes with +0.0 or -0.0 in about a third of the parts."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, rows, n_modes))
+    zero = rng.random(parts.shape) < 1 / 3
+    parts[zero] = rng.choice([0.0, -0.0], size=zero.sum())
+    amps = np.empty((rows, n_modes), dtype=complex)
+    amps.real, amps.imag = parts      # set directly: arithmetic would drop some signs
+    return amps

@@ -265,7 +265,7 @@ class TestRunner:
 
     def test_chsh_point_maps_each_tile_by_the_crystal_once(self, monkeypatch):
         # five variants (the plain run and four settings) share one crystal
-        # pass per tile; only the rotators run per setting
+        # pass per tile; the settings read its sums, so no rotator runs
         trials = CHUNK_TRIALS + 5
         cfg = parse_config(chsh_config(run={"trials": trials, "seed": 5}))
         monkeypatch.setattr(engine, "TILE_AMPS", 7 * 16)      # 7-row tiles of 16 modes
@@ -285,7 +285,7 @@ class TestRunner:
         run(cfg, workers=1)
         assert calls["tiles"] == math.ceil(CHUNK_TRIALS / 7) + 1
         assert calls["pdc"] == calls["tiles"]
-        assert calls["rotator"] == 4 * 2 * calls["tiles"]
+        assert calls["rotator"] == 0
 
     def test_chsh_analytic_point_runs_no_monte_carlo(self, monkeypatch):
         cfg = parse_config(chsh_config(run={"trials": 3000, "seed": 1, "mode": "analytic"},

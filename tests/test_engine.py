@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from zpfsim.engine import (
     mc_detect,
     run_variants,
 )
-from zpfsim.field import sample_pair_amplitudes, sample_vacuum_power
+from zpfsim.field import sample_pair_amplitudes, sample_vacuum_batch, sample_vacuum_power
+from zpfsim.optics import rotator_transform
 from zpfsim.scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
-from conftest import detector, mc_intensity_samples
+from conftest import detector, mc_intensity_samples, signed_zero_amps
 
 
 def two_detector_scenario(n_cells=16, kind="vacuum"):
@@ -56,13 +59,13 @@ class TestRunVariants:
     def test_trials_validated(self):
         scen = two_detector_scenario()
         with pytest.raises(ValueError, match="trials"):
-            run_variants(scen, [()], 0, seed=1)
+            run_variants(scen, (), 0, seed=1)
 
     def test_worker_count_does_not_change_sums(self):
         scen = two_detector_scenario()
         trials = 3 * CHUNK_TRIALS + 17
-        s1 = run_variants(scen, [()], trials, seed=4, workers=1)
-        s2 = run_variants(scen, [()], trials, seed=4, workers=4)
+        s1 = run_variants(scen, (), trials, seed=4, workers=1)
+        s2 = run_variants(scen, (), trials, seed=4, workers=4)
         assert s1.n == s2.n == trials
         for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
             assert np.array_equal(getattr(s1, f), getattr(s2, f)), f
@@ -74,20 +77,19 @@ class TestRunVariants:
                 detector(n_cells=16, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
         if kind == "vacuum":
             scen = vacuum_scenario(list(dets))
-            variants = [()]
+            settings = ()
         elif kind == "pdc":
             scen = pdc_scenario(*dets, 0.2)
-            variants = [()]
+            settings = ()
         else:
             scen = chsh_scenario(*dets, 0.2)
-            settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
-            variants = chsh_variants(scen, settings)[1]
+            settings = chsh_variants(scen, [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)])
         trials = 2 * CHUNK_TRIALS + 5
-        ref = run_variants(scen, variants, trials, seed=8, workers=1)
-        runs = {"workers 2": run_variants(scen, variants, trials, seed=8, workers=2)}
+        ref = run_variants(scen, settings, trials, seed=8, workers=1)
+        runs = {"workers 2": run_variants(scen, settings, trials, seed=8, workers=2)}
         for rows in (1, 7, CHUNK_TRIALS):
             monkeypatch.setattr(engine, "TILE_AMPS", rows * scen.n_modes)
-            runs[f"{rows}-row tiles"] = run_variants(scen, variants, trials, seed=8, workers=1)
+            runs[f"{rows}-row tiles"] = run_variants(scen, settings, trials, seed=8, workers=1)
         for label, sums in runs.items():
             assert sums.n == trials
             for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum", "u_sum", "uu_sum"):
@@ -96,39 +98,78 @@ class TestRunVariants:
 
 class TestPowerPath:
     @pytest.mark.parametrize("case, expected", [
-        ("vacuum", True), ("pdc", True), ("chsh", False), ("pdc with a rotator", False),
+        ("vacuum", True), ("pdc", True), ("chsh", False),
         ("crystal leaving modes unpaired", False)])
     def test_which_runs_draw_power(self, case, expected):
-        # only a run that reads power alone from H modes, through no op or one
-        # crystal that pairs every mode, skips the amplitudes
+        # only a run on H modes alone, through no op or one crystal that
+        # pairs every mode, skips the amplitudes
         dets = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
         scen = (vacuum_scenario(list(dets)) if case == "vacuum" else
                 chsh_scenario(*dets, 0.2) if case == "chsh" else pdc_scenario(*dets, 0.2))
-        variants = [()]
-        if case == "pdc with a rotator":
-            variants = [(("rotator", (slice(0, 1), slice(1, 2)), 0.3),)]
-        elif case == "crystal leaving modes unpaired":
+        if case == "crystal leaving modes unpaired":
             scen = dataclasses.replace(scen, ops=(("pdc", (slice(0, 3), slice(7, 4, -1)), 0.2),))
-        assert engine._reads_power(scen, variants) is expected
+        assert engine._reads_power(scen) is expected
         sampled = []
         sample = engine.sample_vacuum_batch
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "sample_vacuum_batch", lambda *a: sampled.append(a) or sample(*a))
-            run_variants(scen, variants, 5, seed=2, workers=1)
+            run_variants(scen, (), 5, seed=2, workers=1)
         assert bool(sampled) is not expected
+
+    @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
+    def test_settings_need_v_modes(self, kind):
+        # an analyzer rotates H into V modes, which these scenarios lack; the
+        # vacuum one has four detectors, as many as two stations
+        dets = [detector(n_cells=4, omega_center=w) for w in (1.25, 0.75, 1.5, 1.0)]
+        scen = vacuum_scenario(dets) if kind == "vacuum" else pdc_scenario(*dets[:2], 0.2)
+        with pytest.raises(ValueError, match="analyzer settings need"):
+            run_variants(scen, [(0.0, 0.3)], 5, seed=2, workers=1)
+
+
+class TestAnalyzerSums:
+    ANGLES = (0.0, 0.3, -1.1, math.pi / 4, math.pi / 2, 3 * math.pi)
+
+    @pytest.mark.parametrize("source", ["vacuum", "signed zeros"])
+    def test_three_sums_equal_the_rotated_intensities(self, source):
+        # I+ = c^2 A + s^2 B + 2cs C and I- = s^2 A + c^2 B - 2cs C of each
+        # station against intensity_batch of rotator_transform's amplitudes
+        dets = (detector(n_cells=8, omega_center=1.25), detector(n_cells=8, omega_center=0.75))
+        scen = chsh_scenario(*dets, 0.2)
+        rows = 64
+        amps = (signed_zero_amps(rows, scen.n_modes, seed=5) if source == "signed zeros"
+                else sample_vacuum_batch(scen.n_modes, 5, range(rows)))
+        settings = list(itertools.product(self.ANGLES, repeat=2))
+        stations = (h1, v1, _), (h2, v2, _) = engine._stations(scen)
+        i = np.empty((1 + len(settings), len(scen.parts), rows))
+        i[0] = intensity_batch(amps.real**2 + amps.imag**2, scen.parts).T
+        engine._analyze(i, engine._cross_sums(amps, stations), settings)
+        for k, (t1, t2) in enumerate(settings, start=1):
+            rotated = rotator_transform(rotator_transform(amps, (h1, v1), t1), (h2, v2), t2)
+            expected = intensity_batch(np.abs(rotated) ** 2, scen.parts).T
+            np.testing.assert_allclose(i[k], expected, rtol=1e-13, atol=0, err_msg=f"{t1}, {t2}")
+            if t1 == t2 == 0.0:
+                assert i[k].tobytes() == i[0].tobytes()
+
+    def test_stations_need_equal_weights(self):
+        dets = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
+        scen = chsh_scenario(*dets, 0.2)
+        (h, w), *rest = scen.parts
+        scen = dataclasses.replace(scen, parts=((h, 2 * w), *rest))
+        with pytest.raises(ValueError, match="equal weights"):
+            run_variants(scen, [(0.0, 0.3)], 5, seed=2, workers=1)
 
 
 class TestSharedCrystal:
     def test_chsh_variant_zero_equals_mc_detect(self):
         # the crystal is applied once per tile and shared by all five variants;
-        # variant 0 (no further ops) is exactly the plain Monte Carlo
+        # variant 0 (no analyzer) is exactly the plain Monte Carlo
         dets = (detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=1.25),
                 detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
         scen = chsh_scenario(*dets, 0.2)
         settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
         trials = 2 * CHUNK_TRIALS + 5
-        point = run_variants(scen, chsh_variants(scen, settings)[1], trials, seed=8, workers=1)
-        plain = run_variants(scen, [()], trials, seed=8, workers=1)
+        point = run_variants(scen, chsh_variants(scen, settings), trials, seed=8, workers=1)
+        plain = run_variants(scen, (), trials, seed=8, workers=1)
         n_pair = len(scen.coincidences)
         for f in ("q_sum", "q2_sum", "i_sum", "i2_sum", "ii_sum"):
             assert np.array_equal(getattr(point, f)[0], getattr(plain, f)[0]), f

@@ -15,7 +15,7 @@ from zpfsim.scenarios import (
     vacuum_scenario,
 )
 
-from conftest import WINDOW_1K, dense_weights, detector
+from conftest import WINDOW_1K, dense_weights, detector, signed_zero_amps
 
 
 class TestApplyOps:
@@ -271,17 +271,6 @@ def rotator_reference(amps, pairs, angle):
         out[:, h] = c * amps[:, h] + s * amps[:, v]
         out[:, v] = -s * amps[:, h] + c * amps[:, v]
     return out
-
-
-def signed_zero_amps(rows, n_modes, seed):
-    """Gaussian amplitudes with +0.0 or -0.0 in about a third of the parts."""
-    rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((2, rows, n_modes))
-    zero = rng.random(parts.shape) < 1 / 3
-    parts[zero] = rng.choice([0.0, -0.0], size=zero.sum())
-    amps = np.empty((rows, n_modes), dtype=complex)
-    amps.real, amps.imag = parts      # set directly: arithmetic would drop some signs
-    return amps
 
 
 @pytest.mark.parametrize("index, pairs", [
