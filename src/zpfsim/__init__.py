@@ -15,7 +15,6 @@ from .detection import (
     q_model,
     q_standard,
     rho_signal,
-    rho_vacuum,
 )
 from .analysis import (
     ChshResult,

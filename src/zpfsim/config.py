@@ -133,10 +133,12 @@ def check_point(data: dict) -> None:
     A key that the point's run would not read must keep its default:
     ``scenario.n_modes`` is read only by the vacuum builder, ``scenario.g``
     only by the crystal of PDC and CHSH, ``chsh.settings`` only by a CHSH
-    Monte Carlo and ``analytic.corr`` only by the analytic path of a
-    coincidence pair, which a point has when it has two or more detectors. An
-    analytic-only PDC or CHSH run has no Monte Carlo estimate of the
-    intensity correlation of its coincidences, so it needs ``analytic.corr``.
+    Monte Carlo, ``analytic.corr`` only by the analytic path of a
+    coincidence pair, which a point has when it has two or more detectors,
+    and a detector's ``radius`` and ``eta`` only by the zeta derived when it
+    gives neither ``zeta`` nor ``zeta_sigma``. An analytic-only PDC or CHSH
+    run has no Monte Carlo estimate of the intensity correlation of its
+    coincidences, so it needs ``analytic.corr``.
     """
     for prefix, section, schema in _sections(data):
         for key, (default, what, ok) in schema.items():
@@ -149,6 +151,11 @@ def check_point(data: dict) -> None:
         raise ConfigError(f"scenario kind {kind!r} requires exactly 2 detectors")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate detector name in {names}")
+    for det in data["detectors"]:
+        gain_given = (det["zeta"], det["zeta_sigma"]) != (None, None)
+        if gain_given and (det["radius"], det["eta"]) != (1, 1):
+            raise ConfigError(f"detector {det['name']!r}: radius and eta set only the derived "
+                              "zeta, so they apply only without zeta or zeta_sigma")
     mode = data["run"]["mode"]
     if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
         raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")

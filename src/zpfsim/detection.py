@@ -56,7 +56,6 @@ __all__ = [
     "intensity_batch",
     "q_model",
     "q_standard",
-    "rho_vacuum",
     "rho_signal",
     "p_single",
     "p_joint",
@@ -255,13 +254,8 @@ class BivariateIntensityDist:
             raise ValueError(f"correlation must lie in [-1, 1], got {self.corr}")
 
 
-def rho_vacuum(detector: DetectorSpec) -> EffectiveIntensityDist:
-    """Vacuum law: mean I0 = wbar dw / (8 pi c L), sigma = I0 sqrt(tau/T)."""
-    return EffectiveIntensityDist(detector.I0, detector.sigma0)
-
-
 def rho_signal(detector: DetectorSpec, signal_mean: float) -> EffectiveIntensityDist:
-    """Signal law: mean I0 + Ibar_s, deviation unchanged from the vacuum."""
+    """Signal law: mean I0 + Ibar_s, deviation unchanged; Ibar_s = 0 is the vacuum law."""
     if signal_mean < 0:
         raise ValueError(f"signal mean intensity must be non-negative, got {signal_mean}")
     return EffectiveIntensityDist(detector.I0 + signal_mean, detector.sigma0)

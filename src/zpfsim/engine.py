@@ -2,17 +2,18 @@
 
 Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
 field.TRIAL_BLOCK). ``run_variants`` samples each chunk once, maps it by the
-scenario's own ops (the crystal) once, and accumulates sufficient statistics
-of every variant over the same mapped amplitudes; ``detection_summary``
-reads variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads
-the two stations through analyzer setting k, an angle pair (theta1, theta2).
+scenario's crystal once, and accumulates sufficient statistics of every
+variant over the same mapped amplitudes; ``detection_summary`` reads
+variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads the
+two stations through analyzer setting k, an angle pair (theta1, theta2).
 
-A detector reads only |alpha'|^2, so a run on H modes alone through no op
-or one crystal pairing every mode (a vacuum or PDC point) draws that power:
-an exponential per vacuum mode (``field.sample_vacuum_power``), or one
-exponential and one amplitude per crystal pair (``pdc.pair_power``). Any
-other run (CHSH) draws the amplitudes (``field.sample_vacuum_batch``) and
-maps them by the crystal.
+A detector reads only |alpha'|^2, so a run on H modes alone (a vacuum or
+PDC point; a scenario's crystal pairs every mode) draws that power: an
+exponential per vacuum mode (``field.sample_vacuum_power``), or one
+exponential and one amplitude per crystal pair (``pdc.pair_power``). A CHSH
+point, which has V modes, draws the amplitudes (``field.sample_vacuum_batch``)
+and maps them by the crystal, so that its plain run equals variant 0 of its
+settings run bit for bit.
 
 An analyzer at angle theta rotates a station's (H, V) pairs, which its '+'
 and '-' detectors own with one weight vector w. From A = sum w|h|^2 and
@@ -84,18 +85,6 @@ class _ChunkSums:
     uu_sum: np.ndarray      # (V*P, V*P)
 
 
-def _reads_power(scenario: Scenario) -> bool:
-    """Whether the run draws the modes' power, not their amplitudes (see above).
-
-    A CHSH scenario (V modes) keeps its amplitudes even in a plain run, so that
-    the run equals variant 0 of the point's settings run bit for bit.
-    """
-    ops, n = scenario.ops, scenario.n_modes
-    if scenario.pol.any() or len(ops) > 1:
-        return False
-    return not ops or ops[0][0] == "pdc" and 2 * np.arange(n)[ops[0][1][0]].size == n
-
-
 def _stations(scenario: Scenario) -> tuple:
     """Each station's (H index, V index, weights), from ``parts`` = (1+, 1-, 2+, 2-).
 
@@ -131,15 +120,15 @@ def chunk_intensities(scenario: Scenario, settings, seed: int,
                       start: int, stop: int) -> np.ndarray:
     """Effective intensities (1 + len(settings), D, stop - start) of trials [start, stop).
 
-    The trials are sampled, mapped by the scenario's ops and reduced one row
-    tile at a time to variant 0's intensities and each station's C; a run
-    that reads only power samples it instead. The settings follow over the
-    whole chunk. ``run_variants`` passes one block per call.
+    The trials are sampled, mapped by the scenario's crystal and reduced one
+    row tile at a time to variant 0's intensities and each station's C; a
+    run on H modes alone samples their power instead. The settings follow
+    over the whole chunk. ``run_variants`` passes one block per call.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
     stations = _stations(scenario) if settings else ()
-    power_only = _reads_power(scenario)
+    power_only = not scenario.pol.any()
     i = np.empty((1 + len(settings), len(scenario.detector_specs), stop - start))
     cross = np.empty((len(stations), stop - start))
     for t in range(start, stop, step):
@@ -148,12 +137,12 @@ def chunk_intensities(scenario: Scenario, settings, seed: int,
         if power_only:
             power = (pair_power(sample_vacuum_power(n_modes // 2, seed, rows),
                                 sample_pair_amplitudes(n_modes // 2, seed, rows),
-                                *scenario.ops[0][1:])
-                     if scenario.ops else sample_vacuum_power(n_modes, seed, rows))
+                                *scenario.crystal)
+                     if scenario.crystal else sample_vacuum_power(n_modes, seed, rows))
             i[:, :, cols] = intensity_batch(power, scenario.parts).T
             del power   # freed before the next draw, or the allocator re-faults pages per tile
             continue
-        amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario.ops)
+        amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario)
         i[0, :, cols] = intensity_batch(amps.real**2 + amps.imag**2, scenario.parts).T
         if stations:
             cross[:, cols] = _cross_sums(amps, stations)

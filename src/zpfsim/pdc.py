@@ -128,7 +128,8 @@ def pdc_transform(amps: np.ndarray, index, g: float) -> np.ndarray:
 def pair_power(pump_power: np.ndarray, q: np.ndarray, index, g: float) -> np.ndarray:
     """|alpha'|^2 (..., 2 n_pairs) from each pair's P and turned q (..., n_pairs).
 
-    ``index``, as for ``pdc_transform``, must name every mode. Overwrites both inputs.
+    ``index`` is a ``Scenario.crystal`` index pair, which names every mode.
+    Overwrites both inputs.
     """
     a = 1.0 + 0.5 * g * g
     # in place: P ends as the signal's power, Re q as the idler's, Im q as Im^2

@@ -1,16 +1,17 @@
 """Declarative experiment scenarios.
 
 A ``Scenario`` bundles the modes (read-only arrays ``k``, ``omega`` with
-|k| = omega, and ``pol``; no two modes share both k and pol), the ordered
-amplitude-map operations (the crystal) and, per detector, the index of its
-own modes with their read-only weights. Everything is plain data so
-scenarios can be shipped to worker processes.
+|k| = omega, and ``pol``; no two modes share both k and pol), its crystal
+(None, or the ``(signal, idler)`` index pair and coupling g of a crystal
+that pairs every mode once, basic slices for the builders' contiguous and
+mirrored layouts) and, per detector, the index of its own modes with their
+read-only weights. Everything is plain data so scenarios can be shipped to
+worker processes.
 
 PDC and CHSH share one crystal builder (``_crystal_scenario``). A CHSH
 analyzer setting rotates each station's (H, V) pairs, the own modes of its
 '+' and '-' detectors, which share their weights; the engine reads every
-setting from three sums per station (``engine.run_variants``), not from an
-op.
+setting from three sums per station (``engine.run_variants``).
 
 Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
@@ -20,9 +21,6 @@ their scale^2 in index order.
 The mode scales are calibrated so that each detector's vacuum-ensemble mean of
 the effective intensity equals its analytic value I0; this amounts to
 fixing the quantization box length per beam.
-
-Each amplitude-map op holds its mode pairs as one index pair (basic slices
-for the builders' contiguous and mirrored layouts).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 
 from .detection import DetectorSpec, vacuum_moments
 from .pdc import PumpSpec, check_pairs, excess_photon_fraction, pdc_transform
-from .optics import rotator_transform
 
 __all__ = [
     "Scenario",
@@ -49,12 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """Modes, amplitude-map ops and each detector's own modes with their weights."""
+    """Modes, the crystal and each detector's own modes with their weights."""
 
     k: np.ndarray                          # (n_modes, 3) wavevectors
     omega: np.ndarray                      # (n_modes,) frequencies
     pol: np.ndarray                        # (n_modes,) int8 polarization, 0 = H, 1 = V
-    ops: tuple[tuple, ...]
+    crystal: tuple | None                  # ((signal, idler) index pair, g), or None
     detector_names: tuple[str, ...]
     detector_specs: tuple[DetectorSpec, ...]
     parts: tuple[tuple, ...]               # per detector: (own-mode index, scale^2)
@@ -64,24 +61,20 @@ class Scenario:
     def __post_init__(self):
         for arr in (self.k, self.omega, self.pol, *(w for _, w in self.parts)):
             arr.setflags(write=False)
+        if self.crystal is not None:
+            pos = np.arange(self.n_modes)
+            used = np.concatenate([np.atleast_1d(pos[idx]) for idx in self.crystal[0]])
+            if (np.bincount(used, minlength=self.n_modes) != 1).any():
+                raise ValueError("a crystal must pair every mode exactly once")
 
     @property
     def n_modes(self) -> int:
         return len(self.omega)
 
 
-def apply_ops(amps: np.ndarray, ops) -> np.ndarray:
-    """Run the declarative op list over an amplitude batch (..., n_modes)."""
-    out = amps
-    for op in ops:
-        kind = op[0]
-        if kind == "pdc":
-            out = pdc_transform(out, op[1], op[2])
-        elif kind == "rotator":
-            out = rotator_transform(out, op[1], op[2])
-        else:
-            raise ValueError(f"unknown op {kind!r}")
-    return out
+def apply_ops(amps: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """The scenario's crystal map on an amplitude batch (..., n_modes); the identity without one."""
+    return amps if scenario.crystal is None else pdc_transform(amps, *scenario.crystal)
 
 
 def make_matched_detector(
@@ -175,7 +168,7 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
     coinc = tuple((i, j) for i in range(len(detectors)) for j in range(i + 1, len(detectors)))
     return Scenario(
         *_mode_arrays(beams),
-        ops=(),
+        crystal=None,
         detector_names=tuple(names),
         detector_specs=tuple(detectors),
         parts=tuple(parts),
@@ -227,7 +220,7 @@ def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: i
     excess = excess_photon_fraction(g)
     return Scenario(
         k, omega, pol,
-        ops=(("pdc", crystal, g),),
+        crystal=(crystal, g),
         detector_names=tuple(names),
         detector_specs=specs,
         parts=tuple(parts),

@@ -22,7 +22,6 @@ from zpfsim.detection import (
     q_model,
     q_standard,
     rho_signal,
-    rho_vacuum,
 )
 from zpfsim.engine import mc_detect
 from zpfsim.field import sample_vacuum_batch
@@ -92,7 +91,7 @@ def test_criterion_2_linear_response():
 
 def test_criterion_3_dark_counts():
     """p_dark <= 2.87e-7 at I_m = I0 + 5 sigma0 and monotone decreasing in I_m."""
-    probs = [p_single(rho_vacuum(detector(threshold_sigma=s, zeta_sigma=1.0)),
+    probs = [p_single(rho_signal(detector(threshold_sigma=s, zeta_sigma=1.0), 0.0),
                       detector(threshold_sigma=s, zeta_sigma=1.0))
              for s in (5.0, 6.0, 7.0, 8.0)]
     ok = probs[0] <= 2.87e-7 and all(a > b for a, b in zip(probs, probs[1:]))

@@ -14,7 +14,7 @@ from zpfsim.config import (
     parse_config,
     set_by_path,
 )
-from zpfsim import engine, runner, scenarios
+from zpfsim import engine, optics, runner, scenarios
 from zpfsim.analysis import chsh_scan
 from zpfsim.engine import CHUNK_TRIALS, mc_detect
 from zpfsim.field import sample_vacuum_batch
@@ -61,6 +61,13 @@ class TestParseConfig:
         assert cfg.data["scenario"]["g"] == 0.0
         assert "run.mode" in cfg.defaults_applied
         assert cfg.data["chsh"]["settings"][2] == [math.pi / 4, math.pi / 8]
+
+    def test_radius_and_eta_set_the_derived_zeta(self):
+        raw = with_value(with_value(base_config(), "detectors.0.radius", 2.0),
+                         "detectors.0.eta", 0.3)
+        del raw["detectors"][0]["zeta_sigma"]
+        (det,) = parse_config(raw).detector_specs()
+        assert det.zeta == 0.3 * math.pi * 2.0**2 * det.window / det.omega_center
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -280,8 +287,8 @@ class TestRunner:
         monkeypatch.setattr(engine, "sample_vacuum_batch",
                             counted("tiles", engine.sample_vacuum_batch))
         monkeypatch.setattr(scenarios, "pdc_transform", counted("pdc", scenarios.pdc_transform))
-        monkeypatch.setattr(scenarios, "rotator_transform",
-                            counted("rotator", scenarios.rotator_transform))
+        monkeypatch.setattr(optics, "rotator_transform",
+                            counted("rotator", optics.rotator_transform))
         run(cfg, workers=1)
         assert calls["tiles"] == math.ceil(CHUNK_TRIALS / 7) + 1
         assert calls["pdc"] == calls["tiles"]
@@ -379,10 +386,13 @@ class TestCli:
                     chsh={"settings": [[0, 1], [0, 2], [1, 1], [1, 2]]}),
         pdc_config(run={"trials": 200, "seed": 1, "mode": "mc"}, analytic={"corr": 0.5}),
         base_config(analytic={"corr": 0.5}),
+        with_value(base_config(), "detectors.0.radius", 2.0),
+        with_value(base_config(), "detectors.0.eta", 0.3),
     ], ids=["length", "eta", "threshold", "n_modes-str", "n_modes-float", "trials-bool",
             "n_cells-bool", "axis-zero", "axis-2d", "chsh-settings", "threshold_sigma-nan",
             "zeta_sigma-inf", "empty-sweep", "vacuum-g", "pdc-chsh-settings",
-            "analytic-chsh-settings", "mc-corr", "one-detector-corr"])
+            "analytic-chsh-settings", "mc-corr", "one-detector-corr", "radius-with-zeta",
+            "eta-with-zeta"])
     def test_malformed_config_is_a_config_error(self, tmp_path, raw):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))

@@ -20,7 +20,6 @@ from zpfsim.detection import (
     q_standard,
     response_matrix,
     rho_signal,
-    rho_vacuum,
 )
 from zpfsim.field import sample_vacuum_batch
 
@@ -187,12 +186,11 @@ class TestIntensityLaws:
 
     def test_vacuum_and_signal_laws(self, small_detector):
         det = small_detector
-        vac = rho_vacuum(det)
+        vac = rho_signal(det, 0.0)
         assert (vac.mean, vac.sigma) == (det.I0, det.sigma0)
         sig = rho_signal(det, 2.5 * det.sigma0)
         assert sig.mean == pytest.approx(det.I0 + 2.5 * det.sigma0)
         assert sig.sigma == det.sigma0
-        assert rho_signal(det, 0.0) == vac
         with pytest.raises(ValueError, match="non-negative"):
             rho_signal(det, -1.0)
 
@@ -207,7 +205,7 @@ class TestDetectionProbabilities:
 
     def test_dark_probability_below_gaussian_tail(self, small_detector):
         det = small_detector
-        p = p_single(rho_vacuum(det), det)
+        p = p_single(rho_signal(det, 0.0), det)
         assert 0.0 < p <= norm.sf(5.0)
 
     def test_joint_factorizes_at_zero_corr(self):
@@ -362,7 +360,7 @@ class TestClosedFormAccuracy:
 
     def test_p_single_20_sigma_tail_is_resolved(self):
         det = detector(n_cells=100, threshold_sigma=20.0, zeta_sigma=1e6)
-        p = p_single(rho_vacuum(det), det)
+        p = p_single(rho_signal(det, 0.0), det)
         # saturated response: the gaussian tail beyond 20 sigma, 2.75e-89
         assert p == pytest.approx(norm.sf(20.0), rel=1e-12)
 
@@ -382,7 +380,7 @@ class TestClosedFormAccuracy:
     def test_p_joint_20_sigma_tail_is_resolved(self):
         d1 = detector(n_cells=100, threshold_sigma=20.0, zeta_sigma=1.0)
         d2 = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=1.0)
-        dist = BivariateIntensityDist(rho_vacuum(d1), rho_vacuum(d2), 0.6)
+        dist = BivariateIntensityDist(rho_signal(d1, 0.0), rho_signal(d2, 0.0), 0.6)
         oracle = float(mp_p_joint(dist, d1, d2))
         assert 0.0 < oracle < 1e-80
         assert p_joint(dist, d1, d2) == pytest.approx(oracle, rel=1e-10, abs=0.0)

@@ -37,7 +37,7 @@ def two_detector_scenario(n_cells=16, kind="vacuum"):
 def direct_intensities(scen, kind, trials, seed):
     """Intensities (trials, n_det) recomputed from the field's draws in one batch.
 
-    A vacuum scenario has no op, so its Monte Carlo draws each mode's power.
+    A vacuum scenario has no crystal, so its Monte Carlo draws each mode's power.
     A PDC scenario draws each pair's P and turned difference amplitude q, and
     its output amplitudes, turned by p's phase, are
     ((1 + g + g^2/2) sqrt(P) +- (1 - g + g^2/2) q) / sqrt(2).
@@ -45,7 +45,7 @@ def direct_intensities(scen, kind, trials, seed):
     if kind == "vacuum":
         power = sample_vacuum_power(scen.n_modes, seed, range(trials))
     else:
-        ((_, (s_idx, i_idx), g),) = scen.ops
+        (s_idx, i_idx), g = scen.crystal
         n_pairs = scen.n_modes // 2
         p = (1 + g + g * g / 2) * np.sqrt(sample_vacuum_power(n_pairs, seed, range(trials)))
         q = (1 - g + g * g / 2) * sample_pair_amplitudes(n_pairs, seed, range(trials))
@@ -97,18 +97,13 @@ class TestRunVariants:
 
 
 class TestPowerPath:
-    @pytest.mark.parametrize("case, expected", [
-        ("vacuum", True), ("pdc", True), ("chsh", False),
-        ("crystal leaving modes unpaired", False)])
+    @pytest.mark.parametrize("case, expected", [("vacuum", True), ("pdc", True), ("chsh", False)])
     def test_which_runs_draw_power(self, case, expected):
-        # only a run on H modes alone, through no op or one crystal that
-        # pairs every mode, skips the amplitudes
+        # only a run on H modes alone (no crystal, or one that pairs every
+        # mode, as every scenario's does) skips the amplitudes
         dets = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
         scen = (vacuum_scenario(list(dets)) if case == "vacuum" else
                 chsh_scenario(*dets, 0.2) if case == "chsh" else pdc_scenario(*dets, 0.2))
-        if case == "crystal leaving modes unpaired":
-            scen = dataclasses.replace(scen, ops=(("pdc", (slice(0, 3), slice(7, 4, -1)), 0.2),))
-        assert engine._reads_power(scen) is expected
         sampled = []
         sample = engine.sample_vacuum_batch
         with pytest.MonkeyPatch.context() as mp:
@@ -216,7 +211,7 @@ class TestMcDetect:
         weight = np.zeros((2, scen.n_modes))
         for d, (idx, w) in enumerate(scen.parts):
             weight[d, idx] = w
-        ((_, (s_idx, i_idx), _),) = scen.ops
+        (s_idx, i_idx), _ = scen.crystal
         ws, wi = weight[0, s_idx], weight[1, i_idx]
         n, m = 0.5 + g * g + g**4 / 8, g * (1 + g * g / 2)
         expected = np.sum(ws * wi) * m * m / (n * n * np.sqrt(np.sum(ws**2) * np.sum(wi**2)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,22 +19,28 @@ from zpfsim.scenarios import (
 from conftest import WINDOW_1K, dense_weights, detector, signed_zero_amps
 
 
-class TestApplyOps:
-    def test_dispatch_matches_direct_calls(self):
-        rng = np.random.default_rng(1)
-        amps = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-        ops = (
-            ("pdc", (0, 1), 0.2),
-            ("rotator", (2, 3), 0.7),
-            ("rotator", (0, 2), -0.3),
-        )
-        expected = rotator_transform(
-            rotator_transform(pdc_transform(amps, (0, 1), 0.2), (2, 3), 0.7), (0, 2), -0.3)
-        assert np.allclose(apply_ops(amps, ops), expected, rtol=1e-14)
+class TestCrystal:
+    DETS = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
 
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown op"):
-            apply_ops(np.zeros((1, 2), dtype=complex), (("lens", (), 1.0),))
+    @pytest.mark.parametrize("kind", ["vacuum", "pdc", "chsh"])
+    def test_apply_ops_is_the_crystal_map(self, kind):
+        scen = (vacuum_scenario(list(self.DETS)) if kind == "vacuum" else
+                pdc_scenario(*self.DETS, 0.2) if kind == "pdc" else chsh_scenario(*self.DETS, 0.2))
+        amps = sample_vacuum_batch(scen.n_modes, 3, range(7))
+        if kind == "vacuum":
+            assert scen.crystal is None and apply_ops(amps, scen) is amps
+        else:
+            expected = pdc_transform(amps, *scen.crystal)
+            assert apply_ops(amps, scen).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("index", [
+        (slice(0, 3), slice(7, 4, -1)),
+        (np.array([0, 1, 2, 3, 0]), np.array([7, 6, 5, 4, 4])),
+    ], ids=["mode-unpaired", "mode-paired-twice"])
+    def test_crystal_must_pair_every_mode_once(self, index):
+        scen = pdc_scenario(*self.DETS, 0.2)
+        with pytest.raises(ValueError, match="every mode exactly once"):
+            dataclasses.replace(scen, crystal=(index, 0.2))
 
 
 class TestMakeMatchedDetector:
@@ -92,8 +99,8 @@ class TestPdcScenario:
         ds, di = self._dets()
         scen = pdc_scenario(ds, di, 0.1)
         omega0 = ds.omega_center + di.omega_center
-        (kind, index, g), = scen.ops
-        assert kind == "pdc" and g == 0.1
+        index, g = scen.crystal
+        assert g == 0.1
         s, i = (np.arange(scen.n_modes)[idx] for idx in index)
         assert len(s) == len(i) == 16
         assert len(set(s) | set(i)) == 32
@@ -140,7 +147,7 @@ class TestChshScenario:
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
         scen = chsh_scenario(d1, d2, 0.1)
-        (_, index, _), = scen.ops
+        index, _ = scen.crystal
         s, i = (np.arange(scen.n_modes)[idx] for idx in index)
         assert len(s) == len(i) == 8
         assert len(set(s) | set(i)) == 16
@@ -217,7 +224,7 @@ class TestDiagonalWeightsOracle:
 
     def test_intensity_batch_matches_effective_intensity(self):
         for kind, scen in oracle_scenarios(WINDOW_1K).items():
-            amps = apply_ops(sample_vacuum_batch(scen.n_modes, 8, range(5)), scen.ops)
+            amps = apply_ops(sample_vacuum_batch(scen.n_modes, 8, range(5)), scen)
             batch = intensity_batch(np.abs(amps) ** 2, scen.parts)
             weights = dense_weights(scen)
             assert batch.shape == (5, len(scen.detector_specs))
@@ -246,7 +253,7 @@ def test_intensity_batch_rows_do_not_depend_on_the_batch(kind):
     # the engine computes intensities in row tiles; a trial's value must be
     # bitwise the one it gets in any other batch
     scen = batching_scenarios()[kind]()
-    amps = apply_ops(sample_vacuum_batch(scen.n_modes, 9, range(66)), scen.ops)
+    amps = apply_ops(sample_vacuum_batch(scen.n_modes, 9, range(66)), scen)
     power = np.abs(amps) ** 2
     whole = intensity_batch(power, scen.parts)
     for rows in (1, 3, 8, 33):
@@ -292,13 +299,13 @@ def test_maps_equal_per_pair_loop_bitwise(index, pairs, g):
 
 
 class TestSliceIndexedMaps:
-    """Slice-indexed ops are bit-equal to an explicit per-pair loop."""
+    """Slice-indexed maps are bit-equal to an explicit per-pair loop."""
 
     def test_pdc_layout(self):
         n = 16
         scen = pdc_scenario(detector(n_cells=n, omega_center=1.25),
                             detector(n_cells=n, omega_center=0.75), 0.2)
-        (_, index, g), = scen.ops
+        index, g = scen.crystal
         pairs = [(j, 2 * n - 1 - j) for j in range(n)]
         amps = sample_vacuum_batch(scen.n_modes, 4, range(64))
         assert np.array_equal(pdc_transform(amps, index, g), crystal_reference(amps, pairs, g))
@@ -312,7 +319,7 @@ class TestSliceIndexedMaps:
         for j in range(n):
             jm = n - 1 - j
             crystal += [(2 * j, off + 2 * jm + 1), (2 * j + 1, off + 2 * jm)]
-        (_, index, g), = scen.ops
+        index, g = scen.crystal
         amps = sample_vacuum_batch(scen.n_modes, 5, range(64))
         out = pdc_transform(amps, index, g)
         assert np.array_equal(out, crystal_reference(amps, crystal, g))
