@@ -4,81 +4,85 @@ Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
 Worker count is controlled only by the ZPFSIM_WORKERS environment variable.
 """
 
-from __future__ import annotations
-
+import argparse
 import sys
-
-import click
 
 from .analysis import min_rate_bound
 from .config import ConfigError, load_config
 from .runner import emit, run as run_batch, validate_points
 
 
-@click.group()
-def main() -> None:
-    """Zeropoint-field PDC simulator."""
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed command line is a configuration error
+        self.exit(2, f"{self.format_usage()}config error: {message}\n")
 
 
-@main.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path(), help="YAML config file.")
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override run.seed.")
-@click.option("--trials", type=click.IntRange(min=1), default=None, help="Override run.trials.")
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Output file (default: zpfsim-run.<format> in the working directory).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
-              show_default=True)
-def run_cmd(config_path, seed, trials, out_path, fmt) -> None:
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return int(text)
+    return integer
+
+
+def run_cmd(args) -> None:
     """Validate every sweep point, then execute the experiment and emit results."""
-    try:
-        cfg = load_config(config_path)
-        record = run_batch(cfg, trials=trials, seed=seed)
-        if out_path is None:
-            out_path = f"zpfsim-run.{fmt}"
-        emit(record, fmt, out_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except Exception as exc:
-        click.echo(f"runtime error: {exc}", err=True)
-        sys.exit(1)
-    click.echo(f"wrote {out_path} ({len(record.points)} point(s), digest {record.config_digest[:12]})")
+    record = run_batch(load_config(args.config), trials=args.trials, seed=args.seed)
+    out_path = args.out or f"zpfsim-run.{args.format}"
+    emit(record, args.format, out_path)
+    print(f"wrote {out_path} ({len(record.points)} point(s), digest {record.config_digest[:12]})")
 
 
-@main.command("validate")
-@click.option("--config", "config_path", required=True, type=click.Path())
-def validate_cmd(config_path) -> None:
+def validate_cmd(args) -> None:
     """Check a config file and build every sweep point; report applied defaults."""
-    try:
-        cfg = load_config(config_path)
-        validate_points(cfg)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(f"valid (digest {cfg.digest[:12]})")
+    cfg = load_config(args.config)
+    validate_points(cfg)
+    print(f"valid (digest {cfg.digest[:12]})")
     for key, value in sorted(cfg.defaults_applied.items()):
-        click.echo(f"  default {key} = {value}")
+        print(f"  default {key} = {value}")
 
 
-@main.command("rate-bound")
-@click.option("--eta", type=float, required=True, help="Quantum efficiency.")
-@click.option("--focal", type=float, required=True, help="Lens focal distance f (m).")
-@click.option("--crystal-radius", type=float, required=True, help="Crystal radius R_C (m).")
-@click.option("--detector-length", type=float, required=True, help="Detector length L (m).")
-@click.option("--distance", type=float, required=True, help="Crystal-detector distance d (m).")
-@click.option("--wavelength", type=float, required=True, help="Signal wavelength (m).")
-@click.option("--tau", type=float, required=True, help="Beam coherence time (s).")
-@click.option("--window", type=float, required=True, help="Detection time window T (s).")
-def rate_bound_cmd(eta, focal, crystal_radius, detector_length, distance,
-                   wavelength, tau, window) -> None:
+def rate_bound_cmd(args) -> None:
     """Minimum reliable single-count rate (counts/s, SI inputs)."""
     try:
-        bound = min_rate_bound(eta, focal, crystal_radius, detector_length,
-                               distance, wavelength, tau, window)
+        bound = min_rate_bound(args.eta, args.focal, args.crystal_radius, args.detector_length,
+                               args.distance, args.wavelength, args.tau, args.window)
     except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(f"{bound:.6g}")
+        raise ConfigError(str(exc)) from None
+    print(f"{bound:.6g}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Zeropoint-field PDC simulator."""
+    parser = _Parser(prog="zpfsim", description=main.__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    handlers = {"run": run_cmd, "validate": validate_cmd, "rate-bound": rate_bound_cmd}
+    run, validate, rate_bound = (
+        commands.add_parser(name, help=f.__doc__, description=f.__doc__, allow_abbrev=False)
+        for name, f in handlers.items())
+    for sub in (run, validate):
+        sub.add_argument("--config", required=True, metavar="PATH", help="YAML config file.")
+    run.add_argument("--seed", type=_int_at_least(0), help="Override run.seed.")
+    run.add_argument("--trials", type=_int_at_least(1), help="Override run.trials.")
+    run.add_argument("--out", metavar="PATH",
+                     help="Output file (default: zpfsim-run.<format> in the working directory).")
+    run.add_argument("--format", choices=("csv", "json"), default="json",
+                     help="Output format (default: %(default)s).")
+    for flag, text in (
+        ("eta", "Quantum efficiency."), ("focal", "Lens focal distance f (m)."),
+        ("crystal-radius", "Crystal radius R_C (m)."),
+        ("detector-length", "Detector length L (m)."),
+        ("distance", "Crystal-detector distance d (m)."), ("wavelength", "Signal wavelength (m)."),
+        ("tau", "Beam coherence time (s)."), ("window", "Detection time window T (s).")):
+        rate_bound.add_argument(f"--{flag}", type=float, required=True, help=text)
+    args = parser.parse_args(argv)
+    try:
+        handlers[args.command](args)
+    except ConfigError as exc:
+        parser.exit(2, f"config error: {exc}\n")
+    except Exception as exc:
+        parser.exit(1, f"runtime error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -89,6 +89,8 @@ class DetectorSpec:
             raise ValueError("coherence time tau must not exceed the window T")
         if not 0 < self.eta <= 1:
             raise ValueError(f"quantum efficiency must lie in (0, 1], got {self.eta}")
+        if self.zeta <= 0:
+            raise ValueError(f"gain zeta must be positive, got {self.zeta:g}")
         ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,) or not np.any(ax):
             raise ValueError(f"axis must be a nonzero 3-vector, got {self.axis}")

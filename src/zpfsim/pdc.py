@@ -72,25 +72,19 @@ def check_pairs(k: np.ndarray, omega: np.ndarray, index, pump: PumpSpec) -> None
     """Raise ValueError naming the first pair of ``index`` that fails a check.
 
     ``index`` is a ``(signal, idler)`` pair of mode indices, as ``pdc_transform``
-    takes it, into the mode arrays ``k`` (n, 3) and ``omega`` (n,). No mode may
-    appear in two pairs, and each pair must satisfy k_s + k_i = k0 and
-    omega_s + omega_i = omega0 within ``PAIR_RTOL``. An index outside the
-    modes raises numpy's IndexError.
+    takes it, into the mode arrays ``k`` (n, 3) and ``omega`` (n,). Each pair must
+    satisfy k_s + k_i = k0 and omega_s + omega_i = omega0 within ``PAIR_RTOL``.
+    An index outside the modes raises numpy's IndexError.
     """
-    pos = np.arange(len(omega))
-    s, i = (np.atleast_1d(pos[idx]) for idx in index)
-    uses = np.bincount(np.concatenate((s, i)), minlength=len(omega))
-    repeat = (uses[s] > 1) | (uses[i] > 1)
+    s, i = (np.atleast_1d(np.arange(len(omega))[idx]) for idx in index)
     k0 = np.asarray(pump.k0, dtype=float)
     k_bad = (np.linalg.norm(k[s] + k[i] - k0, axis=1)
              > PAIR_RTOL * max(np.linalg.norm(k0), 1.0))
     w_bad = np.abs(omega[s] + omega[i] - pump.omega0) > PAIR_RTOL * pump.omega0
-    failed = np.flatnonzero(repeat | k_bad | w_bad)
+    failed = np.flatnonzero(k_bad | w_bad)
     if failed.size:
         p = failed[0]
-        reason = ("uses a mode that appears in more than one pair" if repeat[p] else
-                  "violates wavevector matching" if k_bad[p] else
-                  "violates frequency matching")
+        reason = "violates wavevector matching" if k_bad[p] else "violates frequency matching"
         raise ValueError(f"pair ({s[p]}, {i[p]}) {reason}")
 
 

@@ -1,10 +1,16 @@
+import contextlib
 import copy
+import io
 import json
 import math
+import tempfile
+import types
+from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpfsim.cli import main
 from zpfsim.config import (
@@ -45,6 +51,17 @@ def chsh_config(**overrides):
 def with_value(raw, path, value):
     set_by_path(raw, path, value)
     return raw
+
+
+def invoke(args):
+    """Run the CLI in-process: its exit code, and stdout and stderr together as output."""
+    out, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return types.SimpleNamespace(exit_code=code, output=out.getvalue())
 
 
 def pdc_config(**overrides):
@@ -321,7 +338,7 @@ class TestCli:
     def test_validate_reports_defaults(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(base_config()))
-        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        result = invoke(["validate", "--config", str(path)])
         assert result.exit_code == 0
         assert "valid (digest" in result.output
         assert "default run.mode = both" in result.output
@@ -336,7 +353,7 @@ class TestCli:
     def test_validate_rejects_bad_config(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(base_config(plots=True)))
-        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        result = invoke(["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "config error" in result.output
 
@@ -349,7 +366,7 @@ class TestCli:
         parse_config(raw)
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
-        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        result = invoke(["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "config error" in result.output
         assert "separated" in result.output
@@ -360,7 +377,7 @@ class TestCli:
             parse_config(raw)
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
-        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        result = invoke(["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "'run.seed': -3" in result.output
         assert "non-negative" in result.output
@@ -388,16 +405,20 @@ class TestCli:
         base_config(analytic={"corr": 0.5}),
         with_value(base_config(), "detectors.0.radius", 2.0),
         with_value(base_config(), "detectors.0.eta", 0.3),
+        # a non-positive gain would give negative detection probabilities
+        with_value(with_value(base_config(), "detectors.0.zeta_sigma", None),
+                   "detectors.0.zeta", -2.0),
+        with_value(base_config(), "detectors.0.zeta_sigma", 0.0),
     ], ids=["length", "eta", "threshold", "n_modes-str", "n_modes-float", "trials-bool",
             "n_cells-bool", "axis-zero", "axis-2d", "chsh-settings", "threshold_sigma-nan",
             "zeta_sigma-inf", "empty-sweep", "vacuum-g", "pdc-chsh-settings",
             "analytic-chsh-settings", "mc-corr", "one-detector-corr", "radius-with-zeta",
-            "eta-with-zeta"])
+            "eta-with-zeta", "zeta-negative", "zeta_sigma-zero"])
     def test_malformed_config_is_a_config_error(self, tmp_path, raw):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))
         for args in (["validate"], ["run", "--out", str(out_path)]):
-            result = CliRunner().invoke(main, args + ["--config", str(cfg_path)])
+            result = invoke(args + ["--config", str(cfg_path)])
             assert result.exit_code == 2, (args, result.output)
             assert "config error:" in result.output
         assert not out_path.exists()
@@ -408,7 +429,7 @@ class TestCli:
             parse_config(raw)
         cfg_path = tmp_path / "exp.yaml"
         cfg_path.write_text(yaml.safe_dump(raw))
-        result = CliRunner().invoke(main, ["validate", "--config", str(cfg_path)])
+        result = invoke(["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2
         assert "config error: sweep point {'scenario.g': 0.1}" in result.output
 
@@ -416,10 +437,9 @@ class TestCli:
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         raw = base_config(run={"trials": 100, "seed": -3}, sweeps={"run.seed": [1, 2]})
         cfg_path.write_text(yaml.safe_dump(raw))
-        result = CliRunner().invoke(main, ["validate", "--config", str(cfg_path)])
+        result = invoke(["validate", "--config", str(cfg_path)])
         assert result.exit_code == 0, result.output
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        result = invoke(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert result.exit_code == 0, result.output
         points = json.loads(out_path.read_text())["points"]
         assert [p["overrides"] for p in points] == [{"run.seed": 1}, {"run.seed": 2}]
@@ -427,7 +447,7 @@ class TestCli:
         raw["sweeps"] = {"run.seed": [1, -3]}
         cfg_path.write_text(yaml.safe_dump(raw))
         for args in (["validate"], ["run", "--out", str(out_path)]):
-            result = CliRunner().invoke(main, args + ["--config", str(cfg_path)])
+            result = invoke(args + ["--config", str(cfg_path)])
             assert result.exit_code == 2, args
             assert "sweep point {'run.seed': -3}" in result.output
         assert not out_path.exists()
@@ -436,9 +456,8 @@ class TestCli:
         cfg_path = tmp_path / "exp.yaml"
         out_path = tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(base_config()))
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--trials", "100",
-                   "--out", str(out_path)])
+        result = invoke(["run", "--config", str(cfg_path), "--trials", "100",
+                         "--out", str(out_path)])
         assert result.exit_code == 0, result.output
         payload = json.loads(out_path.read_text())
         assert len(payload["points"]) == 1
@@ -449,9 +468,8 @@ class TestCli:
         outs = []
         for seed in (1, 2):
             out_path = tmp_path / f"res{seed}.json"
-            result = CliRunner().invoke(
-                main, ["run", "--config", str(cfg_path), "--seed", str(seed),
-                       "--trials", "100", "--out", str(out_path)])
+            result = invoke(["run", "--config", str(cfg_path), "--seed", str(seed),
+                             "--trials", "100", "--out", str(out_path)])
             assert result.exit_code == 0, result.output
             outs.append(out_path.read_bytes())
         assert outs[0] != outs[1]
@@ -463,8 +481,7 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(raw))
         computed = []
         monkeypatch.setattr(runner, "_point_result", lambda *args: computed.append(args))
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        result = invoke(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert result.exit_code == 2
         assert "config error" in result.output
         assert "'run.seed': -3" in result.output
@@ -475,9 +492,8 @@ class TestCli:
     def test_run_rejects_nonpositive_trials_override(self, tmp_path, trials):
         cfg_path = tmp_path / "exp.yaml"
         cfg_path.write_text(yaml.safe_dump(base_config()))
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--trials", trials,
-                   "--out", str(tmp_path / "res.json")])
+        result = invoke(["run", "--config", str(cfg_path), "--trials", trials,
+                         "--out", str(tmp_path / "res.json")])
         assert result.exit_code == 2
         assert "--trials" in result.output
         assert not (tmp_path / "res.json").exists()
@@ -487,7 +503,7 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(
             pdc_config(run={"trials": 1, "seed": 1, "mode": "analytic"})))
         for args in (["validate"], ["run", "--out", str(out_path)]):
-            result = CliRunner().invoke(main, args + ["--config", str(cfg_path)])
+            result = invoke(args + ["--config", str(cfg_path)])
             assert result.exit_code == 2, args
             assert "analytic.corr" in result.output
         assert not out_path.exists()
@@ -497,8 +513,7 @@ class TestCli:
                          analytic={"corr": 0.6})
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        result = invoke(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert result.exit_code == 0, result.output
         (coinc,) = json.loads(out_path.read_text())["points"][0]["coincidences"].values()
         assert coinc["corr_used"] == 0.6
@@ -509,21 +524,20 @@ class TestCli:
         raw = base_config(detectors=[det, {**det, "name": "b"}])
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
-        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        result = invoke(["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "duplicate mode" in result.output
 
     def test_run_rejects_negative_seed_override(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"
         cfg_path.write_text(yaml.safe_dump(base_config()))
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--seed", "-1",
-                   "--out", str(tmp_path / "res.json")])
+        result = invoke(["run", "--config", str(cfg_path), "--seed", "-1",
+                         "--out", str(tmp_path / "res.json")])
         assert result.exit_code == 2
         assert not (tmp_path / "res.json").exists()
 
     def test_rate_bound_prints_value(self):
-        result = CliRunner().invoke(main, [
+        result = invoke([
             "rate-bound", "--eta", "0.1", "--focal", "5e-3",
             "--crystal-radius", "1e-3", "--detector-length", "5e-3",
             "--distance", "1.0", "--wavelength", "8e-7",
@@ -535,7 +549,7 @@ class TestCli:
         assert value == pytest.approx(expected, rel=1e-5)
 
     def test_rate_bound_rejects_nonpositive(self):
-        result = CliRunner().invoke(main, [
+        result = invoke([
             "rate-bound", "--eta", "0", "--focal", "5e-3",
             "--crystal-radius", "1e-3", "--detector-length", "5e-3",
             "--distance", "1.0", "--wavelength", "8e-7",
@@ -550,7 +564,7 @@ class TestCli:
         args = {"--eta": "0.1", "--focal": "5e-3", "--crystal-radius": "1e-3",
                 "--detector-length": "5e-3", "--distance": "1.0", "--wavelength": "8e-7",
                 "--tau": "1e-12", "--window": "1e-8", option: value}
-        result = CliRunner().invoke(main, ["rate-bound", *(t for kv in args.items() for t in kv)])
+        result = invoke(["rate-bound", *(t for kv in args.items() for t in kv)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
 
@@ -561,10 +575,64 @@ class TestCli:
         computed = []
         monkeypatch.setattr(runner, "_point_result", lambda *args: computed.append(args))
         monkeypatch.setenv("ZPFSIM_WORKERS", value)
-        result = CliRunner().invoke(
-            main, ["run", "--config", str(cfg_path), "--out", str(out_path)])
+        result = invoke(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert result.exit_code == 2, result.output
         assert (f"config error: ZPFSIM_WORKERS must be a positive integer, got {value!r}"
                 in result.output)
         assert computed == []
         assert not out_path.exists()
+
+
+@st.composite
+def small_configs(draw):
+    """Configs of every kind and mode at <= 8 cells and <= 64 trials.
+
+    Keys are set as the kind and mode read them; the thresholds, gains and
+    band widths straddle the limits of a valid config.
+    """
+    kind = draw(st.sampled_from(["vacuum", "pdc", "chsh"]))
+    mode = draw(st.sampled_from(["mc", "analytic", "both"]))
+    window = draw(st.sampled_from([2 * math.pi * 10, 2 * math.pi * 100]))
+    n_cells = draw(st.integers(1, 8))
+    omegas = (draw(st.sampled_from([(1.0,), (1.0, 2.0)])) if kind == "vacuum"
+              else draw(st.sampled_from([(1.25, 0.75), (1.0, 2.0)])))
+    # one value in six on the wrong side of zero, one in six at zero
+    sign = st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.0, -1.0])
+    dets = []
+    for omega in omegas:
+        det = {"name": f"d{omega}", "omega_center": omega, "window": window,
+               "n_cells": n_cells, "threshold_sigma": draw(sign) * draw(st.floats(0.1, 4.0))}
+        gain = draw(st.sampled_from(["zeta", "zeta_sigma", None]))
+        if gain is not None:
+            det[gain] = draw(sign) * draw(st.floats(1e-3, 2.0))
+        dets.append(det)
+    raw = {"scenario": {"kind": kind}, "detectors": dets,
+           "run": {"trials": draw(st.integers(1, 64)), "seed": draw(st.integers(0, 1000)),
+                   "mode": mode}}
+    if kind == "vacuum":
+        raw["scenario"]["n_modes"] = draw(st.none() | st.integers(1, 8))
+    else:
+        raw["scenario"]["g"] = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    if mode != "mc" and len(dets) == 2:
+        raw["analytic"] = {"corr": draw(st.floats(-1.0, 1.0))}
+    return raw
+
+
+class TestValidateMatchesRun:
+    @given(raw=small_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_accepts_exactly_what_run_completes(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out_path = Path(tmp) / "exp.yaml", Path(tmp) / "res.json"
+            cfg_path.write_text(yaml.safe_dump(raw))
+            checked = invoke(["validate", "--config", str(cfg_path)])
+            ran = invoke(["run", "--config", str(cfg_path), "--out", str(out_path)])
+            assert checked.exit_code in (0, 2), checked.output
+            assert ran.exit_code == checked.exit_code, ran.output
+            if ran.exit_code:
+                return
+            for point in json.loads(out_path.read_text())["points"]:
+                for entry in (*point["detectors"].values(), *point["coincidences"].values()):
+                    for key in ("p_mc", "p_analytic"):
+                        if key in entry:
+                            assert 0.0 <= entry[key] < 1.0, (key, entry)

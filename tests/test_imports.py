@@ -45,8 +45,9 @@ def _modules_after_cli_import(prefixes):
 
 def test_cli_import_leaves_out_scipy_integrate_and_stats():
     # scipy (and numpy.f2py, which scipy's array-API layer pulls in) cost
-    # about half of every process's start-up and the package needs neither
-    assert _modules_after_cli_import(("scipy", "numpy.f2py")) == "[]"
+    # about half of every process's start-up and the package needs neither;
+    # nor does it need click, as the CLI is built on argparse
+    assert _modules_after_cli_import(("scipy", "numpy.f2py", "click")) == "[]"
 
 
 def test_cli_import_leaves_out_process_pool():

@@ -44,12 +44,6 @@ class TestPumpSpec:
 class TestPhaseMatchedPairs:
     """``check_pairs`` on (signal, idler) index pairs."""
 
-    def test_repeated_index_rejected(self):
-        k, omega, pump = matched_modes()
-        k, omega = np.vstack([k, k[:1]]), np.append(omega, omega[0])
-        with pytest.raises(ValueError, match=r"pair \(0, 1\) .*more than one pair"):
-            check_pairs(k, omega, ([0, 1], [1, 2]), pump)
-
     def test_unknown_mode_rejected(self):
         k, omega, pump = matched_modes()
         with pytest.raises(IndexError):
