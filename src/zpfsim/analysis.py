@@ -1,10 +1,10 @@
 """Regime classification, the detection trade-off, the minimum-rate bound
 and the CHSH harness.
 
-The CHSH harness is the structural check of the whole model: because every
-detector response is bounded in [0, 1) and all four analyzer settings share
-the same hidden-variable realizations, the estimated |S| can never exceed 2
-beyond statistical noise.
+The CHSH harness reads four analyzer settings on shared hidden variables.
+Every response lies in [0, 1), so the model obeys Clauser-Horne's CH <= 0;
+S, normalized by each setting's coincidences, is post-selected and may pass
+2 (Pearle 1970; Garg & Mermin 1987).
 
 The engine reads the four settings from the same sampled tiles as the
 plain run (``engine.run_variants``); this module checks them and turns the

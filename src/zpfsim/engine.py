@@ -1,7 +1,7 @@
 """Chunked, reproducible Monte Carlo over the hidden variables.
 
-Trials are split into chunks of one sampling block (CHUNK_TRIALS equals
-field.TRIAL_BLOCK). ``run_variants`` samples each chunk once, maps it by the
+Trials are split into chunks of one sampling block (``field.TRIAL_BLOCK``
+trials). ``run_variants`` samples each chunk once, maps it by the
 scenario's crystal once, and accumulates sufficient statistics of every
 variant over the same mapped amplitudes; ``detection_summary`` reads
 variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads the
@@ -25,10 +25,10 @@ rounding), so a setting costs O(trials) and no rotated copy of the tile.
 A chunk is processed in row tiles of about TILE_AMPS amplitudes (512 KiB):
 each tile is sampled, mapped and reduced to effective intensities, each
 detector over its own modes (``Scenario.parts``), while it is still in
-cache. The tiles of a chunk continue the block's generators (see ``field``),
-and each intensity is reduced over its own row alone, so a trial's
-intensity does not depend on its tile. Q and the sufficient statistics are
-then computed over the whole chunk. Chunk results are folded in chunk
+cache. A chunk draws its tiles in order from its block's two generators
+(``field.block_generators``), and each row's intensity is reduced on its
+own, so it does not depend on the tile. Q and the sufficient statistics
+are then computed over the whole chunk, and chunk results folded in chunk
 order, so the outcome is bit-identical for any tile size or worker count.
 """
 
@@ -41,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import intensity_batch, q_model
-from .field import TRIAL_BLOCK, sample_pair_amplitudes, sample_vacuum_batch, sample_vacuum_power
+from .field import TRIAL_BLOCK, block_generators, sample_vacuum_batch, sample_vacuum_power
 from .pdc import pair_power
 from .scenarios import Scenario, apply_ops
 
 __all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
 
-CHUNK_TRIALS = TRIAL_BLOCK
 # Complex amplitudes per row tile (16 bytes each): a 512 KiB tile (16 rows
 # at 2048 modes) and its mapped copies fit in a 2 MiB per-core L2 cache.
 TILE_AMPS = 1 << 15
@@ -117,32 +116,32 @@ def _analyze(i: np.ndarray, cross: np.ndarray, settings) -> None:
 
 
 def chunk_intensities(scenario: Scenario, settings, seed: int,
-                      start: int, stop: int) -> np.ndarray:
-    """Effective intensities (1 + len(settings), D, stop - start) of trials [start, stop).
+                      block: int, rows: int) -> np.ndarray:
+    """Effective intensities (1 + len(settings), D, rows) of the first ``rows`` trials of ``block``.
 
     The trials are sampled, mapped by the scenario's crystal and reduced one
     row tile at a time to variant 0's intensities and each station's C; a
     run on H modes alone samples their power instead. The settings follow
-    over the whole chunk. ``run_variants`` passes one block per call.
+    over the whole chunk. ``rows`` is at most TRIAL_BLOCK.
     """
     n_modes = scenario.n_modes
-    step = min(max(TILE_AMPS // n_modes, 1), CHUNK_TRIALS)
+    step = min(max(TILE_AMPS // n_modes, 1), TRIAL_BLOCK)
     stations = _stations(scenario) if settings else ()
     power_only = not scenario.pol.any()
-    i = np.empty((1 + len(settings), len(scenario.detector_specs), stop - start))
-    cross = np.empty((len(stations), stop - start))
-    for t in range(start, stop, step):
-        rows = range(t, min(t + step, stop))
-        cols = slice(t - start, rows.stop - start)
+    rng, pair_rng = block_generators(seed, block)
+    i = np.empty((1 + len(settings), len(scenario.detector_specs), rows))
+    cross = np.empty((len(stations), rows))
+    for t in range(0, rows, step):
+        n = min(step, rows - t)
+        cols = slice(t, t + n)
         if power_only:
-            power = (pair_power(sample_vacuum_power(n_modes // 2, seed, rows),
-                                sample_pair_amplitudes(n_modes // 2, seed, rows),
+            power = (pair_power(sample_vacuum_power(n_modes // 2, rng, n),
+                                sample_vacuum_batch(n_modes // 2, pair_rng, n),
                                 *scenario.crystal)
-                     if scenario.crystal else sample_vacuum_power(n_modes, seed, rows))
+                     if scenario.crystal else sample_vacuum_power(n_modes, rng, n))
             i[:, :, cols] = intensity_batch(power, scenario.parts).T
-            del power   # freed before the next draw, or the allocator re-faults pages per tile
             continue
-        amps = apply_ops(sample_vacuum_batch(n_modes, seed, rows), scenario)
+        amps = apply_ops(sample_vacuum_batch(n_modes, rng, n), scenario)
         i[0, :, cols] = intensity_batch(amps.real**2 + amps.imag**2, scenario.parts).T
         if stations:
             cross[:, cols] = _cross_sums(amps, stations)
@@ -151,8 +150,8 @@ def chunk_intensities(scenario: Scenario, settings, seed: int,
 
 
 def _chunk_worker(args) -> _ChunkSums:
-    scenario, settings, seed, start, stop = args
-    i = chunk_intensities(scenario, settings, seed, start, stop)
+    scenario = args[0]
+    i = chunk_intensities(*args)
     n_var, _, b = i.shape
     pairs = scenario.coincidences
     n_pair = len(pairs)
@@ -212,8 +211,8 @@ def run_variants(scenario: Scenario, settings, trials: int, seed: int,
     settings = tuple((float(t1), float(t2)) for t1, t2 in settings)
     if workers is None:
         workers = default_workers()
-    args = [(scenario, settings, seed, s, min(s + CHUNK_TRIALS, trials))
-            for s in range(0, trials, CHUNK_TRIALS)]
+    args = [(scenario, settings, seed, b, min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))
+            for b in range(math.ceil(trials / TRIAL_BLOCK))]
     if workers > 1 and len(args) > 1:
         # imported here: it loads multiprocessing, logging and socket
         from concurrent.futures import ProcessPoolExecutor

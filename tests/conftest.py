@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zpfsim.engine import CHUNK_TRIALS, chunk_intensities
+from zpfsim.engine import chunk_intensities
+from zpfsim.field import TRIAL_BLOCK, block_generators
 from zpfsim.scenarios import make_matched_detector
 
 WINDOW_1K = 2.0 * math.pi * 1000.0
@@ -54,11 +55,25 @@ def mc_intensity_samples(scenario, trials, seed):
     whole run can be too large to hold at once (10^5 trials x 10^4 modes in
     criterion 1).
     """
-    out = np.empty((len(scenario.detector_names), trials))
-    for start in range(0, trials, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, trials)
-        out[:, start:stop] = chunk_intensities(scenario, (), seed, start, stop)[0]
+    out = np.concatenate([chunk_intensities(scenario, (), seed, block, rows)[0]
+                          for block, rows in blocks(trials)], axis=1)
     return {nm: out[d] for d, nm in enumerate(scenario.detector_names)}
+
+
+def blocks(trials):
+    """(block, rows) of each sampling block that trials [0, trials) touch, in order."""
+    return [(b, min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))
+            for b in range(math.ceil(trials / TRIAL_BLOCK))]
+
+
+def draw_rows(sample, n_modes, seed, trials, stream=0):
+    """Rows [0, trials) of a ``field`` sampler, drawn block by block as the engine does.
+
+    ``stream`` 0 draws from each block's first generator, 1 from its second
+    (the crystal pairs' amplitudes).
+    """
+    return np.concatenate([sample(n_modes, block_generators(seed, block)[stream], rows)
+                           for block, rows in blocks(trials)])
 
 
 def dense_weights(scenario):

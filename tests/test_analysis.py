@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zpfsim.analysis import (
@@ -13,7 +13,7 @@ from zpfsim.analysis import (
     min_rate_bound,
     tradeoff_report,
 )
-from zpfsim.engine import _ChunkSums
+from zpfsim.engine import _ChunkSums, run_variants
 from zpfsim.scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
 from conftest import detector
@@ -166,3 +166,29 @@ class TestChshScan:
         shifted = chsh_scan(scen, [(a + math.pi, b + math.pi) for a, b in SETTINGS],
                             2048, seed=3)
         assert np.allclose(base.correlations, shifted.correlations, atol=1e-10)
+
+
+class TestClauserHorne:
+    @given(n_cells=st.integers(1, 8), g=st.floats(0.0, 0.45),
+           threshold_sigma=st.floats(0.1, 4.0), zeta_sigma=st.floats(1e-3, 10.0),
+           angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 4),
+           trials=st.integers(1, 4100), seed=st.integers(0, 1000))
+    @example(n_cells=4, g=0.44, threshold_sigma=3.8, zeta_sigma=0.02,
+             angles=(0.0, -math.pi / 4, math.pi / 8, -math.pi / 8), trials=4100, seed=3)
+    @settings(max_examples=100, deadline=None)
+    def test_ch_is_at_most_zero_on_every_channel_pair(self, n_cells, g, threshold_sigma,
+                                                      zeta_sigma, angles, trials, seed):
+        # Clauser-Horne (1974): each trial's responses Q lie in [0, 1) and a
+        # coincidence is Q1 Q2 on shared draws, so each trial's
+        # Q1(a)Q2(b) - Q1(a)Q2(b') + Q1(a')Q2(b) + Q1(a')Q2(b') - Q1(a') - Q2(b)
+        # is <= 0, and so is their mean, up to rounding. The coincidence-
+        # normalized S may pass 2; this bound may not.
+        a, a2, b, b2 = angles
+        scen = small_chsh(g, n_cells, threshold_sigma, zeta_sigma)
+        sums = run_variants(scen, [(a, b), (a, b2), (a2, b), (a2, b2)], trials, seed, workers=1)
+        coinc = sums.u_sum.reshape(5, 4) / sums.n    # (variant, pair), pairs ++, +-, -+, --
+        single = sums.q_sum / sums.n                 # (variant, detector 1+, 1-, 2+, 2-)
+        for pair, (x, y) in enumerate(scen.coincidences):
+            ch = (coinc[1, pair] - coinc[2, pair] + coinc[3, pair] + coinc[4, pair]
+                  - single[3, x] - single[1, y])
+            assert ch <= 1e-12 * single.max(), (scen.detector_names[x], scen.detector_names[y], ch)

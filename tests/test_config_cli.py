@@ -22,8 +22,8 @@ from zpfsim.config import (
 )
 from zpfsim import engine, optics, runner, scenarios
 from zpfsim.analysis import chsh_scan
-from zpfsim.engine import CHUNK_TRIALS, mc_detect
-from zpfsim.field import sample_vacuum_batch
+from zpfsim.engine import mc_detect
+from zpfsim.field import TRIAL_BLOCK, sample_vacuum_batch
 from zpfsim.runner import emit, run, validate_points
 from zpfsim.scenarios import chsh_scenario
 
@@ -243,15 +243,14 @@ class TestRunner:
 
     def test_chsh_point_samples_each_chunk_once(self, monkeypatch):
         # one sampling pass serves the detector statistics and all four settings
-        trials = 2 * CHUNK_TRIALS + 5
+        trials = 2 * TRIAL_BLOCK + 5
         cfg = parse_config(chsh_config(run={"trials": trials, "seed": 5}))
         calls = []
         monkeypatch.setattr(engine, "sample_vacuum_batch",
-                            lambda n, seed, rows: calls.append(rows) or sample_vacuum_batch(
-                                n, seed, rows))
+                            lambda n, rng, rows: calls.append(rows) or sample_vacuum_batch(
+                                n, rng, rows))
         (point,) = run(cfg, workers=1).points
-        assert calls == [range(0, CHUNK_TRIALS), range(CHUNK_TRIALS, 2 * CHUNK_TRIALS),
-                         range(2 * CHUNK_TRIALS, trials)]
+        assert calls == [TRIAL_BLOCK, TRIAL_BLOCK, 5]
         monkeypatch.undo()
         # the same numbers as separate mc_detect and chsh_scan passes
         specs = cfg.detector_specs()
@@ -266,31 +265,28 @@ class TestRunner:
 
     def test_chsh_point_samples_each_chunk_in_row_tiles(self, monkeypatch):
         # at 2048 modes a chunk is sampled in several tiles; together they
-        # still draw every trial once, in order, each tile within one block
-        trials = 2 * CHUNK_TRIALS + 5
+        # draw each block's trials once, from one generator per block
+        trials = 2 * TRIAL_BLOCK + 5
         raw = chsh_config(run={"trials": trials, "seed": 5})
         for det in raw["detectors"]:
             det.update(n_cells=512, window=2 * math.pi * 1e5)
         cfg = parse_config(raw)
         calls = []
         monkeypatch.setattr(engine, "sample_vacuum_batch",
-                            lambda n, seed, rows: calls.append((n, rows)) or sample_vacuum_batch(
-                                n, seed, rows))
+                            lambda n, rng, rows: calls.append((n, rng, rows))
+                            or sample_vacuum_batch(n, rng, rows))
         run(cfg, workers=1)
-        assert {n for n, _ in calls} == {2048}
-        ranges = [rows for _, rows in calls]
-        assert len(ranges) > 3
-        assert ranges[0].start == 0 and ranges[-1].stop == trials
-        for prev, cur in zip(ranges, ranges[1:]):
-            assert cur.start == prev.stop
-        for rows in ranges:
-            assert len(rows) >= 1 and rows.step == 1
-            assert rows.start // CHUNK_TRIALS == (rows.stop - 1) // CHUNK_TRIALS
+        assert {n for n, _, _ in calls} == {2048}
+        assert len(calls) > 3 and min(rows for _, _, rows in calls) >= 1
+        per_generator = {}
+        for _, rng, rows in calls:
+            per_generator[id(rng)] = per_generator.get(id(rng), 0) + rows
+        assert list(per_generator.values()) == [TRIAL_BLOCK, TRIAL_BLOCK, 5]
 
     def test_chsh_point_maps_each_tile_by_the_crystal_once(self, monkeypatch):
         # five variants (the plain run and four settings) share one crystal
         # pass per tile; the settings read its sums, so no rotator runs
-        trials = CHUNK_TRIALS + 5
+        trials = TRIAL_BLOCK + 5
         cfg = parse_config(chsh_config(run={"trials": trials, "seed": 5}))
         monkeypatch.setattr(engine, "TILE_AMPS", 7 * 16)      # 7-row tiles of 16 modes
         calls = {"tiles": 0, "pdc": 0, "rotator": 0}
@@ -307,7 +303,7 @@ class TestRunner:
         monkeypatch.setattr(optics, "rotator_transform",
                             counted("rotator", optics.rotator_transform))
         run(cfg, workers=1)
-        assert calls["tiles"] == math.ceil(CHUNK_TRIALS / 7) + 1
+        assert calls["tiles"] == math.ceil(TRIAL_BLOCK / 7) + 1
         assert calls["pdc"] == calls["tiles"]
         assert calls["rotator"] == 0
 

@@ -23,7 +23,7 @@ from zpfsim.detection import (
 )
 from zpfsim.field import sample_vacuum_batch
 
-from conftest import detector
+from conftest import detector, draw_rows
 
 # shared across hypothesis examples (construction is deterministic)
 _BOUNDEDNESS_DETECTOR = detector(zeta_sigma=10.0)
@@ -129,7 +129,7 @@ class TestResponseMatrix:
         det = detector(n_cells=16)
         scales = np.linspace(0.5, 1.5, 16)
         resp = response_matrix(det.element_kvecs, det.element_omegas, scales, det)
-        amps = sample_vacuum_batch(16, seed=2, trial_indices=range(40))
+        amps = draw_rows(sample_vacuum_batch, 16, 2, 40)
         dense = np.sum(np.abs(amps @ resp.T) ** 2, axis=1)
         parts = ((slice(0, 16), scales**2),)
         assert np.allclose(intensity_batch(np.abs(amps) ** 2, parts)[:, 0], dense, rtol=1e-12)

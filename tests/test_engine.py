@@ -8,17 +8,12 @@ import pytest
 from zpfsim import engine
 from zpfsim.analysis import chsh_variants
 from zpfsim.detection import intensity_batch, q_model
-from zpfsim.engine import (
-    CHUNK_TRIALS,
-    detection_summary,
-    mc_detect,
-    run_variants,
-)
-from zpfsim.field import sample_pair_amplitudes, sample_vacuum_batch, sample_vacuum_power
+from zpfsim.engine import detection_summary, mc_detect, run_variants
+from zpfsim.field import TRIAL_BLOCK, sample_vacuum_batch, sample_vacuum_power
 from zpfsim.optics import rotator_transform
 from zpfsim.scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
-from conftest import detector, mc_intensity_samples, signed_zero_amps
+from conftest import detector, draw_rows, mc_intensity_samples, signed_zero_amps
 
 
 def two_detector_scenario(n_cells=16, kind="vacuum"):
@@ -43,12 +38,12 @@ def direct_intensities(scen, kind, trials, seed):
     ((1 + g + g^2/2) sqrt(P) +- (1 - g + g^2/2) q) / sqrt(2).
     """
     if kind == "vacuum":
-        power = sample_vacuum_power(scen.n_modes, seed, range(trials))
+        power = draw_rows(sample_vacuum_power, scen.n_modes, seed, trials)
     else:
         (s_idx, i_idx), g = scen.crystal
         n_pairs = scen.n_modes // 2
-        p = (1 + g + g * g / 2) * np.sqrt(sample_vacuum_power(n_pairs, seed, range(trials)))
-        q = (1 - g + g * g / 2) * sample_pair_amplitudes(n_pairs, seed, range(trials))
+        p = (1 + g + g * g / 2) * np.sqrt(draw_rows(sample_vacuum_power, n_pairs, seed, trials))
+        q = (1 - g + g * g / 2) * draw_rows(sample_vacuum_batch, n_pairs, seed, trials, stream=1)
         power = np.empty((trials, scen.n_modes))
         power[:, s_idx] = np.abs(p + q) ** 2 / 2
         power[:, i_idx] = np.abs(p - q) ** 2 / 2
@@ -63,7 +58,7 @@ class TestRunVariants:
 
     def test_worker_count_does_not_change_sums(self):
         scen = two_detector_scenario()
-        trials = 3 * CHUNK_TRIALS + 17
+        trials = 3 * TRIAL_BLOCK + 17
         s1 = run_variants(scen, (), trials, seed=4, workers=1)
         s2 = run_variants(scen, (), trials, seed=4, workers=4)
         assert s1.n == s2.n == trials
@@ -84,10 +79,10 @@ class TestRunVariants:
         else:
             scen = chsh_scenario(*dets, 0.2)
             settings = chsh_variants(scen, [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)])
-        trials = 2 * CHUNK_TRIALS + 5
+        trials = 2 * TRIAL_BLOCK + 5
         ref = run_variants(scen, settings, trials, seed=8, workers=1)
         runs = {"workers 2": run_variants(scen, settings, trials, seed=8, workers=2)}
-        for rows in (1, 7, CHUNK_TRIALS):
+        for rows in (1, 7, TRIAL_BLOCK):
             monkeypatch.setattr(engine, "TILE_AMPS", rows * scen.n_modes)
             runs[f"{rows}-row tiles"] = run_variants(scen, settings, trials, seed=8, workers=1)
         for label, sums in runs.items():
@@ -100,16 +95,23 @@ class TestPowerPath:
     @pytest.mark.parametrize("case, expected", [("vacuum", True), ("pdc", True), ("chsh", False)])
     def test_which_runs_draw_power(self, case, expected):
         # only a run on H modes alone (no crystal, or one that pairs every
-        # mode, as every scenario's does) skips the amplitudes
+        # mode, as every scenario's does) skips its modes' amplitudes: a PDC
+        # run draws one power and one amplitude per pair instead
         dets = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
         scen = (vacuum_scenario(list(dets)) if case == "vacuum" else
                 chsh_scenario(*dets, 0.2) if case == "chsh" else pdc_scenario(*dets, 0.2))
-        sampled = []
-        sample = engine.sample_vacuum_batch
+        n = scen.n_modes
+        drawn = {"sample_vacuum_power": [], "sample_vacuum_batch": []}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "sample_vacuum_batch", lambda *a: sampled.append(a) or sample(*a))
+            for name, log in drawn.items():
+                sample = getattr(engine, name)
+                mp.setattr(engine, name, lambda n_modes, rng, rows, sample=sample, log=log:
+                           log.append((n_modes, rows)) or sample(n_modes, rng, rows))
             run_variants(scen, (), 5, seed=2, workers=1)
-        assert bool(sampled) is not expected
+        assert bool(drawn["sample_vacuum_power"]) is expected
+        assert (drawn["sample_vacuum_power"], drawn["sample_vacuum_batch"]) == {
+            "vacuum": ([(n, 5)], []), "pdc": ([(n // 2, 5)], [(n // 2, 5)]),
+            "chsh": ([], [(n, 5)])}[case]
 
     @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
     def test_settings_need_v_modes(self, kind):
@@ -132,7 +134,7 @@ class TestAnalyzerSums:
         scen = chsh_scenario(*dets, 0.2)
         rows = 64
         amps = (signed_zero_amps(rows, scen.n_modes, seed=5) if source == "signed zeros"
-                else sample_vacuum_batch(scen.n_modes, 5, range(rows)))
+                else draw_rows(sample_vacuum_batch, scen.n_modes, 5, rows))
         settings = list(itertools.product(self.ANGLES, repeat=2))
         stations = (h1, v1, _), (h2, v2, _) = engine._stations(scen)
         i = np.empty((1 + len(settings), len(scen.parts), rows))
@@ -162,7 +164,7 @@ class TestSharedCrystal:
                 detector(n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5, omega_center=0.75))
         scen = chsh_scenario(*dets, 0.2)
         settings = [(0.0, 0.3), (0.0, 1.1), (0.8, 0.3), (0.8, 1.1)]
-        trials = 2 * CHUNK_TRIALS + 5
+        trials = 2 * TRIAL_BLOCK + 5
         point = run_variants(scen, chsh_variants(scen, settings), trials, seed=8, workers=1)
         plain = run_variants(scen, (), trials, seed=8, workers=1)
         n_pair = len(scen.coincidences)
@@ -207,7 +209,7 @@ class TestMcDetect:
         # (n^2 sqrt(sum w_s^2 sum w_i^2)), idler weights in pair order; the
         # SE is that of the mean of 20 batch correlations
         scen = two_detector_scenario(n_cells=16, kind="pdc")
-        trials, seed, g = 10 * CHUNK_TRIALS, 12, 0.2
+        trials, seed, g = 10 * TRIAL_BLOCK, 12, 0.2
         weight = np.zeros((2, scen.n_modes))
         for d, (idx, w) in enumerate(scen.parts):
             weight[d, idx] = w
@@ -235,7 +237,7 @@ class TestMcIntensitySamples:
     @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
     def test_matches_batch_evaluation(self, kind):
         scen = two_detector_scenario(n_cells=8, kind=kind)
-        trials = CHUNK_TRIALS + 100       # spans a chunk boundary
+        trials = TRIAL_BLOCK + 100       # spans a chunk boundary
         samples = mc_intensity_samples(scen, trials, seed=6)
         intensities = direct_intensities(scen, kind, trials, seed=6)
         for d, name in enumerate(scen.detector_names):

@@ -5,13 +5,13 @@ from scipy.integrate import quad
 from zpfsim.field import (
     RNG_STREAM,
     TRIAL_BLOCK,
-    sample_pair_amplitudes,
+    block_generators,
     sample_vacuum_batch,
     sample_vacuum_power,
 )
 from zpfsim.scenarios import _mode_arrays, vacuum_scenario
 
-from conftest import detector
+from conftest import detector, draw_rows
 
 N_TRIALS = 1_000_000
 
@@ -19,7 +19,7 @@ N_TRIALS = 1_000_000
 @pytest.fixture(scope="module")
 def vacuum_draws():
     """Shared 10^6-trial, two-mode vacuum sample."""
-    return sample_vacuum_batch(2, seed=20240817, trial_indices=range(N_TRIALS))
+    return draw_rows(sample_vacuum_batch, 2, 20240817, N_TRIALS)
 
 
 def quadrature_moment(power):
@@ -48,8 +48,10 @@ class TestMode:
 
 class TestSampleVacuum:
     def test_empty_mode_list_rejected(self):
-        with pytest.raises(ValueError, match="n_modes"):
-            sample_vacuum_batch(0, seed=1, trial_indices=range(1))
+        rng, _ = block_generators(1, 0)
+        for sample in (sample_vacuum_batch, sample_vacuum_power):
+            with pytest.raises(ValueError, match="n_modes"):
+                sample(0, rng, 1)
 
     def test_duplicate_mode_rejected(self):
         w = np.array([1.0])
@@ -59,10 +61,9 @@ class TestSampleVacuum:
             _mode_arrays([(w, 0, axis), (w, 0, axis)])
 
     def test_determinism_bit_identical(self):
-        s1 = sample_vacuum_batch(1, seed=7, trial_indices=range(3, 4))
-        s2 = sample_vacuum_batch(1, seed=7, trial_indices=range(3, 4))
+        s1, s2, s3 = (sample_vacuum_batch(1, block_generators(7, block)[0], 4)
+                      for block in (0, 0, 1))
         assert np.array_equal(s1, s2)
-        s3 = sample_vacuum_batch(1, seed=7, trial_indices=range(4, 5))
         assert not np.array_equal(s1, s3)
 
     def test_mean_occupation_matches_quadrature_oracle(self, vacuum_draws):
@@ -87,134 +88,94 @@ class TestSampleVacuum:
         assert abs(cov) < 3.0 * np.sqrt(0.25 / N_TRIALS)
 
 
-class TestBlockKeyedSampling:
-    """Trial t is row t % TRIAL_BLOCK of the generator keyed by (seed, t // TRIAL_BLOCK)."""
+def direct_draws(key, draw, shape):
+    """0.5 x ``Generator.<draw>`` of shape ``shape`` from a fresh SFC64 seeded by ``key``."""
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+    return 0.5 * getattr(rng, draw)(shape)
 
-    def test_unaligned_split_equals_whole_batch(self):
-        whole = sample_vacuum_batch(3, seed=12, trial_indices=range(6000))
-        cuts = (0, 1000, 2500, 6000)
-        parts = [sample_vacuum_batch(3, seed=12, trial_indices=range(a, b))
-                 for a, b in zip(cuts, cuts[1:])]
-        assert np.array_equal(np.concatenate(parts), whole)
+
+class TestBlockKeyedSampling:
+    """Trial t is row t % TRIAL_BLOCK of the generators of block t // TRIAL_BLOCK."""
 
     def test_prefix_is_head_of_longer_run(self):
-        longer = sample_vacuum_batch(5, seed=3, trial_indices=range(2 * TRIAL_BLOCK + 9))
+        longer = draw_rows(sample_vacuum_batch, 5, 3, 2 * TRIAL_BLOCK + 9)
         for n in (1, 100, TRIAL_BLOCK, TRIAL_BLOCK + 1):
-            prefix = sample_vacuum_batch(5, seed=3, trial_indices=range(n))
+            prefix = draw_rows(sample_vacuum_batch, 5, 3, n)
             assert np.array_equal(prefix, longer[:n]), n
 
-    def test_single_realization_is_batch_row(self):
-        batch = sample_vacuum_batch(3, seed=7, trial_indices=range(TRIAL_BLOCK + 40))
-        for k in (0, 5, TRIAL_BLOCK - 1, TRIAL_BLOCK + 33):
-            single = sample_vacuum_batch(3, seed=7, trial_indices=range(k, k + 1))
-            assert np.array_equal(single[0], batch[k]), k
-
-    def test_tiles_equal_whole_batch_whatever_calls_come_between(self):
-        # a tile that starts where the last call stopped resumes that call's
-        # generator; a call for another mode count, seed or block must not
-        trials = 2 * TRIAL_BLOCK + 5
-        whole = sample_vacuum_batch(4, seed=21, trial_indices=range(trials + 8))
-        others = {"modes": sample_vacuum_batch(5, seed=21, trial_indices=range(trials + 8)),
-                  "seed": sample_vacuum_batch(4, seed=22, trial_indices=range(trials + 8))}
-        tiles = []
-        for k, start in enumerate(range(0, trials, 8)):
-            rows = range(start, min(start + 8, trials))
-            tiles.append(sample_vacuum_batch(4, seed=21, trial_indices=rows))
-            if k % 3:
-                # starts where the tile stopped, which may be the next block's first row
-                n, seed, label = (5, 21, "modes") if k % 3 == 1 else (4, 22, "seed")
-                other = sample_vacuum_batch(n, seed=seed, trial_indices=range(rows.stop,
-                                                                               rows.stop + 3))
-                assert np.array_equal(other, others[label][rows.stop:rows.stop + 3]), (label, k)
-        assert np.array_equal(np.concatenate(tiles), whole[:trials])
-
-    def test_stream_is_sfc64_keyed_by_seed_and_block(self):
-        # pins the generator: a resumed tile of block 0 and the rows it runs
-        # on into block 1 equal direct draws from each block's own SFC64
-        n_modes, seed = 3, 31
-        sample_vacuum_batch(n_modes, seed=seed, trial_indices=range(5))
-        tile = sample_vacuum_batch(n_modes, seed=seed, trial_indices=range(5, TRIAL_BLOCK + 7))
-        direct = [0.5 * np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b))))
-                  .standard_normal((rows, 2 * n_modes)).view(complex)
-                  for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
-        assert np.array_equal(tile[:TRIAL_BLOCK - 5], direct[0][5:])
-        assert np.array_equal(tile[TRIAL_BLOCK - 5:], direct[1])
-        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power-pair-law"
-
-    @pytest.mark.parametrize("before", [
-        lambda n, seed, rows: sample_vacuum_power(n, seed, rows),       # resumed
-        lambda n, seed, rows: sample_vacuum_batch(n, seed, rows),       # drawn fresh
-        lambda n, seed, rows: sample_vacuum_batch(n // 2, seed, rows),  # as many floats
-    ], ids=["after-power", "after-amplitudes", "after-amplitudes-of-half-the-modes"])
-    def test_power_is_half_an_sfc64_exponential_keyed_by_seed_and_block(self, before):
-        # a tile of block 0 that runs on into block 1 equals direct exponential
-        # draws, whether it resumes the last call's generator or, after a call
-        # of the other draw, builds its own. The leading rows are many, because
-        # both ziggurats take one raw draw per value on their fast path: over a
-        # few values, a generator that drew normals is where one that drew
-        # exponentials would be.
-        n_modes, seed, head = 4, 31, 300
-        before(n_modes, seed, range(head))
-        tile = sample_vacuum_power(n_modes, seed=seed, trial_indices=range(head, TRIAL_BLOCK + 7))
-        direct = [0.5 * np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b))))
-                  .standard_exponential((rows, n_modes))
-                  for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
-        assert np.array_equal(tile[:TRIAL_BLOCK - head], direct[0][head:])
-        assert np.array_equal(tile[TRIAL_BLOCK - head:], direct[1])
-
-    def test_pair_amplitudes_are_an_sfc64_keyed_by_seed_block_and_1(self):
-        # pins the second stream: a resumed tile of block 0 that runs on into
-        # block 1 equals direct draws from SeedSequence((seed, b, 1)), and the
-        # first stream's power drawn between its tiles is that of a whole call
-        n_pairs, seed, head = 3, 31, 5
-        power = [sample_vacuum_power(n_pairs, seed, range(head))]
-        sample_pair_amplitudes(n_pairs, seed, range(head))
-        power.append(sample_vacuum_power(n_pairs, seed, range(head, TRIAL_BLOCK + 7)))
-        tile = sample_pair_amplitudes(n_pairs, seed, range(head, TRIAL_BLOCK + 7))
-        direct = [0.5 * np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b, 1))))
-                  .standard_normal((rows, 2 * n_pairs)).view(complex)
-                  for b, rows in ((0, TRIAL_BLOCK), (1, 7))]
-        assert np.array_equal(tile[:TRIAL_BLOCK - head], direct[0][head:])
-        assert np.array_equal(tile[TRIAL_BLOCK - head:], direct[1])
-        whole = sample_vacuum_power(n_pairs, seed, range(TRIAL_BLOCK + 7))
-        assert np.array_equal(np.concatenate(power), whole)
-
     @pytest.mark.parametrize("rows", [1, 7, TRIAL_BLOCK])
-    def test_interleaved_streams_resume_each_generator(self, rows, monkeypatch):
-        # a crystal point alternates the two streams tile by tile: each keeps
-        # its own resume slot, so every block builds each of its two
-        # generators once instead of re-drawing its leading rows per tile
-        n_pairs, seed, trials = 4, 17, TRIAL_BLOCK + 9
-        whole_power = sample_vacuum_power(n_pairs, seed, range(trials))
-        whole_q = sample_pair_amplitudes(n_pairs, seed, range(trials))
-        built = []
-        seed_sequence = np.random.SeedSequence
-        monkeypatch.setattr(np.random, "SeedSequence",
-                            lambda entropy: built.append(entropy) or seed_sequence(entropy))
+    def test_alternating_tiles_equal_whole_block_draws(self, rows):
+        # a crystal point draws each tile's power from the block's first
+        # generator and its pair amplitudes from the second, in alternation
+        n_pairs, seed, block = 4, 17, 1
+        whole_power = sample_vacuum_power(n_pairs, block_generators(seed, block)[0], TRIAL_BLOCK)
+        whole_q = sample_vacuum_batch(n_pairs, block_generators(seed, block)[1], TRIAL_BLOCK)
+        rng, pair_rng = block_generators(seed, block)
         power, q = [], []
-        for start in range(0, trials, rows):
-            tile = range(start, min(start + rows, trials))
-            power.append(sample_vacuum_power(n_pairs, seed, tile))
-            q.append(sample_pair_amplitudes(n_pairs, seed, tile))
+        for start in range(0, TRIAL_BLOCK, rows):
+            n = min(rows, TRIAL_BLOCK - start)
+            power.append(sample_vacuum_power(n_pairs, rng, n))
+            q.append(sample_vacuum_batch(n_pairs, pair_rng, n))
         assert np.array_equal(np.concatenate(power), whole_power)
         assert np.array_equal(np.concatenate(q), whole_q)
-        assert sorted(built) == [(seed, 0), (seed, 0, 1), (seed, 1), (seed, 1, 1)]
 
-    @pytest.mark.parametrize("indices", [[0, 2], range(0, 10, 2), range(5, 0, -1), [0, 1]])
-    def test_non_contiguous_indices_rejected(self, indices):
-        with pytest.raises(ValueError, match="contiguous"):
-            sample_vacuum_batch(2, seed=1, trial_indices=indices)
+    def test_tiles_equal_whole_batch_whatever_calls_come_between(self):
+        # the sampler keeps no state of its own: draws for another block,
+        # seed or mode count between a block's tiles leave the tiles unchanged
+        whole = sample_vacuum_batch(4, block_generators(21, 0)[0], TRIAL_BLOCK)
+        rng, _ = block_generators(21, 0)
+        tiles = []
+        for k in range(TRIAL_BLOCK // 8):
+            tiles.append(sample_vacuum_batch(4, rng, 8))
+            seed, block, n = ((21, 1, 4), (22, 0, 4), (21, 0, 5))[k % 3]
+            sample_vacuum_batch(n, block_generators(seed, block)[0], 3)
+        assert np.array_equal(np.concatenate(tiles), whole)
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            sample_vacuum_batch(2, seed=1, trial_indices=range(-1, 3))
+    def test_stream_is_sfc64_keyed_by_seed_and_block(self):
+        # pins the generator: each block's tiles equal direct draws from its own SFC64
+        n_modes, seed = 3, 31
+        for block in (0, 1):
+            rng, _ = block_generators(seed, block)
+            tiles = [sample_vacuum_batch(n_modes, rng, rows) for rows in (5, TRIAL_BLOCK - 5)]
+            direct = direct_draws((seed, block), "standard_normal", (TRIAL_BLOCK, 2 * n_modes))
+            assert np.array_equal(np.concatenate(tiles), direct.view(complex)), block
+        assert RNG_STREAM == f"sfc64-seedseq-block{TRIAL_BLOCK}-normal-amp-exp-power-pair-law"
+
+    def test_power_is_half_an_sfc64_exponential_keyed_by_seed_and_block(self):
+        n_modes, seed, head = 4, 31, 300
+        for block in (0, 1):
+            rng, _ = block_generators(seed, block)
+            tiles = [sample_vacuum_power(n_modes, rng, rows)
+                     for rows in (head, TRIAL_BLOCK - head)]
+            direct = direct_draws((seed, block), "standard_exponential", (TRIAL_BLOCK, n_modes))
+            assert np.array_equal(np.concatenate(tiles), direct), block
+
+    def test_pair_amplitudes_are_an_sfc64_keyed_by_seed_block_and_1(self):
+        # pins the second stream: each block's pair amplitudes equal direct
+        # draws from SeedSequence((seed, b, 1)), and the first stream's power
+        # drawn between their tiles is that of a whole draw
+        n_pairs, seed, head = 3, 31, 5
+        for block in (0, 1):
+            rng, pair_rng = block_generators(seed, block)
+            power, tiles = [], []
+            for rows in (head, TRIAL_BLOCK - head):
+                power.append(sample_vacuum_power(n_pairs, rng, rows))
+                tiles.append(sample_vacuum_batch(n_pairs, pair_rng, rows))
+            direct = direct_draws((seed, block, 1), "standard_normal", (TRIAL_BLOCK, 2 * n_pairs))
+            assert np.array_equal(np.concatenate(tiles), direct.view(complex)), block
+            whole = sample_vacuum_power(n_pairs, block_generators(seed, block)[0], TRIAL_BLOCK)
+            assert np.array_equal(np.concatenate(power), whole), block
 
     def test_same_row_of_two_blocks_uncorrelated(self):
         n_modes = 5000
         n = 2 * n_modes                    # Re and Im of every mode
+
+        def row_of(block, row):
+            rng, _ = block_generators(9, block)
+            for _ in range(row + 1):       # one row at a time: a whole block is 160 MB
+                out = sample_vacuum_batch(n_modes, rng, 1)
+            return out.view(np.float64).ravel()
+
         for row in (0, 17, TRIAL_BLOCK - 1):
-            a, b = (sample_vacuum_batch(n_modes, seed=9, trial_indices=range(t, t + 1))
-                    .view(np.float64).ravel()
-                    for t in (row, TRIAL_BLOCK + row))
-            r = np.corrcoef(a, b)[0, 1]
+            r = np.corrcoef(row_of(0, row), row_of(1, row))[0, 1]
             assert abs(r) < 4.0 / np.sqrt(n), (row, r)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
@@ -19,6 +20,19 @@ def test_all_names_resolve(module):
     # the benchmark's span tracer wraps every function listed in __all__
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_benchmark_traced_functions_are_listed_in_all():
+    # the tracer spans a function only through its module's __all__, and
+    # reports one that is missing as absent with metrics of 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unlisted = [name for name in tracer.FUNCTIONS
+                if name.split(".")[1] not in importlib.import_module(
+                    f"zpfsim.{name.split('.')[0]}").__all__]
+    assert unlisted == []
 
 
 def test_package_imports_resolve():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zpfsim.field import sample_pair_amplitudes, sample_vacuum_batch, sample_vacuum_power
+from zpfsim.field import sample_vacuum_batch, sample_vacuum_power
 from zpfsim.pdc import (
     PERTURBATIVE_G_LIMIT,
     PumpSpec,
@@ -11,6 +11,8 @@ from zpfsim.pdc import (
     pair_power,
     pdc_transform,
 )
+
+from conftest import draw_rows
 
 
 def matched_modes():
@@ -148,7 +150,7 @@ class TestMoments:
         #   E[|a's|^2] = (a^2 + g^2) / 2, excess = g^2 + g^4/8
         g = 0.1
         n = 200_000
-        amps = sample_vacuum_batch(2, seed=11, trial_indices=range(n))
+        amps = draw_rows(sample_vacuum_batch, 2, 11, n)
         out = pdc_transform(amps, (0, 1), g)
         prod = out[:, 0] * out[:, 1]
         corr = np.mean(prod)
@@ -170,7 +172,7 @@ class TestPairPower:
         # from the same amplitudes: x = alpha_s, y = conj(alpha_i),
         # p = (x + y)/sqrt(2), q = (x - y)/sqrt(2), turned by p's phase
         n_modes = 2 * np.arange(16)[index[0]].size
-        amps = sample_vacuum_batch(n_modes, seed=14, trial_indices=range(64))
+        amps = draw_rows(sample_vacuum_batch, n_modes, 14, 64)
         x, y = amps[:, index[0]], np.conj(amps[:, index[1]])
         p, q = (x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0)
         power = pair_power(np.abs(p).reshape(64, -1) ** 2,
@@ -184,8 +186,8 @@ class TestPairPower:
         # each power has mean n = 1/2 + g^2 + g^4/8 and variance n^2, and the
         # two have covariance m^2 with m = g (1 + g^2/2), all within 4 SE
         trials = 1_000_000
-        power = pair_power(sample_vacuum_power(1, seed=41, trial_indices=range(trials)),
-                           sample_pair_amplitudes(1, seed=41, trial_indices=range(trials)),
+        power = pair_power(draw_rows(sample_vacuum_power, 1, 41, trials),
+                           draw_rows(sample_vacuum_batch, 1, 41, trials, stream=1),
                            ([0], [1]), g)
         n = 0.5 + excess_photon_fraction(g)
         dev = power - power.mean(axis=0)

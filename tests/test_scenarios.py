@@ -16,7 +16,7 @@ from zpfsim.scenarios import (
     vacuum_scenario,
 )
 
-from conftest import WINDOW_1K, dense_weights, detector, signed_zero_amps
+from conftest import WINDOW_1K, dense_weights, detector, draw_rows, signed_zero_amps
 
 
 class TestCrystal:
@@ -26,7 +26,7 @@ class TestCrystal:
     def test_apply_ops_is_the_crystal_map(self, kind):
         scen = (vacuum_scenario(list(self.DETS)) if kind == "vacuum" else
                 pdc_scenario(*self.DETS, 0.2) if kind == "pdc" else chsh_scenario(*self.DETS, 0.2))
-        amps = sample_vacuum_batch(scen.n_modes, 3, range(7))
+        amps = draw_rows(sample_vacuum_batch, scen.n_modes, 3, 7)
         if kind == "vacuum":
             assert scen.crystal is None and apply_ops(amps, scen) is amps
         else:
@@ -224,7 +224,7 @@ class TestDiagonalWeightsOracle:
 
     def test_intensity_batch_matches_effective_intensity(self):
         for kind, scen in oracle_scenarios(WINDOW_1K).items():
-            amps = apply_ops(sample_vacuum_batch(scen.n_modes, 8, range(5)), scen)
+            amps = apply_ops(draw_rows(sample_vacuum_batch, scen.n_modes, 8, 5), scen)
             batch = intensity_batch(np.abs(amps) ** 2, scen.parts)
             weights = dense_weights(scen)
             assert batch.shape == (5, len(scen.detector_specs))
@@ -253,7 +253,7 @@ def test_intensity_batch_rows_do_not_depend_on_the_batch(kind):
     # the engine computes intensities in row tiles; a trial's value must be
     # bitwise the one it gets in any other batch
     scen = batching_scenarios()[kind]()
-    amps = apply_ops(sample_vacuum_batch(scen.n_modes, 9, range(66)), scen)
+    amps = apply_ops(draw_rows(sample_vacuum_batch, scen.n_modes, 9, 66), scen)
     power = np.abs(amps) ** 2
     whole = intensity_batch(power, scen.parts)
     for rows in (1, 3, 8, 33):
@@ -307,7 +307,7 @@ class TestSliceIndexedMaps:
                             detector(n_cells=n, omega_center=0.75), 0.2)
         index, g = scen.crystal
         pairs = [(j, 2 * n - 1 - j) for j in range(n)]
-        amps = sample_vacuum_batch(scen.n_modes, 4, range(64))
+        amps = draw_rows(sample_vacuum_batch, scen.n_modes, 4, 64)
         assert np.array_equal(pdc_transform(amps, index, g), crystal_reference(amps, pairs, g))
 
     def test_chsh_layout(self):
@@ -320,7 +320,7 @@ class TestSliceIndexedMaps:
             jm = n - 1 - j
             crystal += [(2 * j, off + 2 * jm + 1), (2 * j + 1, off + 2 * jm)]
         index, g = scen.crystal
-        amps = sample_vacuum_batch(scen.n_modes, 5, range(64))
+        amps = draw_rows(sample_vacuum_batch, scen.n_modes, 5, 64)
         out = pdc_transform(amps, index, g)
         assert np.array_equal(out, crystal_reference(amps, crystal, g))
         (h1, _), (v1, _), (h2, _), (v2, _) = scen.parts
