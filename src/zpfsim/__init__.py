@@ -4,7 +4,6 @@ a CHSH harness."""
 
 __version__ = "0.1.0"
 
-from .pdc import PumpSpec
 from .optics import GeometrySpec, LensSpec, coherence_ok, lens_gain, ring_radius
 from .detection import (
     BivariateIntensityDist,

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
 Worker count is controlled only by the ZPFSIM_WORKERS environment variable.
+Each distinct warning is printed once on stderr as ``warning: <message>``.
 """
 
 import argparse
 import sys
+import warnings
 
 from .analysis import min_rate_bound
 from .config import ConfigError, load_config
@@ -77,12 +79,21 @@ def main(argv: list[str] | None = None) -> None:
         ("tau", "Beam coherence time (s)."), ("window", "Detection time window T (s).")):
         rate_bound.add_argument(f"--{flag}", type=float, required=True, help=text)
     args = parser.parse_args(argv)
-    try:
-        handlers[args.command](args)
-    except ConfigError as exc:
-        parser.exit(2, f"config error: {exc}\n")
-    except Exception as exc:
-        parser.exit(1, f"runtime error: {exc}\n")
+    shown = set()
+
+    def show(message, *_):
+        if str(message) not in shown:
+            shown.add(str(message))
+            sys.stderr.write(f"warning: {message}\n")
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            handlers[args.command](args)
+        except ConfigError as exc:
+            parser.exit(2, f"config error: {exc}\n")
+        except Exception as exc:
+            parser.exit(1, f"runtime error: {exc}\n")
 
 
 if __name__ == "__main__":

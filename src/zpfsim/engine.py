@@ -8,12 +8,12 @@ variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads the
 two stations through analyzer setting k, an angle pair (theta1, theta2).
 
 A detector reads only |alpha'|^2, so a run on H modes alone (a vacuum or
-PDC point; a scenario's crystal pairs every mode) draws that power: an
-exponential per vacuum mode (``field.sample_vacuum_power``), or one
-exponential and one amplitude per crystal pair (``pdc.pair_power``). A CHSH
-point, which has V modes, draws the amplitudes (``field.sample_vacuum_batch``)
-and maps them by the crystal, so that its plain run equals variant 0 of its
-settings run bit for bit.
+PDC point; a scenario's crystal pairs mode m with mode N-1-m) draws that
+power: an exponential per vacuum mode (``field.sample_vacuum_power``), or
+one exponential and one amplitude per crystal pair (``pdc.pair_power``),
+even at g = 0. A CHSH point, which has V modes, draws the amplitudes
+(``field.sample_vacuum_batch``) and maps them by the crystal, so that its
+plain run equals variant 0 of its settings run bit for bit.
 
 An analyzer at angle theta rotates a station's (H, V) pairs, which its '+'
 and '-' detectors own with one weight vector w. From A = sum w|h|^2 and
@@ -137,8 +137,8 @@ def chunk_intensities(scenario: Scenario, settings, seed: int,
         if power_only:
             power = (pair_power(sample_vacuum_power(n_modes // 2, rng, n),
                                 sample_vacuum_batch(n_modes // 2, pair_rng, n),
-                                *scenario.crystal)
-                     if scenario.crystal else sample_vacuum_power(n_modes, rng, n))
+                                scenario.crystal)
+                     if scenario.crystal is not None else sample_vacuum_power(n_modes, rng, n))
             i[:, :, cols] = intensity_batch(power, scenario.parts).T
             continue
         amps = apply_ops(sample_vacuum_batch(n_modes, rng, n), scenario)

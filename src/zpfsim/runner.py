@@ -205,7 +205,9 @@ def _format_cell(value) -> str:
 
 
 def emit(record: RunRecord, fmt: str, path) -> None:
-    """Write the record as schema-versioned JSON or flat CSV (17 digits)."""
+    """Write the record as schema-versioned JSON or flat CSV (17 digits).
+
+    A CSV row is one point plus the record's digest, rng, schema and tool version."""
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
@@ -213,9 +215,10 @@ def emit(record: RunRecord, fmt: str, path) -> None:
         return
     if fmt != "csv":
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    meta = {key: value for key, value in record.to_dict().items() if key != "points"}
     rows = []
     for point in record.points:
-        flat: dict = {}
+        flat = dict(meta)
         _flatten(point, "", flat)
         rows.append(flat)
     columns = sorted(set().union(*[row.keys() for row in rows])) if rows else []

@@ -2,11 +2,10 @@
 
 A ``Scenario`` bundles the modes (read-only arrays ``k``, ``omega`` with
 |k| = omega, and ``pol``; no two modes share both k and pol), its crystal
-(None, or the ``(signal, idler)`` index pair and coupling g of a crystal
-that pairs every mode once, basic slices for the builders' contiguous and
-mirrored layouts) and, per detector, the index of its own modes with their
-read-only weights. Everything is plain data so scenarios can be shipped to
-worker processes.
+(None, or the coupling g of a crystal that pairs mode m with mode N-1-m of
+its N modes, see ``pdc``) and, per detector, the index of its own modes
+with their read-only weights. Everything is plain data so scenarios can be
+shipped to worker processes.
 
 PDC and CHSH share one crystal builder (``_crystal_scenario``). A CHSH
 analyzer setting rotates each station's (H, V) pairs, the own modes of its
@@ -26,13 +25,14 @@ fixing the quantization box length per beam.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .detection import DetectorSpec, vacuum_moments
-from .pdc import PumpSpec, check_pairs, excess_photon_fraction, pdc_transform
+from .pdc import PERTURBATIVE_G_LIMIT, excess_photon_fraction, pdc_transform
 
 __all__ = [
     "Scenario",
@@ -51,30 +51,32 @@ class Scenario:
     k: np.ndarray                          # (n_modes, 3) wavevectors
     omega: np.ndarray                      # (n_modes,) frequencies
     pol: np.ndarray                        # (n_modes,) int8 polarization, 0 = H, 1 = V
-    crystal: tuple | None                  # ((signal, idler) index pair, g), or None
+    crystal: float | None                  # coupling g of mode m with N-1-m, or None
     detector_names: tuple[str, ...]
     detector_specs: tuple[DetectorSpec, ...]
     parts: tuple[tuple, ...]               # per detector: (own-mode index, scale^2)
     coincidences: tuple[tuple[int, int], ...] = ()
-    signal_means: tuple[float, ...] = ()   # analytic Ibar_s per detector
 
     def __post_init__(self):
         for arr in (self.k, self.omega, self.pol, *(w for _, w in self.parts)):
             arr.setflags(write=False)
-        if self.crystal is not None:
-            pos = np.arange(self.n_modes)
-            used = np.concatenate([np.atleast_1d(pos[idx]) for idx in self.crystal[0]])
-            if (np.bincount(used, minlength=self.n_modes) != 1).any():
-                raise ValueError("a crystal must pair every mode exactly once")
+        if self.crystal is not None and self.n_modes % 2:
+            raise ValueError(f"a crystal needs an even number of modes, got {self.n_modes}")
 
     @property
     def n_modes(self) -> int:
         return len(self.omega)
 
+    @property
+    def signal_means(self) -> tuple[float, ...]:
+        """Analytic Ibar_s per detector: 2 I0 times the crystal's excess occupation."""
+        excess = 0.0 if self.crystal is None else excess_photon_fraction(self.crystal)
+        return tuple(2.0 * d.I0 * excess for d in self.detector_specs)
+
 
 def apply_ops(amps: np.ndarray, scenario: Scenario) -> np.ndarray:
     """The scenario's crystal map on an amplitude batch (..., n_modes); the identity without one."""
-    return amps if scenario.crystal is None else pdc_transform(amps, *scenario.crystal)
+    return amps if scenario.crystal is None else pdc_transform(amps, scenario.crystal)
 
 
 def make_matched_detector(
@@ -173,16 +175,15 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
         detector_specs=tuple(detectors),
         parts=tuple(parts),
         coincidences=coinc,
-        signal_means=tuple(0.0 for _ in detectors),
     )
 
 
-def _collinear_pump(det1: DetectorSpec, det2: DetectorSpec, g: float) -> PumpSpec:
-    """Pump of a collinear two-band source, after checking that the detectors fit it.
+def _check_collinear(det1: DetectorSpec, det2: DetectorSpec, g: float) -> None:
+    """Check that two detectors fit a collinear two-band source of coupling g.
 
     Both detectors must share the window T, axis and element count, so that
-    every phase-matched pair satisfies k1 + k2 = k0 exactly, and their bands
-    must be well separated.
+    every mirrored pair satisfies k1 + k2 = k0 exactly, and their bands must
+    be well separated. g must be non-negative; g >= PERTURBATIVE_G_LIMIT warns.
     """
     if det1.window != det2.window:
         raise ValueError("the two detectors must share the window T")
@@ -192,8 +193,12 @@ def _collinear_pump(det1: DetectorSpec, det2: DetectorSpec, g: float) -> PumpSpe
         raise ValueError("the two detectors must have equal element counts")
     if abs(det1.omega_center - det2.omega_center) < 4.0 * max(det1.bandwidth, det2.bandwidth):
         raise ValueError("the two detector bands must be well separated")
-    omega0 = det1.omega_center + det2.omega_center
-    return PumpSpec(tuple(omega0 * np.asarray(det1.axis, dtype=float)), omega0, g)
+    if g < 0:
+        raise ValueError(f"coupling g must be non-negative, got {g}")
+    if g >= PERTURBATIVE_G_LIMIT:
+        warnings.warn(f"coupling g={g:g} is outside the perturbative regime "
+                      f"(g < {PERTURBATIVE_G_LIMIT})",
+                      stacklevel=4)   # past the builders, to the line that called one
 
 
 def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: int,
@@ -202,30 +207,25 @@ def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: i
 
     Beam b is detector b's element grid: slot j holds polarization p at index
     b*off + n_pol*j + p, with off = n_pol * n. Detector q of beam b owns the
-    beam's polarization-q modes. Reading beam 2 backwards pairs slot j with
-    the frequency-mirrored slot n-1-j and, for two polarizations, swaps H and
-    V. ``_collinear_pump`` states what the detectors must share.
+    beam's polarization-q modes. The crystal pairs mode m with mode
+    2*off-1-m: reading beam 2 backwards pairs slot j with the
+    frequency-mirrored slot n-1-j and, for two polarizations, swaps H and V.
+    ``_check_collinear`` states what the detectors must share.
     """
-    pump = _collinear_pump(det1, det2, g)
+    _check_collinear(det1, det2, g)
     off = n_pol * det1.n_elements
     beams, parts = [], []
     for b, det in enumerate((det1, det2)):
         omegas, weights = _matched_beam(det, None)
         beams.append((np.repeat(omegas, n_pol), np.tile(np.arange(n_pol), len(omegas)), det.axis))
         parts += [(slice(b * off + q, (b + 1) * off, n_pol), weights) for q in range(n_pol)]
-    k, omega, pol = _mode_arrays(beams)
-    crystal = (slice(0, off), slice(2 * off - 1, off - 1, -1))
-    check_pairs(k, omega, crystal, pump)
-    specs = (det1,) * n_pol + (det2,) * n_pol
-    excess = excess_photon_fraction(g)
     return Scenario(
-        k, omega, pol,
-        crystal=(crystal, g),
+        *_mode_arrays(beams),
+        crystal=g,
         detector_names=tuple(names),
-        detector_specs=specs,
+        detector_specs=(det1,) * n_pol + (det2,) * n_pol,
         parts=tuple(parts),
         coincidences=tuple(product(range(n_pol), range(n_pol, 2 * n_pol))),
-        signal_means=tuple(2.0 * d.I0 * excess for d in specs),
     )
 
 

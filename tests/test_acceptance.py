@@ -192,7 +192,7 @@ def test_criterion_9_pdc_moments():
     ok = True
     details = []
     for g in (0.05, 0.1, 0.2):
-        out = pdc_transform(amps, (0, 1), g)
+        out = pdc_transform(amps, g)
         prod = out[:, 0] * out[:, 1]
         z_corr = abs(np.mean(prod) - pair_correlation(g)) / (np.std(prod) / math.sqrt(n))
         occ = np.abs(out[:, 0]) ** 2

@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,25 @@ class TestCli:
         for section in ("run", "chsh", "analytic", "sweeps"):
             assert f"default {section} =" not in result.output
 
+    def test_warnings_are_one_line_each(self, tmp_path):
+        # two points build the same non-perturbative crystal; "always" keeps
+        # the module's warning registry from hiding the second
+        path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        raw = with_value(pdc_config(sweeps={"run.seed": [1, 2]}), "scenario.g", 0.35)
+        path.write_text(yaml.safe_dump(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            results = [invoke(["validate", "--config", str(path)]),
+                       invoke(["run", "--config", str(path), "--out", str(out_path)])]
+        for result, first in zip(results, ("valid (digest", "wrote")):
+            assert result.exit_code == 0, result.output
+            lines = result.output.splitlines()
+            assert lines[0] == ("warning: coupling g=0.35 is outside the perturbative regime "
+                                "(g < 0.3)"), result.output
+            assert lines[1].startswith(first)
+            assert not any(line.startswith("warning") for line in lines[1:])
+            assert "UserWarning" not in result.output
+
     def test_validate_rejects_bad_config(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(base_config(plots=True)))
@@ -605,12 +625,21 @@ def small_configs(draw):
     raw = {"scenario": {"kind": kind}, "detectors": dets,
            "run": {"trials": draw(st.integers(1, 64)), "seed": draw(st.integers(0, 1000)),
                    "mode": mode}}
+    # couplings from 0.3 on warn that they leave the perturbative regime
+    couplings = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.35])
     if kind == "vacuum":
         raw["scenario"]["n_modes"] = draw(st.none() | st.integers(1, 8))
     else:
-        raw["scenario"]["g"] = draw(st.sampled_from([0.0, 0.1, 0.25]))
+        raw["scenario"]["g"] = draw(couplings)
     if mode != "mc" and len(dets) == 2:
         raw["analytic"] = {"corr": draw(st.floats(-1.0, 1.0))}
+    # an optional sweep along one axis, one or two points
+    axis = draw(st.sampled_from([None, "scenario.g", "detectors.0.threshold_sigma", "run.seed"]))
+    if axis is not None:
+        values = {"scenario.g": couplings, "run.seed": st.integers(0, 1000),
+                  "detectors.0.threshold_sigma": st.tuples(sign, st.floats(0.1, 4.0)).map(
+                      lambda t: t[0] * t[1])}[axis]
+        raw["sweeps"] = {axis: draw(st.lists(values, min_size=1, max_size=2))}
     return raw
 
 
@@ -627,7 +656,9 @@ class TestValidateMatchesRun:
             assert ran.exit_code == checked.exit_code, ran.output
             if ran.exit_code:
                 return
-            for point in json.loads(out_path.read_text())["points"]:
+            points = json.loads(out_path.read_text())["points"]
+            assert len(points) == math.prod(map(len, raw.get("sweeps", {}).values()))
+            for point in points:
                 for entry in (*point["detectors"].values(), *point["coincidences"].values()):
                     for key in ("p_mc", "p_analytic"):
                         if key in entry:

@@ -40,13 +40,11 @@ def direct_intensities(scen, kind, trials, seed):
     if kind == "vacuum":
         power = draw_rows(sample_vacuum_power, scen.n_modes, seed, trials)
     else:
-        (s_idx, i_idx), g = scen.crystal
-        n_pairs = scen.n_modes // 2
+        g, n_pairs = scen.crystal, scen.n_modes // 2
         p = (1 + g + g * g / 2) * np.sqrt(draw_rows(sample_vacuum_power, n_pairs, seed, trials))
         q = (1 - g + g * g / 2) * draw_rows(sample_vacuum_batch, n_pairs, seed, trials, stream=1)
-        power = np.empty((trials, scen.n_modes))
-        power[:, s_idx] = np.abs(p + q) ** 2 / 2
-        power[:, i_idx] = np.abs(p - q) ** 2 / 2
+        # pair j's signal is mode j and its idler mode n_modes - 1 - j
+        power = np.hstack([np.abs(p + q) ** 2 / 2, np.abs(p - q)[:, ::-1] ** 2 / 2])
     return intensity_batch(power, scen.parts)
 
 
@@ -92,14 +90,15 @@ class TestRunVariants:
 
 
 class TestPowerPath:
-    @pytest.mark.parametrize("case, expected", [("vacuum", True), ("pdc", True), ("chsh", False)])
+    @pytest.mark.parametrize("case, expected", [("vacuum", True), ("pdc", True), ("chsh", False),
+                                                ("pdc-g0", True)])
     def test_which_runs_draw_power(self, case, expected):
-        # only a run on H modes alone (no crystal, or one that pairs every
-        # mode, as every scenario's does) skips its modes' amplitudes: a PDC
-        # run draws one power and one amplitude per pair instead
+        # only a run on H modes alone skips its modes' amplitudes: a PDC run
+        # draws one power and one amplitude per pair instead, at g = 0 too
         dets = (detector(n_cells=4, omega_center=1.25), detector(n_cells=4, omega_center=0.75))
         scen = (vacuum_scenario(list(dets)) if case == "vacuum" else
-                chsh_scenario(*dets, 0.2) if case == "chsh" else pdc_scenario(*dets, 0.2))
+                chsh_scenario(*dets, 0.2) if case == "chsh" else
+                pdc_scenario(*dets, 0.0 if case == "pdc-g0" else 0.2))
         n = scen.n_modes
         drawn = {"sample_vacuum_power": [], "sample_vacuum_batch": []}
         with pytest.MonkeyPatch.context() as mp:
@@ -111,7 +110,7 @@ class TestPowerPath:
         assert bool(drawn["sample_vacuum_power"]) is expected
         assert (drawn["sample_vacuum_power"], drawn["sample_vacuum_batch"]) == {
             "vacuum": ([(n, 5)], []), "pdc": ([(n // 2, 5)], [(n // 2, 5)]),
-            "chsh": ([], [(n, 5)])}[case]
+            "pdc-g0": ([(n // 2, 5)], [(n // 2, 5)]), "chsh": ([], [(n, 5)])}[case]
 
     @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
     def test_settings_need_v_modes(self, kind):
@@ -206,15 +205,15 @@ class TestMcDetect:
     def test_pdc_intensity_correlation_matches_the_pair_law(self):
         # each pair adds w_sj w_ij m^2 to the intensity covariance and each
         # mode w^2 n^2 to a variance, so corr = sum_j w_sj w_ij m^2 /
-        # (n^2 sqrt(sum w_s^2 sum w_i^2)), idler weights in pair order; the
+        # (n^2 sqrt(sum w_s^2 sum w_i^2)), idler weights mirrored; the
         # SE is that of the mean of 20 batch correlations
         scen = two_detector_scenario(n_cells=16, kind="pdc")
         trials, seed, g = 10 * TRIAL_BLOCK, 12, 0.2
         weight = np.zeros((2, scen.n_modes))
         for d, (idx, w) in enumerate(scen.parts):
             weight[d, idx] = w
-        (s_idx, i_idx), _ = scen.crystal
-        ws, wi = weight[0, s_idx], weight[1, i_idx]
+        half = scen.n_modes // 2
+        ws, wi = weight[0, :half], weight[1, :half - 1:-1]     # mode m pairs with N-1-m
         n, m = 0.5 + g * g + g**4 / 8, g * (1 + g * g / 2)
         expected = np.sum(ws * wi) * m * m / (n * n * np.sqrt(np.sum(ws**2) * np.sum(wi**2)))
         corr = mc_detect(scen, trials, seed).intensity_corr[("a", "b")]

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpfsim.detection import intensity_batch, response_matrix
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.optics import rotator_transform
-from zpfsim.pdc import pdc_transform
+from zpfsim.pdc import PERTURBATIVE_G_LIMIT, pdc_transform
 from zpfsim.scenarios import (
     apply_ops,
     chsh_scenario,
@@ -30,17 +33,63 @@ class TestCrystal:
         if kind == "vacuum":
             assert scen.crystal is None and apply_ops(amps, scen) is amps
         else:
-            expected = pdc_transform(amps, *scen.crystal)
+            expected = pdc_transform(amps, scen.crystal)
             assert apply_ops(amps, scen).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("index", [
-        (slice(0, 3), slice(7, 4, -1)),
-        (np.array([0, 1, 2, 3, 0]), np.array([7, 6, 5, 4, 4])),
-    ], ids=["mode-unpaired", "mode-paired-twice"])
-    def test_crystal_must_pair_every_mode_once(self, index):
-        scen = pdc_scenario(*self.DETS, 0.2)
-        with pytest.raises(ValueError, match="every mode exactly once"):
-            dataclasses.replace(scen, crystal=(index, 0.2))
+    def test_crystal_needs_an_even_mode_count(self):
+        # mode m pairs with mode N-1-m, so an odd N would leave the middle mode unpaired
+        scen = vacuum_scenario([self.DETS[0]], n_modes=3)
+        with pytest.raises(ValueError, match="even number of modes, got 3"):
+            dataclasses.replace(scen, crystal=0.2)
+
+    @pytest.mark.parametrize("builder", [pdc_scenario, chsh_scenario], ids=["pdc", "chsh"])
+    def test_negative_coupling_rejected(self, builder):
+        with pytest.raises(ValueError, match="non-negative"):
+            builder(*self.DETS, -0.1)
+
+    @pytest.mark.parametrize("builder", [pdc_scenario, chsh_scenario], ids=["pdc", "chsh"])
+    def test_strong_coupling_warns(self, builder):
+        with pytest.warns(UserWarning, match="perturbative") as record:
+            builder(*self.DETS, PERTURBATIVE_G_LIMIT)
+        # the warning names the line that called the builder
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("builder", [pdc_scenario, chsh_scenario], ids=["pdc", "chsh"])
+    def test_weak_coupling_silent(self, builder):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            builder(*self.DETS, 0.29)
+
+    @pytest.mark.parametrize("case, match", [("axis", "common detector axis"),
+                                             ("n_cells", "equal element counts")],
+                             ids=["axis", "n_cells"])
+    @pytest.mark.parametrize("builder", [pdc_scenario, chsh_scenario], ids=["pdc", "chsh"])
+    def test_detectors_must_share_axis_and_grid(self, builder, case, match):
+        # the mirrored pairs are phase-matched only on one axis and equal grids
+        other = (detector(n_cells=4, omega_center=0.75, axis=(1, 0, 0)) if case == "axis" else
+                 detector(n_cells=8, omega_center=0.75))
+        with pytest.raises(ValueError, match=match):
+            builder(self.DETS[0], other, 0.1)
+
+    @given(window=st.sampled_from([2 * math.pi * 10, 2 * math.pi * 1e3, 2 * math.pi * 1e5]),
+           n_cells=st.integers(1, 64), low=st.floats(1.0, 20.0), gap=st.floats(4.5, 50.0),
+           swap=st.booleans(), axis=st.sampled_from([(0, 0, 1), (1, 1, 0), (0.3, -0.2, 0.9)]),
+           n_pol=st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_mirrored_modes_are_phase_matched(self, window, n_cells, low, gap, swap, axis,
+                                              n_pol):
+        # mode m and mode N-1-m satisfy k_s + k_i = omega0 axis and
+        # omega_s + omega_i = omega0, omega0 the sum of the band centers
+        bandwidth = 2 * math.pi * n_cells / window
+        centers = (low * bandwidth, (low + gap) * bandwidth)
+        d1, d2 = (detector(n_cells=n_cells, window=window, omega_center=w, axis=axis)
+                  for w in (centers[::-1] if swap else centers))
+        scen = (pdc_scenario if n_pol == 1 else chsh_scenario)(d1, d2, 0.1)
+        omega0 = sum(centers)
+        assert np.all(np.abs(scen.omega + scen.omega[::-1] - omega0) <= 1e-9 * omega0)
+        k_sum = scen.k + scen.k[::-1] - omega0 * np.asarray(d1.axis)
+        assert np.all(np.linalg.norm(k_sum, axis=1) <= 1e-9 * omega0)
+        assert np.all(scen.pol + scen.pol[::-1] == n_pol - 1)   # CHSH pairs H with V
 
 
 class TestMakeMatchedDetector:
@@ -99,13 +148,10 @@ class TestPdcScenario:
         ds, di = self._dets()
         scen = pdc_scenario(ds, di, 0.1)
         omega0 = ds.omega_center + di.omega_center
-        index, g = scen.crystal
-        assert g == 0.1
-        s, i = (np.arange(scen.n_modes)[idx] for idx in index)
-        assert len(s) == len(i) == 16
-        assert len(set(s) | set(i)) == 32
-        for a, b in zip(s, i):
-            assert scen.omega[a] + scen.omega[b] == pytest.approx(omega0)
+        assert scen.crystal == 0.1 and scen.n_modes == 32
+        # mode m pairs with mode 31 - m
+        for a in range(16):
+            assert scen.omega[a] + scen.omega[31 - a] == pytest.approx(omega0)
 
     def test_signal_means_formula(self):
         ds, di = self._dets()
@@ -147,13 +193,10 @@ class TestChshScenario:
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
         scen = chsh_scenario(d1, d2, 0.1)
-        index, _ = scen.crystal
-        s, i = (np.arange(scen.n_modes)[idx] for idx in index)
-        assert len(s) == len(i) == 8
-        assert len(set(s) | set(i)) == 16
-        for a, b in zip(s, i):
-            assert scen.pol[a] != scen.pol[b]
-            assert scen.omega[a] + scen.omega[b] == pytest.approx(2.0)
+        # mode m pairs with mode 15 - m
+        for a in range(8):
+            assert scen.pol[a] != scen.pol[15 - a]
+            assert scen.omega[a] + scen.omega[15 - a] == pytest.approx(2.0)
 
     def test_detector_masks_partition_station_modes(self):
         d1 = detector(n_cells=4, omega_center=1.25)
@@ -282,17 +325,17 @@ def rotator_reference(amps, pairs, angle):
 
 @pytest.mark.parametrize("index, pairs", [
     ((slice(0, 4), slice(4, 8)), [(j, 4 + j) for j in range(4)]),
-    ((slice(0, 8, 2), slice(7, 0, -2)), [(2 * j, 7 - 2 * j) for j in range(4)]),
-    ((np.array([5, 0, 3]), np.array([1, 6, 2])), [(5, 1), (0, 6), (3, 2)]),
-], ids=["basic", "reversed-step", "int-array"])
+], ids=["basic"])
 @pytest.mark.parametrize("g", [0.2, -0.3])
 def test_maps_equal_per_pair_loop_bitwise(index, pairs, g):
-    # byte comparison, so a signed zero must come out with the loop's sign
+    # byte comparison, so a signed zero must come out with the loop's sign;
+    # the crystal pairs mode m with mode 7 - m, the rotator the given pairs
     amps = signed_zero_amps(9, 8, seed=3)
     for part in (amps.real, amps.imag):
         assert ((part == 0) & np.signbit(part)).any() and ((part == 0) & ~np.signbit(part)).any()
     saved = amps.copy()
-    assert pdc_transform(amps, index, g).tobytes() == crystal_reference(amps, pairs, g).tobytes()
+    mirrored = [(j, 7 - j) for j in range(4)]
+    assert pdc_transform(amps, g).tobytes() == crystal_reference(amps, mirrored, g).tobytes()
     assert rotator_transform(amps, index, g).tobytes() == (
         rotator_reference(amps, pairs, g).tobytes())
     assert amps.tobytes() == saved.tobytes()
@@ -305,10 +348,10 @@ class TestSliceIndexedMaps:
         n = 16
         scen = pdc_scenario(detector(n_cells=n, omega_center=1.25),
                             detector(n_cells=n, omega_center=0.75), 0.2)
-        index, g = scen.crystal
+        g = scen.crystal
         pairs = [(j, 2 * n - 1 - j) for j in range(n)]
         amps = draw_rows(sample_vacuum_batch, scen.n_modes, 4, 64)
-        assert np.array_equal(pdc_transform(amps, index, g), crystal_reference(amps, pairs, g))
+        assert np.array_equal(pdc_transform(amps, g), crystal_reference(amps, pairs, g))
 
     def test_chsh_layout(self):
         n = 4
@@ -319,9 +362,9 @@ class TestSliceIndexedMaps:
         for j in range(n):
             jm = n - 1 - j
             crystal += [(2 * j, off + 2 * jm + 1), (2 * j + 1, off + 2 * jm)]
-        index, g = scen.crystal
+        g = scen.crystal
         amps = draw_rows(sample_vacuum_batch, scen.n_modes, 5, 64)
-        out = pdc_transform(amps, index, g)
+        out = pdc_transform(amps, g)
         assert np.array_equal(out, crystal_reference(amps, crystal, g))
         (h1, _), (v1, _), (h2, _), (v2, _) = scen.parts
         for rot, base in (((h1, v1), 0), ((h2, v2), off)):
