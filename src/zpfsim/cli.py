@@ -11,7 +11,7 @@ import warnings
 
 from .analysis import min_rate_bound
 from .config import ConfigError, load_config
-from .runner import emit, run as run_batch, validate_points
+from .runner import emit, run as run_batch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +39,6 @@ def run_cmd(args) -> None:
 def validate_cmd(args) -> None:
     """Check a config file and build every sweep point; report applied defaults."""
     cfg = load_config(args.config)
-    validate_points(cfg)
     print(f"valid (digest {cfg.digest[:12]})")
     for key, value in sorted(cfg.defaults_applied.items()):
         print(f"  default {key} = {value}")

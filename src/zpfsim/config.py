@@ -1,10 +1,10 @@
 """Declarative experiment configuration: YAML schema, validation, digest.
 
 The schema is strict: unknown keys are errors, because physics configs are
-easy to silently typo. ``_SCHEMA`` is the one table of keys, defaults and
-value checks. ``load_config`` fills documented defaults, keeps a record of
-every default it applied, and checks every sweep point (``sweep_points``):
-a base value that a sweep overrides is never checked.
+easy to silently typo, and so are repeated YAML keys. ``_SCHEMA`` is the
+one table of keys, defaults and value checks. ``load_config`` fills
+documented defaults, records them, and checks and builds every sweep point
+once (``sweep_points``): a base value that a sweep overrides is never checked.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import yaml
 
-from .scenarios import make_matched_detector
+from .scenarios import Scenario, chsh_scenario, make_matched_detector, pdc_scenario, vacuum_scenario
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config", "config_digest"]
 
@@ -100,6 +101,11 @@ class ExperimentConfig:
     def digest(self) -> str:
         return config_digest(self.data)
 
+    @cached_property
+    def points(self) -> list:
+        """(overrides, point data, Scenario) of every sweep point (``sweep_points``)."""
+        return sweep_points(self.data)
+
     def detector_specs(self):
         """Build the DetectorSpec list; raises ConfigError on bad physics."""
         specs = []
@@ -133,8 +139,8 @@ def check_point(data: dict) -> None:
     A key that the point's run would not read must keep its default:
     ``scenario.n_modes`` is read only by the vacuum builder, ``scenario.g``
     only by the crystal of PDC and CHSH, ``chsh.settings`` only by a CHSH
-    Monte Carlo, ``analytic.corr`` only by the analytic path of a
-    coincidence pair, which a point has when it has two or more detectors,
+    Monte Carlo, ``analytic.corr`` only by a PDC or CHSH coincidence pair
+    (a vacuum point's beams are independent, so their correlation is 0),
     and a detector's ``radius`` and ``eta`` only by the zeta derived when it
     gives neither ``zeta`` nor ``zeta_sigma``. An analytic-only PDC or CHSH
     run has no Monte Carlo estimate of the intensity correlation of its
@@ -168,21 +174,30 @@ def check_point(data: dict) -> None:
                           f"'both', not kind {kind!r} with run.mode {mode!r}")
     if mode == "mc" and data["analytic"]["corr"] is not None:
         raise ConfigError("analytic.corr applies only to run.mode 'analytic' or 'both', not 'mc'")
-    if len(names) < 2 and data["analytic"]["corr"] is not None:
-        raise ConfigError("analytic.corr applies only to a point with a coincidence pair, "
-                          "not to a single detector")
+    if kind == "vacuum" and data["analytic"]["corr"] is not None:
+        raise ConfigError("analytic.corr applies only to kinds 'pdc' and 'chsh', not 'vacuum'")
     if kind != "vacuum" and mode == "analytic" and data["analytic"]["corr"] is None:
         raise ConfigError(f"kind {kind!r} with run.mode 'analytic' requires analytic.corr "
                           "(there is no Monte Carlo correlation to fall back on)")
 
 
+def _build_scenario(point: dict, specs: list) -> Scenario:
+    kind, g = point["scenario"]["kind"], point["scenario"]["g"]
+    names = [det["name"] for det in point["detectors"]]
+    if kind == "vacuum":
+        return vacuum_scenario(specs, names, point["scenario"]["n_modes"])
+    if kind == "pdc":
+        return pdc_scenario(specs[0], specs[1], g, (names[0], names[1]))
+    return chsh_scenario(specs[0], specs[1], g)
+
+
 def sweep_points(data: dict) -> list:
-    """(overrides, point data, detector specs) of every sweep point.
+    """(overrides, point data, Scenario) of every sweep point.
 
     A point is the config with its sweep values set and ``sweeps`` emptied;
     a config without sweeps is its own single point. Every point passes
-    ``check_point`` and builds its detector specs. Raises ConfigError naming
-    the first invalid point.
+    ``check_point``, then builds its detector specs and its scenario.
+    Raises ConfigError naming the first point that fails.
     """
     sweeps = data["sweeps"]
     points = []
@@ -199,12 +214,17 @@ def sweep_points(data: dict) -> list:
             if not overrides:
                 raise
             raise ConfigError(f"sweep point {overrides}: {exc}") from exc
-        points.append((overrides, point, specs))
+        try:
+            scenario = _build_scenario(point, specs)
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {overrides or '(base)'}: cannot build scenario: "
+                              f"{exc}") from exc
+        points.append((overrides, point, scenario))
     return points
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Check the structure, fill defaults and check every sweep point."""
+    """Check the structure, fill defaults and resolve every sweep point (``points``)."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     data = copy.deepcopy(raw)
@@ -239,8 +259,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep axis {path!r} must be a non-empty list of values")
 
-    sweep_points(data)
-    return ExperimentConfig(data, defaults)
+    config = ExperimentConfig(data, defaults)
+    config.points    # check and build every point now, so a bad config fails here
+    return config
 
 
 def set_by_path(data: dict, path: str, value) -> None:
@@ -256,11 +277,24 @@ def set_by_path(data: dict, path: str, value) -> None:
     node[leaf] = value
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated in one mapping; merge keys (<<) still apply."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []
+        for key_node in (k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"):
+            keys.append(self.construct_object(key_node, deep=deep))
+            if keys[-1] in keys[:-1]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {keys[-1]!r}", key_node.start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> ExperimentConfig:
     """Read, parse and validate a YAML config file."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -67,9 +67,8 @@ class DetectorSpec:
     """Geometry, timing, band, gain and threshold of one detector.
 
     ``threshold`` is the effective-intensity threshold I_m and must exceed
-    the vacuum mean ``I0``. ``zeta`` is the dimensionless gain; when None it
-    is derived from the quantum efficiency as eta * pi R^2 T / omega_center
-    (the aperture-window photon-count conversion).
+    the vacuum mean ``I0``. ``zeta`` is the dimensionless gain, positive;
+    ``scenarios.make_matched_detector`` resolves it from a config's gain keys.
     """
 
     radius: float
@@ -78,8 +77,7 @@ class DetectorSpec:
     tau: float                    # beam coherence time
     omega_center: float
     threshold: float
-    eta: float = 1.0
-    zeta_override: float | None = None
+    zeta: float
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
@@ -87,8 +85,6 @@ class DetectorSpec:
             raise ValueError("detector geometry, timing and frequency must be positive")
         if self.tau > self.window:
             raise ValueError("coherence time tau must not exceed the window T")
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"quantum efficiency must lie in (0, 1], got {self.eta}")
         if self.zeta <= 0:
             raise ValueError(f"gain zeta must be positive, got {self.zeta:g}")
         ax = np.asarray(self.axis, dtype=float)
@@ -118,12 +114,6 @@ class DetectorSpec:
         """Vacuum effective-intensity deviation I0 sqrt(tau / T)."""
         return vacuum_moments(self.omega_center, self.bandwidth, self.length,
                               self.tau, self.window)[1]
-
-    @property
-    def zeta(self) -> float:
-        if self.zeta_override is not None:
-            return self.zeta_override
-        return self.eta * math.pi * self.radius**2 * self.window / self.omega_center
 
     @property
     def n_elements(self) -> int:

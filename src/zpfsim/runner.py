@@ -1,7 +1,8 @@
 """Batch execution of configured experiments and result emission.
 
-``run`` walks the sweep grid, executes the analytic and/or Monte Carlo
-paths per point and assembles a RunRecord whose JSON payload is
+``run`` walks the config's resolved sweep points (``ExperimentConfig.points``,
+each checked and built once by ``config``), executes the analytic and/or
+Monte Carlo paths per point and assembles a RunRecord whose JSON payload is
 byte-identical for identical (config, seed) regardless of worker count.
 A CHSH point runs the plain run and its four analyzer settings
 (``analysis.chsh_variants``) in one ``engine.run_variants`` pass: variant 0
@@ -17,13 +18,13 @@ from dataclasses import dataclass
 
 from . import __version__
 from .analysis import chsh_summary, chsh_variants, classify_regime, tradeoff_report
-from .config import ConfigError, ExperimentConfig, config_digest, sweep_points
+from .config import ConfigError, ExperimentConfig
 from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
 from .engine import default_workers, detection_summary, mc_detect, run_variants
 from .field import RNG_STREAM
-from .scenarios import Scenario, chsh_scenario, pdc_scenario, vacuum_scenario
+from .scenarios import Scenario
 
-__all__ = ["RunRecord", "run", "validate_points", "emit"]
+__all__ = ["RunRecord", "run", "emit"]
 
 SCHEMA_VERSION = 2
 
@@ -46,33 +47,6 @@ class RunRecord:
             "config_digest": self.config_digest,
             "points": list(self.points),
         }
-
-
-def _build_scenario(data: dict, specs: list) -> Scenario:
-    kind = data["scenario"]["kind"]
-    g = data["scenario"]["g"]
-    names = [d["name"] for d in data["detectors"]]
-    if kind == "vacuum":
-        return vacuum_scenario(specs, names, data["scenario"]["n_modes"])
-    if kind == "pdc":
-        return pdc_scenario(specs[0], specs[1], g, (names[0], names[1]))
-    return chsh_scenario(specs[0], specs[1], g)
-
-
-def validate_points(config: ExperimentConfig) -> list:
-    """(overrides, point data, Scenario) of every sweep point, as ``run`` computes them.
-
-    Raises ConfigError naming the first point that fails its checks
-    (``config.sweep_points``) or whose scenario cannot be built.
-    """
-    built = []
-    for overrides, point_data, specs in sweep_points(config.data):
-        try:
-            built.append((overrides, point_data, _build_scenario(point_data, specs)))
-        except ValueError as exc:
-            raise ConfigError(f"sweep point {overrides or '(base)'}: cannot build scenario: "
-                              f"{exc}") from exc
-    return built
 
 
 def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
@@ -155,30 +129,31 @@ def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = 
         workers: int | None = None) -> RunRecord:
     """Execute every sweep point; deterministic for fixed (config, seed).
 
-    Every point is validated (``validate_points``) and the worker count read
-    (``default_workers`` unless given) before the first one is computed: an
-    invalid point or ZPFSIM_WORKERS raises ConfigError, a failing point
-    RuntimeError.
+    A ``trials`` or ``seed`` override makes a new config, whose points are
+    resolved afresh. Every point is resolved (``ExperimentConfig.points``)
+    and the worker count read (``default_workers`` unless given) before the
+    first one is computed: an invalid point or ZPFSIM_WORKERS raises
+    ConfigError, a failing point RuntimeError.
     """
     if workers is None:
         try:
             workers = default_workers()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    data = copy.deepcopy(config.data)
-    if trials is not None:
-        data["run"]["trials"] = trials
-    if seed is not None:
-        data["run"]["seed"] = seed
+    if trials is not None or seed is not None:
+        data = copy.deepcopy(config.data)
+        data["run"].update({key: value for key, value in (("trials", trials), ("seed", seed))
+                            if value is not None})
+        config = ExperimentConfig(data)
     points = []
-    for overrides, point_data, scen in validate_points(ExperimentConfig(data)):
+    for overrides, point_data, scen in config.points:
         try:
             result = _point_result(point_data, scen, workers)
         except Exception as exc:
             raise RuntimeError(f"sweep point {overrides or '(base)'} failed: {exc}") from exc
         result["overrides"] = overrides
         points.append(result)
-    return RunRecord(config_digest=config_digest(data), points=tuple(points))
+    return RunRecord(config_digest=config.digest, points=tuple(points))
 
 
 # ---------------------------------------------------------------------------

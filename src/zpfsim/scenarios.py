@@ -96,17 +96,22 @@ def make_matched_detector(
     """Detector with tau = T / n_cells on its matched element grid.
 
     The threshold is given either absolutely (``threshold``) or as
-    I0 + threshold_sigma * sigma0. ``zeta_sigma``, when given, sets the gain
-    so that zeta * sigma0 equals it.
+    I0 + threshold_sigma * sigma0. The gain is ``zeta``, else zeta_sigma /
+    sigma0, else eta * pi R^2 T / omega_center (the aperture-window
+    photon-count conversion).
     """
     if (threshold is None) == (threshold_sigma is None):
         raise ValueError("give exactly one of threshold and threshold_sigma")
+    if not 0 < eta <= 1:
+        raise ValueError(f"quantum efficiency must lie in (0, 1], got {eta}")
     tau = window / n_cells
     i0, sigma0 = vacuum_moments(omega_center, 2.0 * math.pi / tau, length, tau, window)
     if zeta_sigma is not None:
         if zeta is not None:
             raise ValueError("give at most one of zeta and zeta_sigma")
         zeta = zeta_sigma / sigma0
+    elif zeta is None:
+        zeta = eta * math.pi * radius**2 * window / omega_center
     return DetectorSpec(
         radius=radius,
         length=length,
@@ -114,8 +119,7 @@ def make_matched_detector(
         tau=tau,
         omega_center=omega_center,
         threshold=i0 + threshold_sigma * sigma0 if threshold is None else threshold,
-        eta=eta,
-        zeta_override=zeta,
+        zeta=zeta,
         axis=tuple(axis),
     )
 

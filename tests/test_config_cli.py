@@ -21,11 +21,11 @@ from zpfsim.config import (
     parse_config,
     set_by_path,
 )
-from zpfsim import engine, optics, runner, scenarios
+from zpfsim import config, engine, optics, runner, scenarios
 from zpfsim.analysis import chsh_scan
 from zpfsim.engine import mc_detect
 from zpfsim.field import TRIAL_BLOCK, sample_vacuum_batch
-from zpfsim.runner import emit, run, validate_points
+from zpfsim.runner import emit, run
 from zpfsim.scenarios import chsh_scenario
 
 
@@ -156,7 +156,7 @@ class TestParseConfig:
             # with a Monte Carlo run the correlation comes from the samples
             parse_config({**raw, "run": {"trials": 1, "seed": 1, "mode": "both"}})
             with pytest.raises(ConfigError, match="analytic.corr"):
-                validate_points(parse_config({**raw, "sweeps": {"analytic.corr": [0.6, None]}}))
+                parse_config({**raw, "sweeps": {"analytic.corr": [0.6, None]}})
 
     def test_n_modes_only_for_vacuum(self):
         parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7}))
@@ -215,6 +215,26 @@ class TestLoadConfig:
         path.write_text("")
         with pytest.raises(ConfigError, match="empty"):
             load_config(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        # without the check the second seed would silently replace the first
+        path = tmp_path / "dup.yaml"
+        path.write_text("scenario: {kind: vacuum}\n"
+                        "detectors:\n"
+                        "  - {omega_center: 1.0, window: 628.3, n_cells: 8, threshold_sigma: 2.0}\n"
+                        "run: {seed: 1, seed: 7}\n")
+        with pytest.raises(ConfigError, match="at line 4, column 16: found duplicate key 'seed'"):
+            load_config(path)
+
+    def test_merge_keys_still_apply(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("scenario: {kind: vacuum}\n"
+                        "detectors:\n"
+                        "  - &a {name: a, omega_center: 1.0, window: 628.3, n_cells: 8,\n"
+                        "        threshold_sigma: 2.0}\n"
+                        "  - {<<: *a, name: b, omega_center: 2.0}\n")
+        first, second = load_config(path).data["detectors"]
+        assert second == {**first, "name": "b", "omega_center": 2.0}
 
 
 class TestRunner:
@@ -374,12 +394,14 @@ class TestCli:
         assert "config error" in result.output
 
     def test_validate_rejects_unbuildable_scenario(self, tmp_path):
-        # parses cleanly, but 256-cell bands at 1.25 and 0.75 overlap, so run cannot build it
+        # every key is valid, but 256-cell bands at 1.25 and 0.75 overlap, so the
+        # scenario cannot be built
         dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 1000,
                  "n_cells": 256, "threshold_sigma": 3.0, "zeta_sigma": 0.01}
                 for name, omega in (("signal", 1.25), ("idler", 0.75))]
         raw = base_config(scenario={"kind": "pdc", "g": 0.1}, detectors=dets)
-        parse_config(raw)
+        with pytest.raises(ConfigError, match=r"\(base\): cannot build scenario: .*separated"):
+            parse_config(raw)
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(raw))
         result = invoke(["validate", "--config", str(path)])
@@ -419,6 +441,10 @@ class TestCli:
                     chsh={"settings": [[0, 1], [0, 2], [1, 1], [1, 2]]}),
         pdc_config(run={"trials": 200, "seed": 1, "mode": "mc"}, analytic={"corr": 0.5}),
         base_config(analytic={"corr": 0.5}),
+        # a vacuum pair's beams are independent: its correlation is 0, not a parameter
+        base_config(detectors=[{**base_config()["detectors"][0], "name": name, "omega_center": omega}
+                               for name, omega in (("a", 1.0), ("b", 2.0))],
+                    analytic={"corr": 0.9}),
         with_value(base_config(), "detectors.0.radius", 2.0),
         with_value(base_config(), "detectors.0.eta", 0.3),
         # a non-positive gain would give negative detection probabilities
@@ -428,8 +454,8 @@ class TestCli:
     ], ids=["length", "eta", "threshold", "n_modes-str", "n_modes-float", "trials-bool",
             "n_cells-bool", "axis-zero", "axis-2d", "chsh-settings", "threshold_sigma-nan",
             "zeta_sigma-inf", "empty-sweep", "vacuum-g", "pdc-chsh-settings",
-            "analytic-chsh-settings", "mc-corr", "one-detector-corr", "radius-with-zeta",
-            "eta-with-zeta", "zeta-negative", "zeta_sigma-zero"])
+            "analytic-chsh-settings", "mc-corr", "one-detector-corr", "vacuum-pair-corr",
+            "radius-with-zeta", "eta-with-zeta", "zeta-negative", "zeta_sigma-zero"])
     def test_malformed_config_is_a_config_error(self, tmp_path, raw):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
         cfg_path.write_text(yaml.safe_dump(raw))
@@ -489,6 +515,17 @@ class TestCli:
             assert result.exit_code == 0, result.output
             outs.append(out_path.read_bytes())
         assert outs[0] != outs[1]
+
+    def test_each_point_is_checked_once(self, tmp_path, monkeypatch):
+        cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
+        cfg_path.write_text(yaml.safe_dump(base_config(sweeps={"run.seed": [1, 2]})))
+        check, calls = config.check_point, []
+        monkeypatch.setattr(config, "check_point", lambda data: calls.append(data) or check(data))
+        for args in (["validate"], ["run", "--out", str(out_path)]):
+            calls.clear()
+            result = invoke(args + ["--config", str(cfg_path)])
+            assert result.exit_code == 0, result.output
+            assert len(calls) == 2, args
 
     def test_run_validates_every_point_before_computing(self, tmp_path, monkeypatch):
         dets = [{**base_config()["detectors"][0], "n_cells": 4}]
@@ -600,11 +637,12 @@ class TestCli:
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, straddle=True):
     """Configs of every kind and mode at <= 8 cells and <= 64 trials.
 
-    Keys are set as the kind and mode read them; the thresholds, gains and
-    band widths straddle the limits of a valid config.
+    Keys are set as the kind and mode read them; the band widths straddle
+    the limits of a valid config, and so do the thresholds and gains unless
+    ``straddle`` is false.
     """
     kind = draw(st.sampled_from(["vacuum", "pdc", "chsh"]))
     mode = draw(st.sampled_from(["mc", "analytic", "both"]))
@@ -613,7 +651,7 @@ def small_configs(draw):
     omegas = (draw(st.sampled_from([(1.0,), (1.0, 2.0)])) if kind == "vacuum"
               else draw(st.sampled_from([(1.25, 0.75), (1.0, 2.0)])))
     # one value in six on the wrong side of zero, one in six at zero
-    sign = st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.0, -1.0])
+    sign = st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.0, -1.0] if straddle else [1.0])
     dets = []
     for omega in omegas:
         det = {"name": f"d{omega}", "omega_center": omega, "window": window,
@@ -631,7 +669,7 @@ def small_configs(draw):
         raw["scenario"]["n_modes"] = draw(st.none() | st.integers(1, 8))
     else:
         raw["scenario"]["g"] = draw(couplings)
-    if mode != "mc" and len(dets) == 2:
+    if mode != "mc" and kind != "vacuum":
         raw["analytic"] = {"corr": draw(st.floats(-1.0, 1.0))}
     # an optional sweep along one axis, one or two points
     axis = draw(st.sampled_from([None, "scenario.g", "detectors.0.threshold_sigma", "run.seed"]))
@@ -663,3 +701,76 @@ class TestValidateMatchesRun:
                     for key in ("p_mc", "p_analytic"):
                         if key in entry:
                             assert 0.0 <= entry[key] < 1.0, (key, entry)
+
+
+# Keys whose accepted values a run does not read yet (ROADMAP item 8).
+def known_ignored(path: str, data: dict) -> bool:
+    kind, mode = data["scenario"]["kind"], data["run"]["mode"]
+    return (path in ("run.trials", "run.seed") and mode == "analytic"
+            or path == "scenario.n_modes" and kind == "vacuum" and mode == "analytic"
+            or path.endswith(".name") and kind == "chsh"
+            or path.endswith(".axis"))
+
+
+def leaf_paths(data: dict) -> list:
+    return ["units", *(f"{section}.{key}" for section in ("scenario", "run", "chsh", "analytic")
+                       for key in data[section]),
+            *(f"detectors.{idx}.{key}" for idx, det in enumerate(data["detectors"])
+              for key in det)]
+
+
+def get_by_path(data: dict, path: str):
+    for part in path.split("."):
+        data = data[int(part)] if isinstance(data, list) else data[part]
+    return data
+
+
+def changed_value(path: str, value, data: dict, draw):
+    """A value other than ``value`` for the leaf at ``path``, valid where the schema allows."""
+    key = path.rpartition(".")[2]
+    if key in ("kind", "mode"):
+        choices = {"kind": ["vacuum", "pdc", "chsh"], "mode": ["mc", "analytic", "both"]}[key]
+        return draw(st.sampled_from([c for c in choices if c != value]))
+    if key == "n_modes":    # None takes every one of the n_cells modes
+        n_cells = data["detectors"][0]["n_cells"]
+        return draw(st.integers(1, 9).filter(lambda n: n != (value or n_cells)))
+    if value is None:
+        return draw(st.floats(0.1, 0.9))
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, list):
+        changed = copy.deepcopy(value)
+        changed[0] = [changed[0][0] + 0.5, *changed[0][1:]] if key == "settings" else 1.0
+        return changed
+    if isinstance(value, int):
+        return value + draw(st.integers(1, 3))
+    return value * draw(st.sampled_from([0.5, 2.0])) if value else 0.25
+
+
+def record_points(data: dict):
+    """The points of the record ``run`` makes of ``data`` (JSON), or None if it is rejected."""
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return None
+    return json.dumps(run(cfg, workers=1).points, sort_keys=True)
+
+
+class TestEveryKeyIsRead:
+    @given(raw=small_configs(straddle=False), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_changed_key_is_rejected_or_changes_the_record(self, raw, data):
+        """Each accepted leaf key, changed alone, is rejected or changes the record."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            original = record_points(raw)
+            if original is None:
+                return
+            base = parse_config(raw).data
+            # a swept key's base value is replaced at every point
+            for path in (p for p in leaf_paths(base) if p not in base["sweeps"]):
+                value = changed_value(path, get_by_path(base, path), base, data.draw)
+                changed = copy.deepcopy(base)
+                set_by_path(changed, path, value)
+                if record_points(changed) == original:
+                    assert known_ignored(path, base), f"{path} = {value!r} is accepted and ignored"

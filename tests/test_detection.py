@@ -22,6 +22,7 @@ from zpfsim.detection import (
     rho_signal,
 )
 from zpfsim.field import sample_vacuum_batch
+from zpfsim.scenarios import make_matched_detector
 
 from conftest import detector, draw_rows
 
@@ -33,7 +34,7 @@ def single_element_detector(omega_el=0.9, radius=2.0, length=3.0, window=5.0):
     """One element (tau = T) at omega_el; threshold far above I0 to satisfy validation."""
     return DetectorSpec(
         radius=radius, length=length, window=window, tau=window,
-        omega_center=omega_el, threshold=1e6,
+        omega_center=omega_el, threshold=1e6, zeta=1.0,
     )
 
 
@@ -45,7 +46,7 @@ class TestDetectorSpec:
     def test_tau_exceeding_window_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             DetectorSpec(radius=1.0, length=1.0, window=1.0, tau=2.0,
-                         omega_center=1.0, threshold=1.0)
+                         omega_center=1.0, threshold=1.0, zeta=1.0)
 
     def test_eta_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="efficiency"):
@@ -59,9 +60,9 @@ class TestDetectorSpec:
         assert det.sigma0 == pytest.approx(det.I0 * math.sqrt(tau / 100.0), rel=1e-12)
 
     def test_default_zeta_from_eta(self):
-        det = DetectorSpec(radius=2.0, length=1.0, window=50.0, tau=0.5,
-                           omega_center=4.0, threshold=1e6, eta=0.25)
-        assert det.zeta == pytest.approx(0.25 * math.pi * 4.0 * 50.0 / 4.0, rel=1e-12)
+        det = make_matched_detector(radius=2.0, window=50.0, n_cells=100, omega_center=4.0,
+                                    threshold=1e6, eta=0.25)
+        assert det.zeta == 0.25 * math.pi * 2.0**2 * 50.0 / 4.0
 
     def test_matched_grid_spacing(self):
         det = detector(n_cells=8, window=16.0 * math.pi)
@@ -161,8 +162,7 @@ class TestResponseModels:
         det = small_detector
         big = DetectorSpec(
             radius=1.0, length=det.length, window=det.window, tau=det.tau,
-            omega_center=det.omega_center, threshold=det.threshold,
-            zeta_override=3.0 / det.sigma0)
+            omega_center=det.omega_center, threshold=det.threshold, zeta=3.0 / det.sigma0)
         assert q_standard(det.I0 - det.sigma0, big) < 0.0
         assert q_standard(det.I0 + det.sigma0, big) > 1.0
         # while the bounded model stays in [0, 1) at the same intensities
