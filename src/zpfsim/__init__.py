@@ -5,16 +5,7 @@ a CHSH harness."""
 __version__ = "0.1.0"
 
 from .optics import GeometrySpec, LensSpec, coherence_ok, lens_gain, ring_radius
-from .detection import (
-    BivariateIntensityDist,
-    DetectorSpec,
-    EffectiveIntensityDist,
-    p_joint,
-    p_single,
-    q_model,
-    q_standard,
-    rho_signal,
-)
+from .detection import DetectorSpec, p_joint, p_single, q_model, q_standard
 from .analysis import (
     ChshResult,
     RegimeReport,

@@ -137,7 +137,8 @@ def check_point(data: dict) -> None:
     """Check one sweep point: every value against the schema, then the cross-key rules.
 
     A key that the point's run would not read must keep its default:
-    ``scenario.n_modes`` is read only by the vacuum builder, ``scenario.g``
+    ``scenario.n_modes`` is read only by a vacuum Monte Carlo (the analytic
+    law assumes that a detector sees all of its ``n_cells`` modes), ``scenario.g``
     only by the crystal of PDC and CHSH, ``chsh.settings`` only by a CHSH
     Monte Carlo, ``analytic.corr`` only by a PDC or CHSH coincidence pair
     (a vacuum point's beams are independent, so their correlation is 0),
@@ -165,6 +166,9 @@ def check_point(data: dict) -> None:
     mode = data["run"]["mode"]
     if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
         raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
+    if mode != "mc" and data["scenario"]["n_modes"] is not None:
+        raise ConfigError("scenario.n_modes applies only to run.mode 'mc', not "
+                          f"{mode!r}: the analytic law assumes all n_cells modes")
     if kind == "vacuum" and data["scenario"]["g"] != 0:
         raise ConfigError("a non-zero scenario.g applies only to kinds 'pdc' and 'chsh', "
                           "not 'vacuum'")

@@ -30,10 +30,12 @@ wavevectors k (n, 3) and frequencies omega (n,). No run calls it, and it
 alone needs scipy (for J1), which is a test dependency.
 
 The analytic detection probabilities ``p_single`` and ``p_joint`` integrate
-the gaussian laws against Q in closed form: one gaussian tail minus one
-exponentially tilted tail, and four tilted bivariate-normal orthants
-(Owen's T function), all in log space and with no truncation of the tails.
-The special functions behind them are in ``zpfsim._special``.
+the gaussian law N(mean, sigma0) of each detector's intensity against Q in
+closed form; the detector fixes sigma0, so a law is a detector and its mean
+I0 + Ibar_s. The results are one gaussian tail minus one exponentially
+tilted tail, and four tilted bivariate-normal orthants (Owen's T function),
+all in log space and with no truncation of the tails. The special functions
+behind them are in ``zpfsim._special``.
 
 All formulas below use dimensionless units (hbar = c = eps0 = 1).
 """
@@ -50,13 +52,10 @@ from ._special import erfcx, log_ndtr, ndtr, owens_t
 
 __all__ = [
     "DetectorSpec",
-    "EffectiveIntensityDist",
-    "BivariateIntensityDist",
     "response_matrix",
     "intensity_batch",
     "q_model",
     "q_standard",
-    "rho_signal",
     "p_single",
     "p_joint",
 ]
@@ -218,42 +217,6 @@ def q_standard(intensity, detector: DetectorSpec):
 
 
 # ---------------------------------------------------------------------------
-# analytic effective-intensity laws
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EffectiveIntensityDist:
-    """Gaussian law of the effective intensity (vacuum or vacuum + signal)."""
-
-    mean: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class BivariateIntensityDist:
-    """Joint gaussian of two effective intensities with correlation ``corr``."""
-
-    marginal_1: EffectiveIntensityDist
-    marginal_2: EffectiveIntensityDist
-    corr: float = 0.0
-
-    def __post_init__(self):
-        if not -1.0 <= self.corr <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.corr}")
-
-
-def rho_signal(detector: DetectorSpec, signal_mean: float) -> EffectiveIntensityDist:
-    """Signal law: mean I0 + Ibar_s, deviation unchanged; Ibar_s = 0 is the vacuum law."""
-    if signal_mean < 0:
-        raise ValueError(f"signal mean intensity must be non-negative, got {signal_mean}")
-    return EffectiveIntensityDist(detector.I0 + signal_mean, detector.sigma0)
-
-
-# ---------------------------------------------------------------------------
 # closed-form detection probabilities
 # ---------------------------------------------------------------------------
 #
@@ -363,17 +326,19 @@ def _log_orthant(h: float, k: float, corr: float) -> float:
     return wh + _log1mexp(wk - wh)
 
 
-def p_single(dist: EffectiveIntensityDist, detector: DetectorSpec) -> float:
+def p_single(detector: DetectorSpec, mean: float) -> float:
     """p = int rho(I) Q(I) dI = Phic(z) - e^{eps^2/2 - eps d} Phic(z + eps).
 
-    z = (I_m - mean)/sigma, d = (mean - I0)/sigma, eps = zeta sigma. Written
+    rho is the gaussian law N(mean, sigma0) of the detector's intensity;
+    z = (I_m - mean)/sigma0, d = (mean - I0)/sigma0, eps = zeta sigma0. Written
     as Phic(z) (1 - e^L) with L = -zeta (I_m - I0) - [log R(z) - log R(z + eps)],
     R the Mills ratio, whose two terms have the same sign. For eps < 1 the
     bracket is the integral of 1/R(u) - u over [z, z + eps], taken by
     Gauss-Legendre, so that no eps and no threshold depth loses digits.
     """
-    z = (detector.threshold - dist.mean) / dist.sigma
-    eps = detector.zeta * dist.sigma
+    sigma = detector.sigma0
+    z = (detector.threshold - mean) / sigma
+    eps = detector.zeta * sigma
     if eps < 1.0:
         u = z + eps * _GL_NODES
         hazard = 1.0 / (math.sqrt(0.5 * math.pi) * erfcx(u / math.sqrt(2.0)))
@@ -384,9 +349,12 @@ def p_single(dist: EffectiveIntensityDist, detector: DetectorSpec) -> float:
     return math.exp(log_ndtr(-z) + log_kept)
 
 
-def p_joint(dist: BivariateIntensityDist, det1: DetectorSpec, det2: DetectorSpec) -> float:
+def p_joint(det1: DetectorSpec, det2: DetectorSpec, mean1: float, mean2: float,
+            corr: float) -> float:
     """p12 = int rho12(I1, I2) Q1(I1) Q2(I2) dI1 dI2 in closed form.
 
+    rho12 is the joint gaussian of the two intensities, with marginals
+    N(mean_k, sigma0_k) and correlation ``corr`` in [-1, 1].
     Expanding Q1 Q2 gives four exponentially tilted gaussian orthants: for a
     tilt t in {0, -zeta1 e1, -zeta2 e2, -(zeta1, zeta2)} the term is
     e^{t.(mean - I0) + t'Sigma t/2} P(I > I_m) under N(mean + Sigma t, Sigma),
@@ -394,16 +362,16 @@ def p_joint(dist: BivariateIntensityDist, det1: DetectorSpec, det2: DetectorSpec
     orthant to a one-dimensional tail. The sum is exact; as zeta sigma -> 0 it
     keeps an absolute accuracy of ~1e-16 rather than a relative one.
     """
-    m1, s1 = dist.marginal_1.mean, dist.marginal_1.sigma
-    m2, s2 = dist.marginal_2.mean, dist.marginal_2.sigma
-    c = dist.corr
-    z1, z2 = (det1.threshold - m1) / s1, (det2.threshold - m2) / s2
+    if not -1.0 <= corr <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {corr}")
+    s1, s2 = det1.sigma0, det2.sigma0
+    z1, z2 = (det1.threshold - mean1) / s1, (det2.threshold - mean2) / s2
     e1, e2 = det1.zeta * s1, det2.zeta * s2
-    d1, d2 = (m1 - det1.I0) / s1, (m2 - det2.I0) / s2
+    d1, d2 = (mean1 - det1.I0) / s1, (mean2 - det2.I0) / s2
 
     def term(t1, t2):
-        log_weight = -t1 * d1 - t2 * d2 + 0.5 * (t1 * t1 + t2 * t2) + c * t1 * t2
-        return math.exp(log_weight + _log_orthant(z1 + t1 + c * t2, z2 + t2 + c * t1, c))
+        log_weight = -t1 * d1 - t2 * d2 + 0.5 * (t1 * t1 + t2 * t2) + corr * t1 * t2
+        return math.exp(log_weight + _log_orthant(z1 + t1 + corr * t2, z2 + t2 + corr * t1, corr))
 
     val = (term(0.0, 0.0) - term(e1, 0.0)) - (term(0.0, e2) - term(e1, e2))
     return min(max(val, 0.0), 1.0)

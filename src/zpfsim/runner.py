@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import __version__
 from .analysis import chsh_summary, chsh_variants, classify_regime, tradeoff_report
 from .config import ConfigError, ExperimentConfig
-from .detection import BivariateIntensityDist, p_joint, p_single, rho_signal
+from .detection import p_joint, p_single
 from .engine import default_workers, detection_summary, mc_detect, run_variants
 from .field import RNG_STREAM
 from .scenarios import Scenario
@@ -35,15 +35,12 @@ class RunRecord:
 
     config_digest: str
     points: tuple
-    tool_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
-    rng: str = RNG_STREAM
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "rng": self.rng,
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "rng": RNG_STREAM,
             "config_digest": self.config_digest,
             "points": list(self.points),
         }
@@ -80,7 +77,7 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
             "tradeoff_interval": list(trade.interval) if trade.interval else None,
         }
         if want_analytic:
-            entry["p_analytic"] = p_single(rho_signal(det, signal_mean), det)
+            entry["p_analytic"] = p_single(det, det.I0 + signal_mean)
         if mc is not None:
             entry["p_mc"] = mc.singles[name].value
             entry["p_mc_stderr"] = mc.singles[name].stderr
@@ -104,13 +101,10 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
                 corr = mc.intensity_corr[(na, nb)]
         if want_analytic:
             da, db = scen.detector_specs[a], scen.detector_specs[b]
-            dist = BivariateIntensityDist(
-                rho_signal(da, scen.signal_means[a]),
-                rho_signal(db, scen.signal_means[b]),
-                0.0 if corr is None else max(-1.0, min(1.0, corr)),
-            )
-            entry["p_analytic"] = p_joint(dist, da, db)
-            entry["corr_used"] = dist.corr
+            corr = 0.0 if corr is None else max(-1.0, min(1.0, corr))
+            entry["p_analytic"] = p_joint(da, db, da.I0 + scen.signal_means[a],
+                                          db.I0 + scen.signal_means[b], corr)
+            entry["corr_used"] = corr
         coincidences[key] = entry
 
     point = {"detectors": detectors, "coincidences": coincidences}

@@ -16,13 +16,7 @@ import pytest
 import yaml
 
 from zpfsim.analysis import chsh_scan, min_rate_bound, tradeoff_report
-from zpfsim.detection import (
-    BivariateIntensityDist,
-    p_single,
-    q_model,
-    q_standard,
-    rho_signal,
-)
+from zpfsim.detection import p_single, q_model, q_standard
 from zpfsim.engine import mc_detect
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.pdc import excess_photon_fraction, pair_correlation, pdc_transform
@@ -79,7 +73,7 @@ def test_criterion_2_linear_response():
     signal = scen.signal_means[0]
     assert signal == pytest.approx(10.0 * det.sigma0, rel=1e-10)
     assert det.zeta * signal == pytest.approx(1e-2, rel=1e-10)
-    p_quad = p_single(rho_signal(det, signal), det)
+    p_quad = p_single(det, det.I0 + signal)
     rel_err = abs(p_quad / (det.zeta * signal) - 1.0)
     res = mc_detect(scen, 100_000, seed=202)
     est = res.singles["signal"]
@@ -91,9 +85,8 @@ def test_criterion_2_linear_response():
 
 def test_criterion_3_dark_counts():
     """p_dark <= 2.87e-7 at I_m = I0 + 5 sigma0 and monotone decreasing in I_m."""
-    probs = [p_single(rho_signal(detector(threshold_sigma=s, zeta_sigma=1.0), 0.0),
-                      detector(threshold_sigma=s, zeta_sigma=1.0))
-             for s in (5.0, 6.0, 7.0, 8.0)]
+    dets = [detector(threshold_sigma=s, zeta_sigma=1.0) for s in (5.0, 6.0, 7.0, 8.0)]
+    probs = [p_single(det, det.I0) for det in dets]
     ok = probs[0] <= 2.87e-7 and all(a > b for a, b in zip(probs, probs[1:]))
     record_criterion("3 dark counts", ok,
                      f"p_dark(5 sigma) = {probs[0]:.3g} <= 2.87e-7, "
@@ -105,7 +98,7 @@ def test_criterion_4_saturation():
     det = detector(threshold_sigma=3.0, zeta_sigma=10.0)
     signal = 10.0 * det.sigma0                       # zeta * Ibar_s = 100
     assert tradeoff_report(det, signal).feasible
-    p = p_single(rho_signal(det, signal), det)
+    p = p_single(det, det.I0 + signal)
     record_criterion("4 saturation", p >= 0.99, f"p = {p:.8f} >= 0.99")
 
 

@@ -159,7 +159,13 @@ class TestParseConfig:
                 parse_config({**raw, "sweeps": {"analytic.corr": [0.6, None]}})
 
     def test_n_modes_only_for_vacuum(self):
-        parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7}))
+        # the analytic gaussian law assumes that a detector sees all of its n_cells modes
+        parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7},
+                                 run={"trials": 200, "seed": 1, "mode": "mc"}))
+        for mode in ("both", "analytic"):
+            with pytest.raises(ConfigError, match="n_modes applies only to run.mode 'mc'"):
+                parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7},
+                                         run={"trials": 200, "seed": 1, "mode": mode}))
         dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 100,
                  "n_cells": 8, "threshold_sigma": 2.0, "zeta_sigma": 0.5}
                 for name, omega in (("signal", 1.25), ("idler", 0.75))]
@@ -707,7 +713,6 @@ class TestValidateMatchesRun:
 def known_ignored(path: str, data: dict) -> bool:
     kind, mode = data["scenario"]["kind"], data["run"]["mode"]
     return (path in ("run.trials", "run.seed") and mode == "analytic"
-            or path == "scenario.n_modes" and kind == "vacuum" and mode == "analytic"
             or path.endswith(".name") and kind == "chsh"
             or path.endswith(".axis"))
 

@@ -10,16 +10,13 @@ from scipy.special import j0
 from scipy.stats import norm
 
 from zpfsim.detection import (
-    BivariateIntensityDist,
     DetectorSpec,
-    EffectiveIntensityDist,
     intensity_batch,
     p_joint,
     p_single,
     q_model,
     q_standard,
     response_matrix,
-    rho_signal,
 )
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.scenarios import make_matched_detector
@@ -176,78 +173,62 @@ class TestResponseModels:
         assert isinstance(q_model(det.threshold, det), float)
 
 
-class TestIntensityLaws:
-    def test_dist_validation(self):
-        with pytest.raises(ValueError, match="sigma"):
-            EffectiveIntensityDist(1.0, 0.0)
-        with pytest.raises(ValueError, match="correlation"):
-            BivariateIntensityDist(EffectiveIntensityDist(1.0, 1.0),
-                                   EffectiveIntensityDist(1.0, 1.0), 1.5)
-
-    def test_vacuum_and_signal_laws(self, small_detector):
-        det = small_detector
-        vac = rho_signal(det, 0.0)
-        assert (vac.mean, vac.sigma) == (det.I0, det.sigma0)
-        sig = rho_signal(det, 2.5 * det.sigma0)
-        assert sig.mean == pytest.approx(det.I0 + 2.5 * det.sigma0)
-        assert sig.sigma == det.sigma0
-        with pytest.raises(ValueError, match="non-negative"):
-            rho_signal(det, -1.0)
-
-
 class TestDetectionProbabilities:
+    def test_joint_rejects_corr_outside_unit_interval(self, small_detector):
+        det = small_detector
+        with pytest.raises(ValueError, match="correlation"):
+            p_joint(det, det, det.I0, det.I0, corr=1.5)
+
     def test_saturated_limit_equals_gaussian_tail(self):
         # huge gain: p -> P(I > I_m), the threshold-crossing probability
         det = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=1e6)
-        p = p_single(rho_signal(det, 3.0 * det.sigma0), det)
+        p = p_single(det, det.I0 + 3.0 * det.sigma0)
         tail = norm.sf(det.threshold, det.I0 + 3.0 * det.sigma0, det.sigma0)
         assert p == pytest.approx(tail, rel=1e-6)
 
     def test_dark_probability_below_gaussian_tail(self, small_detector):
         det = small_detector
-        p = p_single(rho_signal(det, 0.0), det)
+        p = p_single(det, det.I0)
         assert 0.0 < p <= norm.sf(5.0)
 
     def test_joint_factorizes_at_zero_corr(self):
         d1 = detector(n_cells=100, threshold_sigma=2.0, zeta_sigma=0.5)
         d2 = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=0.2)
-        r1 = rho_signal(d1, 4.0 * d1.sigma0)
-        r2 = rho_signal(d2, 2.0 * d2.sigma0)
-        joint = p_joint(BivariateIntensityDist(r1, r2, 0.0), d1, d2)
-        assert joint == pytest.approx(p_single(r1, d1) * p_single(r2, d2), rel=1e-8)
+        m1, m2 = d1.I0 + 4.0 * d1.sigma0, d2.I0 + 2.0 * d2.sigma0
+        joint = p_joint(d1, d2, m1, m2, 0.0)
+        assert joint == pytest.approx(p_single(d1, m1) * p_single(d2, m2), rel=1e-8)
 
     def test_perfect_corr_identical_arms_collapses(self):
         det = detector(n_cells=100, threshold_sigma=1.5, zeta_sigma=1e6)
-        r = rho_signal(det, 3.0 * det.sigma0)
+        m = det.I0 + 3.0 * det.sigma0
         # saturated responses: joint click prob = single click prob on the diagonal
-        joint = p_joint(BivariateIntensityDist(r, r, 1.0), det, det)
-        assert joint == pytest.approx(p_single(r, det), rel=1e-6)
+        joint = p_joint(det, det, m, m, 1.0)
+        assert joint == pytest.approx(p_single(det, m), rel=1e-6)
 
     def test_against_dblquad_oracle_at_half_corr(self):
         d1 = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=0.8)
         d2 = detector(n_cells=100, threshold_sigma=0.5, zeta_sigma=0.4)
-        r1 = rho_signal(d1, 3.0 * d1.sigma0)
-        r2 = rho_signal(d2, 2.0 * d2.sigma0)
+        m1, m2 = d1.I0 + 3.0 * d1.sigma0, d2.I0 + 2.0 * d2.sigma0
+        s1, s2 = d1.sigma0, d2.sigma0
         c = 0.5
-        dist = BivariateIntensityDist(r1, r2, c)
 
         def pdf2(x1, x2):
-            z1 = (x1 - r1.mean) / r1.sigma
-            z2 = (x2 - r2.mean) / r2.sigma
+            z1 = (x1 - m1) / s1
+            z2 = (x2 - m2) / s2
             expo = -(z1 * z1 - 2 * c * z1 * z2 + z2 * z2) / (2 * (1 - c * c))
-            return math.exp(expo) / (2 * math.pi * r1.sigma * r2.sigma * math.sqrt(1 - c * c))
+            return math.exp(expo) / (2 * math.pi * s1 * s2 * math.sqrt(1 - c * c))
 
         oracle, _ = dblquad(
             lambda x2, x1: pdf2(x1, x2) * q_model(x1, d1) * q_model(x2, d2),
-            d1.threshold, r1.mean + 10 * r1.sigma,
-            d2.threshold, r2.mean + 10 * r2.sigma,
+            d1.threshold, m1 + 10 * s1,
+            d2.threshold, m2 + 10 * s2,
         )
-        assert p_joint(dist, d1, d2) == pytest.approx(oracle, rel=1e-6)
+        assert p_joint(d1, d2, m1, m2, c) == pytest.approx(oracle, rel=1e-6)
 
     def test_positive_corr_raises_coincidences(self):
         det = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=0.5)
-        r = rho_signal(det, 3.0 * det.sigma0)
-        ps = [p_joint(BivariateIntensityDist(r, r, c), det, det)
+        m = det.I0 + 3.0 * det.sigma0
+        ps = [p_joint(det, det, m, m, c)
               for c in (-0.5, 0.0, 0.5, 0.9)]
         assert ps == sorted(ps)
 
@@ -265,8 +246,8 @@ OFFSETS = ((1.0, 1.0), (2.0, 0.0), (3.0, -2.0), (20.0, 20.0))
 
 
 def law(det, z):
-    """Gaussian intensity law whose mean sits z sigma0 below the threshold."""
-    return EffectiveIntensityDist(det.threshold - z * det.sigma0, det.sigma0)
+    """Mean of the gaussian intensity law that sits z sigma0 below the threshold."""
+    return det.threshold - z * det.sigma0
 
 
 def within_spec(value, oracle):
@@ -275,11 +256,11 @@ def within_spec(value, oracle):
     return err <= 1e-10 * abs(oracle) or (abs(oracle) < 1e-5 and err <= 1e-15)
 
 
-def standardized(dist, det):
-    """(z, d, eps) of a law and a detector as mpmath numbers."""
-    sigma = mpmath.mpf(dist.sigma)
-    return ((mpmath.mpf(det.threshold) - mpmath.mpf(dist.mean)) / sigma,
-            (mpmath.mpf(dist.mean) - mpmath.mpf(det.I0)) / sigma,
+def standardized(det, mean):
+    """(z, d, eps) of a detector and its law's mean as mpmath numbers."""
+    sigma = mpmath.mpf(det.sigma0)
+    return ((mpmath.mpf(det.threshold) - mpmath.mpf(mean)) / sigma,
+            (mpmath.mpf(mean) - mpmath.mpf(det.I0)) / sigma,
             mpmath.mpf(det.zeta) * sigma)
 
 
@@ -292,16 +273,16 @@ def breakpoints(lo, hi, scale):
     return pts + [hi]
 
 
-def mp_p_single(dist, det):
+def mp_p_single(det, mean):
     """The defining integral int phi(u) (1 - e^{-eps (u + d)}) du over u > z."""
     with mpmath.workdps(30):
-        z, d, eps = standardized(dist, det)
+        z, d, eps = standardized(det, mean)
         f = lambda u: mpmath.npdf(u) * -mpmath.expm1(-eps * (u + d))
         pts = breakpoints(z, max(z, 0) + 60, 1 / (1 + abs(z) + eps))
         return mpmath.quad(f, pts + [mpmath.inf])
 
 
-def mp_p_joint(dist, det1, det2):
+def mp_p_joint(det1, det2, mean1, mean2, corr):
     """Outer integral over arm 1 of phi q1 times arm 2's conditional click law.
 
     The conditional law of u2 given u1 is N(c u1, 1 - c^2); its click
@@ -309,9 +290,9 @@ def mp_p_joint(dist, det1, det2):
     of the two terms costs at most eight digits.
     """
     with mpmath.workdps(22):
-        z1, d1, e1 = standardized(dist.marginal_1, det1)
-        z2, d2, e2 = standardized(dist.marginal_2, det2)
-        c = mpmath.mpf(dist.corr)
+        z1, d1, e1 = standardized(det1, mean1)
+        z2, d2, e2 = standardized(det2, mean2)
+        c = mpmath.mpf(corr)
         q1 = lambda u: -mpmath.expm1(-e1 * (u + d1))
         scale = 1 / (1 + abs(z1) + e1 + e2)
         if abs(c) == 1:
@@ -341,26 +322,26 @@ class TestClosedFormAccuracy:
     @pytest.mark.parametrize("threshold_sigma,z", OFFSETS)
     def test_p_single_against_mpmath(self, zeta_sigma, threshold_sigma, z):
         det = detector(n_cells=100, threshold_sigma=threshold_sigma, zeta_sigma=zeta_sigma)
-        dist = law(det, z)
-        oracle = float(mp_p_single(dist, det))
+        mean = law(det, z)
+        oracle = float(mp_p_single(det, mean))
         assert oracle > 0.0
-        assert p_single(dist, det) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+        assert p_single(det, mean) == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("zeta_sigma", (1e-3, 1.0, 10.0))
     @pytest.mark.parametrize("threshold_sigma,z", OFFSETS[:3])
     def test_p_single_against_quad(self, zeta_sigma, threshold_sigma, z):
         det = detector(n_cells=100, threshold_sigma=threshold_sigma, zeta_sigma=zeta_sigma)
-        dist = law(det, z)
-        lo, scale = det.threshold, dist.sigma / (1.0 + zeta_sigma)
-        pieces = [quad(lambda x: norm.pdf(x, dist.mean, dist.sigma) * q_model(x, det), a, b,
+        mean = law(det, z)
+        lo, scale = det.threshold, det.sigma0 / (1.0 + zeta_sigma)
+        pieces = [quad(lambda x: norm.pdf(x, mean, det.sigma0) * q_model(x, det), a, b,
                        epsabs=1e-18, epsrel=1e-12, limit=200)[0]
                   for a, b in zip([lo] + [lo + scale * 2**j for j in range(8)],
                                   [lo + scale * 2**j for j in range(8)] + [np.inf])]
-        assert within_spec(p_single(dist, det), math.fsum(pieces))
+        assert within_spec(p_single(det, mean), math.fsum(pieces))
 
     def test_p_single_20_sigma_tail_is_resolved(self):
         det = detector(n_cells=100, threshold_sigma=20.0, zeta_sigma=1e6)
-        p = p_single(rho_signal(det, 0.0), det)
+        p = p_single(det, det.I0)
         # saturated response: the gaussian tail beyond 20 sigma, 2.75e-89
         assert p == pytest.approx(norm.sf(20.0), rel=1e-12)
 
@@ -373,14 +354,13 @@ class TestClosedFormAccuracy:
         d1 = detector(n_cells=100, threshold_sigma=t1, zeta_sigma=zeta_sigma)
         # the second arm responds ten times more steeply (capped at 1e6)
         d2 = detector(n_cells=100, threshold_sigma=t2, zeta_sigma=min(10 * zeta_sigma, 1e6))
-        dist = BivariateIntensityDist(law(d1, z1), law(d2, z2), corr)
-        oracle = float(mp_p_joint(dist, d1, d2))
-        assert within_spec(p_joint(dist, d1, d2), oracle)
+        means = law(d1, z1), law(d2, z2)
+        oracle = float(mp_p_joint(d1, d2, *means, corr))
+        assert within_spec(p_joint(d1, d2, *means, corr), oracle)
 
     def test_p_joint_20_sigma_tail_is_resolved(self):
         d1 = detector(n_cells=100, threshold_sigma=20.0, zeta_sigma=1.0)
         d2 = detector(n_cells=100, threshold_sigma=1.0, zeta_sigma=1.0)
-        dist = BivariateIntensityDist(rho_signal(d1, 0.0), rho_signal(d2, 0.0), 0.6)
-        oracle = float(mp_p_joint(dist, d1, d2))
+        oracle = float(mp_p_joint(d1, d2, d1.I0, d2.I0, 0.6))
         assert 0.0 < oracle < 1e-80
-        assert p_joint(dist, d1, d2) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+        assert p_joint(d1, d2, d1.I0, d2.I0, 0.6) == pytest.approx(oracle, rel=1e-10, abs=0.0)
