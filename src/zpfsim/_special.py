@@ -10,6 +10,7 @@ a tail."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,10 +24,17 @@ _ERFCX_NEG_LIMIT = -math.sqrt(math.log(np.finfo(float).max))
 # asymptotic series, which is then exact to double precision in 12 terms
 _ERFCX_ASYMPTOTIC = 26.0
 _ASYMPTOTIC_TERMS = 12
-# Gauss-Legendre rule on [0, 1] for Owen's T integrand at a <= 1
-_T_NODES, _T_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_T_NODES = 0.5 * (_T_NODES + 1.0)
-_T_WEIGHTS = 0.5 * _T_WEIGHTS
+
+
+@functools.cache
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1].
+
+    Built on first use, so that only a process that integrates pays the
+    ~5 ms import of ``numpy.polynomial``.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _square(x: float) -> tuple[float, float]:
@@ -96,6 +104,7 @@ def owens_t(h: float, a: float) -> float:
         ah = a * h
         return (0.5 * (ndtr(h) * ndtr(-ah) + ndtr(ah) * ndtr(-h))
                 - owens_t(ah, 1.0 / a))
-    x = a * _T_NODES
+    nodes, weights = legendre_rule(20)
+    x = a * nodes
     q = 1.0 + x * x
-    return a * float(np.dot(_T_WEIGHTS, np.exp(-0.5 * h * h * q) / q)) / (2.0 * math.pi)
+    return a * float(np.dot(weights, np.exp(-0.5 * h * h * q) / q)) / (2.0 * math.pi)

@@ -1,6 +1,10 @@
 """Regime classification, the detection trade-off, the minimum-rate bound
 and the CHSH harness.
 
+``classify_regime`` gives a detector's regime and its two threshold
+margins; ``tradeoff_report`` the feasible threshold interval, or None. The
+runner reads both into each detector's record entry.
+
 The CHSH harness reads four analyzer settings on shared hidden variables.
 Every response lies in [0, 1), so the model obeys Clauser-Horne's CH <= 0;
 S, normalized by each setting's coincidences, is post-selected and may pass
@@ -23,8 +27,6 @@ from .engine import run_variants
 from .scenarios import Scenario
 
 __all__ = [
-    "RegimeReport",
-    "TradeoffReport",
     "ChshResult",
     "classify_regime",
     "tradeoff_report",
@@ -39,39 +41,14 @@ LINEAR_MAX = 0.1
 SATURATED_MIN = 10.0
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Operating regime of a detector plus the constraint margins behind it."""
+def classify_regime(detector: DetectorSpec, signal_mean: float) -> tuple[str, float, float]:
+    """(regime, dark margin, linearity margin) of a detector under a signal mean Ibar_s.
 
-    regime: str                      # dark | linear | intermediate | saturated
-    checks: tuple                    # (name, satisfied, margin in sigma0 units)
-
-
-@dataclass(frozen=True)
-class TradeoffReport:
-    """Feasibility of the dark-count vs linearity trade-off.
-
-    ``interval`` is the feasible threshold range [I0 + k sigma0,
-    I0 + Ibar_s - k sigma0], or None when the signal is too weak.
+    The regime is dark, linear, intermediate or saturated by zeta Ibar_s. The
+    margins are (I_m - I0) / sigma0 and (I0 + Ibar_s - I_m) / sigma0.
     """
-
-    feasible: bool
-    interval: tuple[float, float] | None
-    checks: tuple
-
-
-def _margins(detector: DetectorSpec, signal_mean: float):
     if signal_mean < 0:
         raise ValueError("signal mean intensity must be non-negative")
-    s0 = detector.sigma0
-    dark = (detector.threshold - detector.I0) / s0
-    linear = (detector.I0 + signal_mean - detector.threshold) / s0
-    return dark, linear
-
-
-def classify_regime(signal_mean: float, detector: DetectorSpec) -> RegimeReport:
-    """Dark / linear / saturated classification of Eq.-level operation."""
-    dark_m, lin_m = _margins(detector, signal_mean)
     x = detector.zeta * signal_mean
     if signal_mean == 0:
         regime = "dark"
@@ -81,34 +58,26 @@ def classify_regime(signal_mean: float, detector: DetectorSpec) -> RegimeReport:
         regime = "saturated"
     else:
         regime = "intermediate"
-    checks = (
-        ("zeta_signal", True, x),
-        ("dark_margin", dark_m > 0, dark_m),
-        ("linearity_margin", lin_m > 0, lin_m),
-    )
-    return RegimeReport(regime, checks)
+    s0 = detector.sigma0
+    return (regime, (detector.threshold - detector.I0) / s0,
+            (detector.I0 + signal_mean - detector.threshold) / s0)
 
 
-def tradeoff_report(detector: DetectorSpec, signal_mean: float, k: float = 3.0) -> TradeoffReport:
-    """Evaluate both threshold constraints at strength k (default 3 sigma0).
+def tradeoff_report(detector: DetectorSpec, signal_mean: float,
+                    k: float = 3.0) -> tuple[float, float] | None:
+    """Feasible threshold interval (I0 + k sigma0, I0 + Ibar_s - k sigma0), or None.
 
     The dark-count constraint I_m - I0 >= k sigma0 and the linearity
     constraint I0 + Ibar_s - I_m >= k sigma0 are jointly satisfiable iff
-    Ibar_s >= 2 k sigma0.
+    Ibar_s >= 2 k sigma0; below that there is no interval.
     """
     if k <= 0:
         raise ValueError("constraint strength k must be positive")
-    dark_m, lin_m = _margins(detector, signal_mean)
+    if signal_mean < 0:
+        raise ValueError("signal mean intensity must be non-negative")
     s0 = detector.sigma0
-    lo = detector.I0 + k * s0
-    hi = detector.I0 + signal_mean - k * s0
-    feasible = signal_mean >= 2.0 * k * s0
-    checks = (
-        ("dark_margin", dark_m >= k, dark_m),
-        ("linearity_margin", lin_m >= k, lin_m),
-        ("signal_strength", feasible, signal_mean / s0),
-    )
-    return TradeoffReport(feasible, (lo, hi) if feasible else None, checks)
+    interval = detector.I0 + k * s0, detector.I0 + signal_mean - k * s0
+    return interval if signal_mean >= 2.0 * k * s0 else None
 
 
 def min_rate_bound(eta: float, focal: float, crystal_radius: float, length: float,

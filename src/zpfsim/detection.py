@@ -48,14 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import erfcx, log_ndtr, ndtr, owens_t
+from ._special import erfcx, legendre_rule, log_ndtr, ndtr, owens_t
 
 __all__ = [
     "DetectorSpec",
     "response_matrix",
     "intensity_batch",
     "q_model",
-    "q_standard",
     "p_single",
     "p_joint",
 ]
@@ -209,13 +208,6 @@ def q_model(intensity, detector: DetectorSpec):
     return float(q[0]) if scalar else q
 
 
-def q_standard(intensity, detector: DetectorSpec):
-    """Unbounded textbook response zeta (I - I0); may be negative or exceed 1."""
-    i = np.asarray(intensity, dtype=float)
-    q = detector.zeta * (i - detector.I0)
-    return q if q.ndim else float(q)
-
-
 # ---------------------------------------------------------------------------
 # closed-form detection probabilities
 # ---------------------------------------------------------------------------
@@ -228,10 +220,6 @@ def q_standard(intensity, detector: DetectorSpec):
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _DEGENERATE_CORR = 1.0 - 1e-12
-# 8-point Gauss-Legendre rule on [0, 1], for the log Mills-ratio drop at small eps
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 @functools.cache
@@ -340,9 +328,10 @@ def p_single(detector: DetectorSpec, mean: float) -> float:
     z = (detector.threshold - mean) / sigma
     eps = detector.zeta * sigma
     if eps < 1.0:
-        u = z + eps * _GL_NODES
+        nodes, weights = legendre_rule(8)
+        u = z + eps * nodes
         hazard = 1.0 / (math.sqrt(0.5 * math.pi) * erfcx(u / math.sqrt(2.0)))
-        drop = eps * float(np.dot(_GL_WEIGHTS, hazard - u))
+        drop = eps * float(np.dot(weights, hazard - u))
     else:
         drop = _log_mills(z) - _log_mills(z + eps)
     log_kept = _log1mexp(-detector.zeta * (detector.threshold - detector.I0) - drop)

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "pdc_transform",
     "pair_power",
-    "pair_correlation",
     "excess_photon_fraction",
 ]
 
@@ -87,11 +86,6 @@ def pair_power(pump_power: np.ndarray, q: np.ndarray, g: float) -> np.ndarray:
     s_idx, i_idx = _halves(out.shape[-1])
     out[..., s_idx], out[..., i_idx] = r, re
     return out
-
-
-def pair_correlation(g: float) -> float:
-    """Ensemble moment E[alpha_s' alpha_i'] of one matched pair."""
-    return g * (1.0 + 0.5 * g * g)
 
 
 def excess_photon_fraction(g: float) -> float:

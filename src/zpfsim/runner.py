@@ -62,19 +62,19 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
     detectors = {}
     for name, det, signal_mean in zip(scen.detector_names, scen.detector_specs,
                                       scen.signal_means):
-        regime = classify_regime(signal_mean, det)
-        trade = tradeoff_report(det, signal_mean)
+        regime, dark_margin, linearity_margin = classify_regime(det, signal_mean)
+        interval = tradeoff_report(det, signal_mean)
         entry = {
             "I0": det.I0,
             "sigma0": det.sigma0,
             "zeta": det.zeta,
             "threshold": det.threshold,
             "signal_mean": signal_mean,
-            "regime": regime.regime,
-            "dark_margin_sigma": regime.checks[1][2],
-            "linearity_margin_sigma": regime.checks[2][2],
-            "tradeoff_feasible": trade.feasible,
-            "tradeoff_interval": list(trade.interval) if trade.interval else None,
+            "regime": regime,
+            "dark_margin_sigma": dark_margin,
+            "linearity_margin_sigma": linearity_margin,
+            "tradeoff_feasible": interval is not None,
+            "tradeoff_interval": list(interval) if interval else None,
         }
         if want_analytic:
             entry["p_analytic"] = p_single(det, det.I0 + signal_mean)

@@ -48,6 +48,18 @@ def detector(n_cells=100, threshold_sigma=5.0, zeta_sigma=0.01, omega_center=1.0
     )
 
 
+def q_standard(intensity, detector):
+    """Unbounded textbook response zeta (I - I0); may be negative or exceed 1."""
+    i = np.asarray(intensity, dtype=float)
+    q = detector.zeta * (i - detector.I0)
+    return q if q.ndim else float(q)
+
+
+def pair_correlation(g):
+    """Ensemble moment E[alpha_s' alpha_i'] = g (1 + g^2/2) of one matched crystal pair."""
+    return g * (1.0 + 0.5 * g * g)
+
+
 def mc_intensity_samples(scenario, trials, seed):
     """Per-detector effective-intensity samples, computed as the engine does.
 

@@ -16,10 +16,10 @@ import pytest
 import yaml
 
 from zpfsim.analysis import chsh_scan, min_rate_bound, tradeoff_report
-from zpfsim.detection import p_single, q_model, q_standard
+from zpfsim.detection import p_single, q_model
 from zpfsim.engine import mc_detect
 from zpfsim.field import sample_vacuum_batch
-from zpfsim.pdc import excess_photon_fraction, pair_correlation, pdc_transform
+from zpfsim.pdc import excess_photon_fraction, pdc_transform
 from zpfsim.scenarios import (
     chsh_scenario,
     make_matched_detector,
@@ -27,7 +27,15 @@ from zpfsim.scenarios import (
     vacuum_scenario,
 )
 
-from conftest import WINDOW_1K, detector, draw_rows, mc_intensity_samples, record_criterion
+from conftest import (
+    WINDOW_1K,
+    detector,
+    draw_rows,
+    mc_intensity_samples,
+    pair_correlation,
+    q_standard,
+    record_criterion,
+)
 
 
 def test_criterion_1_vacuum_statistics():
@@ -97,7 +105,7 @@ def test_criterion_4_saturation():
     """p >= 0.99 for zeta * Ibar_s = 100 with a feasible threshold."""
     det = detector(threshold_sigma=3.0, zeta_sigma=10.0)
     signal = 10.0 * det.sigma0                       # zeta * Ibar_s = 100
-    assert tradeoff_report(det, signal).feasible
+    assert tradeoff_report(det, signal) is not None
     p = p_single(det, det.I0 + signal)
     record_criterion("4 saturation", p >= 0.99, f"p = {p:.8f} >= 0.99")
 
@@ -107,12 +115,10 @@ def test_criterion_5_tradeoff_theorem(small_detector):
     s0 = small_detector.sigma0
     ok = True
     for factor in (0.0, 1.0, 3.0, 5.0, 5.99):
-        rep = tradeoff_report(small_detector, factor * s0)
-        ok = ok and not rep.feasible and rep.interval is None
+        ok = ok and tradeoff_report(small_detector, factor * s0) is None
     for factor in (6.01, 8.0, 20.0, 1000.0):
-        rep = tradeoff_report(small_detector, factor * s0)
-        lo, hi = rep.interval
-        ok = ok and rep.feasible and lo <= hi
+        lo, hi = tradeoff_report(small_detector, factor * s0)
+        ok = ok and lo <= hi
     record_criterion("5 trade-off theorem", ok,
                      "empty below 6 sigma0, non-empty above, k = 3")
 

@@ -23,50 +23,44 @@ positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False)
 
 class TestClassifyRegime:
     def test_dark(self, small_detector):
-        rep = classify_regime(0.0, small_detector)
-        assert rep.regime == "dark"
+        assert classify_regime(small_detector, 0.0)[0] == "dark"
 
     def test_linear_intermediate_saturated(self, small_detector):
         det = small_detector                      # zeta * sigma0 = 0.01
         s0 = det.sigma0
-        assert classify_regime(5.0 * s0, det).regime == "linear"       # x = 0.05
-        assert classify_regime(100.0 * s0, det).regime == "intermediate"  # x = 1
-        assert classify_regime(2000.0 * s0, det).regime == "saturated"    # x = 20
+        assert classify_regime(det, 5.0 * s0)[0] == "linear"          # x = 0.05
+        assert classify_regime(det, 100.0 * s0)[0] == "intermediate"  # x = 1
+        assert classify_regime(det, 2000.0 * s0)[0] == "saturated"    # x = 20
 
     def test_margins_reported_in_sigma_units(self, small_detector):
         det = small_detector                      # threshold at I0 + 5 sigma0
-        rep = classify_regime(8.0 * det.sigma0, det)
-        checks = dict((name, margin) for name, _, margin in rep.checks)
-        assert checks["dark_margin"] == pytest.approx(5.0, rel=1e-10)
-        assert checks["linearity_margin"] == pytest.approx(3.0, rel=1e-10)
+        _, dark_margin, linearity_margin = classify_regime(det, 8.0 * det.sigma0)
+        assert dark_margin == pytest.approx(5.0, rel=1e-10)
+        assert linearity_margin == pytest.approx(3.0, rel=1e-10)
 
     def test_negative_signal_rejected(self, small_detector):
         with pytest.raises(ValueError, match="non-negative"):
-            classify_regime(-1.0, small_detector)
+            classify_regime(small_detector, -1.0)
 
 
 class TestTradeoff:
     def test_feasibility_threshold_at_2k_sigma(self, small_detector):
         det = small_detector
         s0 = det.sigma0
-        assert not tradeoff_report(det, 5.9 * s0).feasible
-        assert tradeoff_report(det, 6.1 * s0).feasible
+        assert tradeoff_report(det, 5.9 * s0) is None
+        assert tradeoff_report(det, 6.1 * s0) is not None
         # boundary is inclusive and collapses to a single point
-        rep = tradeoff_report(det, 6.0 * s0)
-        assert rep.feasible
-        lo, hi = rep.interval
+        lo, hi = tradeoff_report(det, 6.0 * s0)
         assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_interval_endpoints(self, small_detector):
         det = small_detector
-        rep = tradeoff_report(det, 10.0 * det.sigma0, k=2.0)
-        lo, hi = rep.interval
+        lo, hi = tradeoff_report(det, 10.0 * det.sigma0, k=2.0)
         assert lo == pytest.approx(det.I0 + 2.0 * det.sigma0, rel=1e-12)
         assert hi == pytest.approx(det.I0 + 8.0 * det.sigma0, rel=1e-12)
 
     def test_infeasible_interval_is_none(self, small_detector):
-        rep = tradeoff_report(small_detector, 1.0 * small_detector.sigma0)
-        assert rep.interval is None
+        assert tradeoff_report(small_detector, 1.0 * small_detector.sigma0) is None
 
     def test_validation(self, small_detector):
         with pytest.raises(ValueError, match="non-negative"):

@@ -15,13 +15,12 @@ from zpfsim.detection import (
     p_joint,
     p_single,
     q_model,
-    q_standard,
     response_matrix,
 )
 from zpfsim.field import sample_vacuum_batch
 from zpfsim.scenarios import make_matched_detector
 
-from conftest import detector, draw_rows
+from conftest import detector, draw_rows, q_standard
 
 # shared across hypothesis examples (construction is deterministic)
 _BOUNDEDNESS_DETECTOR = detector(zeta_sigma=10.0)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from zpfsim.field import sample_vacuum_batch, sample_vacuum_power
-from zpfsim.pdc import excess_photon_fraction, pair_correlation, pair_power, pdc_transform
+from zpfsim.pdc import excess_photon_fraction, pair_power, pdc_transform
 
-from conftest import draw_rows
+from conftest import draw_rows, pair_correlation
 
 
 class TestPdcTransform:
