@@ -89,6 +89,25 @@ _SCHEMA = {
 }
 _SECTIONS = ("scenario", "run", "chsh", "analytic", "sweeps")
 
+# schema path -> (which points read the key, whether a point reads it from its
+# kind, run.mode and the key's own section). A key that its point does not
+# read must keep its _SCHEMA default.
+_READERS = {
+    # the analytic law assumes that a detector sees all of its n_cells modes
+    "scenario.n_modes": ("kind 'vacuum' with run.mode 'mc'",
+                         lambda kind, mode, section: kind == "vacuum" and mode == "mc"),
+    "scenario.g": ("kinds 'pdc' and 'chsh'", lambda kind, mode, section: kind != "vacuum"),
+    "chsh.settings": ("kind 'chsh' with run.mode 'mc' or 'both'",
+                      lambda kind, mode, section: kind == "chsh" and mode != "analytic"),
+    # a vacuum pair's beams are independent, so its correlation is 0
+    "analytic.corr": ("kinds 'pdc' and 'chsh' with run.mode 'analytic' or 'both'",
+                      lambda kind, mode, section: kind != "vacuum" and mode != "mc"),
+    # radius and eta set only the zeta derived when neither zeta nor zeta_sigma is given
+    **dict.fromkeys(("detectors.radius", "detectors.eta"), (
+        "a detector without zeta or zeta_sigma",
+        lambda kind, mode, section: section["zeta"] is None and section["zeta_sigma"] is None)),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -134,52 +153,30 @@ def _sections(data: dict):
 
 
 def check_point(data: dict) -> None:
-    """Check one sweep point: every value against the schema, then the cross-key rules.
+    """Check one sweep point: every value against ``_SCHEMA``, every key its
+    point does not read against its default (``_READERS``), then the
+    cross-key rules.
 
-    A key that the point's run would not read must keep its default:
-    ``scenario.n_modes`` is read only by a vacuum Monte Carlo (the analytic
-    law assumes that a detector sees all of its ``n_cells`` modes), ``scenario.g``
-    only by the crystal of PDC and CHSH, ``chsh.settings`` only by a CHSH
-    Monte Carlo, ``analytic.corr`` only by a PDC or CHSH coincidence pair
-    (a vacuum point's beams are independent, so their correlation is 0),
-    and a detector's ``radius`` and ``eta`` only by the zeta derived when it
-    gives neither ``zeta`` nor ``zeta_sigma``. An analytic-only PDC or CHSH
-    run has no Monte Carlo estimate of the intensity correlation of its
-    coincidences, so it needs ``analytic.corr``.
+    An analytic-only PDC or CHSH run has no Monte Carlo estimate of the
+    intensity correlation of its coincidences, so it needs ``analytic.corr``.
     """
     for prefix, section, schema in _sections(data):
         for key, (default, what, ok) in schema.items():
             value = section[key]
             if not (value is None and default is None or ok(value)):
                 raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
-    kind = data["scenario"]["kind"]
+    kind, mode = data["scenario"]["kind"], data["run"]["mode"]
+    for prefix, section, schema in _sections(data):
+        for key, (default, _, _) in schema.items():
+            readers, reads = _READERS.get(f"{prefix.split('.')[0]}.{key}", (None, None))
+            if readers and section[key] != default and not reads(kind, mode, section):
+                raise ConfigError(f"{prefix}{key} = {section[key]!r} applies only to {readers} "
+                                  f"(this point: kind {kind!r}, run.mode {mode!r})")
     names = [det["name"] for det in data["detectors"]]
     if kind != "vacuum" and len(names) != 2:
         raise ConfigError(f"scenario kind {kind!r} requires exactly 2 detectors")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate detector name in {names}")
-    for det in data["detectors"]:
-        gain_given = (det["zeta"], det["zeta_sigma"]) != (None, None)
-        if gain_given and (det["radius"], det["eta"]) != (1, 1):
-            raise ConfigError(f"detector {det['name']!r}: radius and eta set only the derived "
-                              "zeta, so they apply only without zeta or zeta_sigma")
-    mode = data["run"]["mode"]
-    if kind != "vacuum" and data["scenario"]["n_modes"] is not None:
-        raise ConfigError(f"scenario.n_modes applies only to kind 'vacuum', not {kind!r}")
-    if mode != "mc" and data["scenario"]["n_modes"] is not None:
-        raise ConfigError("scenario.n_modes applies only to run.mode 'mc', not "
-                          f"{mode!r}: the analytic law assumes all n_cells modes")
-    if kind == "vacuum" and data["scenario"]["g"] != 0:
-        raise ConfigError("a non-zero scenario.g applies only to kinds 'pdc' and 'chsh', "
-                          "not 'vacuum'")
-    chsh_mc = kind == "chsh" and mode != "analytic"
-    if not chsh_mc and data["chsh"]["settings"] != _DEFAULT_CHSH_SETTINGS:
-        raise ConfigError("chsh.settings applies only to kind 'chsh' with run.mode 'mc' or "
-                          f"'both', not kind {kind!r} with run.mode {mode!r}")
-    if mode == "mc" and data["analytic"]["corr"] is not None:
-        raise ConfigError("analytic.corr applies only to run.mode 'analytic' or 'both', not 'mc'")
-    if kind == "vacuum" and data["analytic"]["corr"] is not None:
-        raise ConfigError("analytic.corr applies only to kinds 'pdc' and 'chsh', not 'vacuum'")
     if kind != "vacuum" and mode == "analytic" and data["analytic"]["corr"] is None:
         raise ConfigError(f"kind {kind!r} with run.mode 'analytic' requires analytic.corr "
                           "(there is no Monte Carlo correlation to fall back on)")

@@ -176,7 +176,8 @@ def _format_cell(value) -> str:
 def emit(record: RunRecord, fmt: str, path) -> None:
     """Write the record as schema-versioned JSON or flat CSV (17 digits).
 
-    A CSV row is one point plus the record's digest, rng, schema and tool version."""
+    A CSV row is one point plus the record's digest, rng, schema and tool
+    version; a field that its point lacks is an empty cell, a null is ``None``."""
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
@@ -195,4 +196,4 @@ def emit(record: RunRecord, fmt: str, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
+            writer.writerow([_format_cell(row[col]) if col in row else "" for col in columns])

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -70,6 +71,33 @@ def pdc_config(**overrides):
              "n_cells": 16, "threshold_sigma": 2.0, "zeta_sigma": 0.5}
             for name, omega in (("signal", 1.25), ("idler", 0.75))]
     return base_config(scenario={"kind": "pdc", "g": 0.1}, detectors=dets, **overrides)
+
+
+def vacuum_pair():
+    det = base_config()["detectors"][0]
+    return base_config(detectors=[{**det, "name": name, "omega_center": omega}
+                                  for name, omega in (("a", 1.0), ("b", 2.0))])
+
+
+def derived_gain():
+    return with_value(base_config(), "detectors.0.zeta_sigma", None)
+
+
+# config._READERS path -> (a config whose point reads the key, a value other
+# than its default, configs whose points do not read it)
+MC = {"trials": 200, "seed": 1, "mode": "mc"}
+ANALYTIC = {"trials": 1, "seed": 1, "mode": "analytic"}
+SETTINGS = [[0, 1], [0, 2], [1, 1], [1, 2]]
+READER_CASES = {
+    "scenario.n_modes": (lambda: base_config(run=MC), 7, [base_config, pdc_config,
+                                                           lambda: chsh_config(run=MC)]),
+    "scenario.g": (pdc_config, 0.2, [base_config, vacuum_pair]),
+    "chsh.settings": (chsh_config, SETTINGS, [
+        pdc_config, lambda: chsh_config(run=ANALYTIC, analytic={"corr": 0.0})]),
+    "analytic.corr": (pdc_config, 0.5, [lambda: pdc_config(run=MC), base_config, vacuum_pair]),
+    **dict.fromkeys(("detectors.radius", "detectors.eta"), (derived_gain, 0.3, [
+        base_config, lambda: with_value(derived_gain(), "detectors.0.zeta", 0.5)])),
+}
 
 
 class TestParseConfig:
@@ -163,7 +191,8 @@ class TestParseConfig:
         parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7},
                                  run={"trials": 200, "seed": 1, "mode": "mc"}))
         for mode in ("both", "analytic"):
-            with pytest.raises(ConfigError, match="n_modes applies only to run.mode 'mc'"):
+            with pytest.raises(ConfigError, match="n_modes = 7 applies only to kind 'vacuum' with "
+                                                  "run.mode 'mc'"):
                 parse_config(base_config(scenario={"kind": "vacuum", "n_modes": 7},
                                          run={"trials": 200, "seed": 1, "mode": mode}))
         dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 100,
@@ -267,6 +296,28 @@ class TestRunner:
         header, row = cpath.read_text().strip().split("\n")
         assert len(header.split(",")) == len(row.split(","))
         assert "detectors.a.p_mc" in header
+
+    def test_csv_cell_of_a_missing_field_is_empty(self, tmp_path):
+        # the signal's tradeoff interval is null at g = 0.1 and two numbers at g = 0.35
+        dets = [{"name": name, "omega_center": omega, "window": 2 * math.pi * 1000,
+                 "n_cells": 1024, "threshold_sigma": 3.0, "zeta_sigma": 1e-3}
+                for name, omega in (("signal", 8.0), ("idler", 2.0))]
+        raw = base_config(scenario={"kind": "pdc"}, detectors=dets,
+                          run={"trials": 1, "seed": 1, "mode": "analytic"},
+                          analytic={"corr": 0.0}, sweeps={"scenario.g": [0.1, 0.35]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            record = run(parse_config(raw))
+        path = tmp_path / "out.csv"
+        emit(record, "csv", path)
+        with open(path, newline="") as fh:
+            weak, strong = csv.DictReader(fh)
+        col = "detectors.signal.tradeoff_interval"
+        interval = record.points[1]["detectors"]["signal"]["tradeoff_interval"]
+        assert record.points[0]["detectors"]["signal"]["tradeoff_interval"] is None
+        assert (weak[col], weak[col + ".0"], weak[col + ".1"]) == ("None", "", "")
+        assert (strong[col], strong[col + ".0"], strong[col + ".1"]) == (
+            "", *(format(bound, ".17g") for bound in interval))
 
     def test_chsh_point_samples_each_chunk_once(self, monkeypatch):
         # one sampling pass serves the detector statistics and all four settings
@@ -480,6 +531,29 @@ class TestCli:
         result = invoke(["validate", "--config", str(cfg_path)])
         assert result.exit_code == 2
         assert "config error: sweep point {'scenario.g': 0.1}" in result.output
+
+    @pytest.mark.parametrize("path", sorted(READER_CASES))
+    def test_key_is_accepted_only_where_it_is_read(self, tmp_path, path):
+        assert set(READER_CASES) == set(config._READERS)    # every row has a case
+        section, key = path.split(".")
+        assert key in config._SCHEMA[section]    # a misspelt row would never fire
+        readers, _ = config._READERS[path]
+        at = path.replace("detectors.", "detectors.0.")
+        reader, value, others = READER_CASES[path]
+
+        def given(make):
+            raw = make()
+            raw.setdefault(section, {})
+            return with_value(raw, at, value)
+
+        parse_config(given(reader))
+        cfg_path = tmp_path / "exp.yaml"
+        for other in others:
+            cfg_path.write_text(yaml.safe_dump(given(other)))
+            result = invoke(["validate", "--config", str(cfg_path)])
+            assert result.exit_code == 2, result.output
+            assert "config error:" in result.output
+            assert f"{at} = {value!r} applies only to {readers}" in result.output
 
     def test_swept_seed_overrides_invalid_base_seed(self, tmp_path):
         cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
