@@ -11,8 +11,7 @@ S, normalized by each setting's coincidences, is post-selected and may pass
 2 (Pearle 1970; Garg & Mermin 1987).
 
 The engine reads the four settings from the same sampled tiles as the
-plain run (``engine.run_variants``); this module checks them and turns the
-sums into S.
+plain run (``engine.run_variants``); ``chsh_summary`` turns the sums into S.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "classify_regime",
     "tradeoff_report",
     "min_rate_bound",
-    "chsh_variants",
     "chsh_summary",
     "chsh_scan",
 ]
@@ -123,25 +121,14 @@ class ChshResult:
                 raise ValueError(f"correlation estimate {e} outside [-1, 1]")
 
 
-def chsh_variants(scenario: Scenario, settings) -> tuple:
-    """The four analyzer settings of a CHSH point as float pairs, checked.
+def chsh_summary(settings, sums) -> ChshResult:
+    """CHSH estimate from variants 1-4 of ``sums``, run with ``settings`` in order.
 
-    ``run_variants`` runs them as variants 1-4 after the plain run; the
-    scenario must have four detectors (1+, 1-, 2+, 2-) and four pairs.
+    Each variant holds a CHSH scenario's coincidence pairs (++, +-, -+, --).
     """
     settings = tuple((float(a), float(b)) for a, b in settings)
     if len(settings) != 4:
         raise ValueError(f"exactly four analyzer settings required, got {len(settings)}")
-    if len(scenario.coincidences) != 4 or len(scenario.detector_names) != 4:
-        raise ValueError("CHSH analyzer settings need a four-detector, four-pair scenario")
-    return settings
-
-
-def chsh_summary(settings: tuple, sums) -> ChshResult:
-    """CHSH estimate from variants 1-4 of ``sums``, in ``chsh_variants``' order.
-
-    Each variant holds the coincidence pairs (++, +-, -+, --).
-    """
     n = sums.n
     block = slice(4, 20)
     p = sums.u_sum[block] / n                            # (16,) setting-major
@@ -187,11 +174,10 @@ def chsh_scan(scenario: Scenario, settings, trials: int, seed: int,
               workers: int | None = None) -> ChshResult:
     """Estimate S over four analyzer settings with shared hidden variables.
 
-    ``scenario`` must be a two-station scenario with coincidence pairs
-    ordered (++, +-, -+, --). Every setting reuses the same per-trial
-    vacuum draws, exactly as a deterministic hidden-variables model
-    prescribes; the run is that of a ``runner`` CHSH point.
+    ``scenario`` must have two analyzer stations (``chsh_scenario``), whose
+    coincidence pairs are ordered (++, +-, -+, --). Every setting reuses the
+    same per-trial vacuum draws, exactly as a deterministic hidden-variables
+    model prescribes; the run is that of a ``runner`` CHSH point.
     """
-    settings = chsh_variants(scenario, settings)
     return chsh_summary(settings, run_variants(scenario, settings, trials, seed, workers))
 

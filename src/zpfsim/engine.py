@@ -5,13 +5,14 @@ trials). ``run_variants`` samples each chunk once, maps it by the
 scenario's crystal once, and accumulates sufficient statistics of every
 variant over the same mapped amplitudes; ``detection_summary`` reads
 variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads the
-two stations through analyzer setting k, an angle pair (theta1, theta2).
+scenario's two analyzer stations (``Scenario.stations``) through setting k,
+an angle pair (theta1, theta2).
 
-A detector reads only |alpha'|^2, so a run on H modes alone (a vacuum or
-PDC point; a scenario's crystal pairs mode m with mode N-1-m) draws that
+A detector reads only |alpha'|^2, so a scenario without stations (a vacuum
+or PDC point; a scenario's crystal pairs mode m with mode N-1-m) draws that
 power: an exponential per vacuum mode (``field.sample_vacuum_power``), or
 one exponential and one amplitude per crystal pair (``pdc.pair_power``),
-even at g = 0. A CHSH point, which has V modes, draws the amplitudes
+even at g = 0. A scenario with stations (a CHSH point) draws the amplitudes
 (``field.sample_vacuum_batch``) and maps them by the crystal, so that its
 plain run equals variant 0 of its settings run bit for bit.
 
@@ -84,21 +85,6 @@ class _ChunkSums:
     uu_sum: np.ndarray      # (V*P, V*P)
 
 
-def _stations(scenario: Scenario) -> tuple:
-    """Each station's (H index, V index, weights), from ``parts`` = (1+, 1-, 2+, 2-).
-
-    ValueError unless each '+' owns H modes and '-' V modes with equal weights.
-    """
-    if len(scenario.parts) != 4:
-        raise ValueError("analyzer settings need two stations of '+' and '-' detectors")
-    (h1, w1), (v1, x1), (h2, w2), (v2, x2) = scenario.parts
-    for h, v, w, x in ((h1, v1, w1, x1), (h2, v2, w2, x2)):
-        if scenario.pol[h].any() or not scenario.pol[v].all() or not np.array_equal(w, x):
-            raise ValueError("analyzer settings need each station's '+' detector on its "
-                             "H modes and '-' on its V modes, with equal weights")
-    return (h1, v1, w1), (h2, v2, w2)
-
-
 def _cross_sums(amps: np.ndarray, stations) -> np.ndarray:
     """C = sum w Re(h conj v) of each station (2, rows), each row reduced on its own."""
     return np.stack([((amps.real[:, h] * amps.real[:, v] + amps.imag[:, h] * amps.imag[:, v])
@@ -121,20 +107,19 @@ def chunk_intensities(scenario: Scenario, settings, seed: int,
 
     The trials are sampled, mapped by the scenario's crystal and reduced one
     row tile at a time to variant 0's intensities and each station's C; a
-    run on H modes alone samples their power instead. The settings follow
-    over the whole chunk. ``rows`` is at most TRIAL_BLOCK.
+    scenario without stations samples its modes' power instead. The
+    settings follow over the whole chunk. ``rows`` is at most TRIAL_BLOCK.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), TRIAL_BLOCK)
-    stations = _stations(scenario) if settings else ()
-    power_only = not scenario.pol.any()
+    stations = scenario.stations
     rng, pair_rng = block_generators(seed, block)
     i = np.empty((1 + len(settings), len(scenario.detector_specs), rows))
     cross = np.empty((len(stations), rows))
     for t in range(0, rows, step):
         n = min(step, rows - t)
         cols = slice(t, t + n)
-        if power_only:
+        if not stations:
             power = (pair_power(sample_vacuum_power(n_modes // 2, rng, n),
                                 sample_vacuum_batch(n_modes // 2, pair_rng, n),
                                 scenario.crystal)
@@ -143,8 +128,7 @@ def chunk_intensities(scenario: Scenario, settings, seed: int,
             continue
         amps = apply_ops(sample_vacuum_batch(n_modes, rng, n), scenario)
         i[0, :, cols] = intensity_batch(amps.real**2 + amps.imag**2, scenario.parts).T
-        if stations:
-            cross[:, cols] = _cross_sums(amps, stations)
+        cross[:, cols] = _cross_sums(amps, stations)
     _analyze(i, cross, settings)
     return i
 
@@ -202,13 +186,15 @@ def run_variants(scenario: Scenario, settings, trials: int, seed: int,
     """Accumulated sufficient statistics of the plain run and every analyzer setting.
 
     Variant 0 runs the scenario as built; variant 1 + k reads it through
-    ``settings[k]``, one analyzer angle pair (theta1, theta2) for the two
-    stations. ``()`` runs the plain run alone. Settings on a scenario
-    without two H/V stations raise ValueError.
+    ``settings[k]``, one analyzer angle pair (theta1, theta2) for the
+    scenario's two stations. ``()`` runs the plain run alone. Settings on a
+    scenario without stations raise ValueError before anything is sampled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     settings = tuple((float(t1), float(t2)) for t1, t2 in settings)
+    if settings and not scenario.stations:
+        raise ValueError("analyzer settings need a scenario with analyzer stations")
     if workers is None:
         workers = default_workers()
     args = [(scenario, settings, seed, b, min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))

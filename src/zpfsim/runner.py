@@ -4,9 +4,9 @@
 each checked and built once by ``config``), executes the analytic and/or
 Monte Carlo paths per point and assembles a RunRecord whose JSON payload is
 byte-identical for identical (config, seed) regardless of worker count.
-A CHSH point runs the plain run and its four analyzer settings
-(``analysis.chsh_variants``) in one ``engine.run_variants`` pass: variant 0
-gives the detector statistics and variants 1-4 the CHSH block.
+A CHSH point runs the plain run and its four analyzer settings in one
+``engine.run_variants`` pass: variant 0 gives the detector statistics and
+variants 1-4 the CHSH block (``analysis.chsh_summary``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from . import __version__
-from .analysis import chsh_summary, chsh_variants, classify_regime, tradeoff_report
+from .analysis import chsh_summary, classify_regime, tradeoff_report
 from .config import ConfigError, ExperimentConfig
 from .detection import p_joint, p_single
 from .engine import default_workers, detection_summary, mc_detect, run_variants
@@ -53,7 +53,7 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
 
     mc = chsh = None
     if mode != "analytic" and kind == "chsh":
-        settings = chsh_variants(scen, data["chsh"]["settings"])
+        settings = data["chsh"]["settings"]
         sums = run_variants(scen, settings, trials, seed, workers)
         mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums)
     elif mode != "analytic":
@@ -91,7 +91,8 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
         na, nb = scen.detector_names[a], scen.detector_names[b]
         key = f"{na}&{nb}"
         entry = {}
-        corr = data["analytic"]["corr"]
+        # a vacuum pair's beams are independent: its correlation is 0 in every mode
+        corr = 0.0 if kind == "vacuum" else data["analytic"]["corr"]
         if mc is not None:
             est = mc.coincidences[(na, nb)]
             entry["p_mc"] = est.value
@@ -101,7 +102,7 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
                 corr = mc.intensity_corr[(na, nb)]
         if want_analytic:
             da, db = scen.detector_specs[a], scen.detector_specs[b]
-            corr = 0.0 if corr is None else max(-1.0, min(1.0, corr))
+            corr = max(-1.0, min(1.0, corr))
             entry["p_analytic"] = p_joint(da, db, da.I0 + scen.signal_means[a],
                                           db.I0 + scen.signal_means[b], corr)
             entry["corr_used"] = corr

@@ -8,9 +8,9 @@ with their read-only weights. Everything is plain data so scenarios can be
 shipped to worker processes.
 
 PDC and CHSH share one crystal builder (``_crystal_scenario``). A CHSH
-analyzer setting rotates each station's (H, V) pairs, the own modes of its
-'+' and '-' detectors, which share their weights; the engine reads every
-setting from three sums per station (``engine.run_variants``).
+scenario's ``stations`` hold each station's (H, V) pairs, the own modes of
+its '+' and '-' detectors, and their one weight vector; the engine reads
+every analyzer setting from three sums per station (``engine.run_variants``).
 
 Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
@@ -56,6 +56,7 @@ class Scenario:
     detector_specs: tuple[DetectorSpec, ...]
     parts: tuple[tuple, ...]               # per detector: (own-mode index, scale^2)
     coincidences: tuple[tuple[int, int], ...] = ()
+    stations: tuple[tuple, ...] = ()       # per station: (H index, V index, scale^2)
 
     def __post_init__(self):
         for arr in (self.k, self.omega, self.pol, *(w for _, w in self.parts)):
@@ -211,18 +212,22 @@ def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: i
 
     Beam b is detector b's element grid: slot j holds polarization p at index
     b*off + n_pol*j + p, with off = n_pol * n. Detector q of beam b owns the
-    beam's polarization-q modes. The crystal pairs mode m with mode
+    beam's polarization-q modes; with two polarizations, beam b is analyzer
+    station b: (H index, V index, weights). The crystal pairs mode m with mode
     2*off-1-m: reading beam 2 backwards pairs slot j with the
     frequency-mirrored slot n-1-j and, for two polarizations, swaps H and V.
     ``_check_collinear`` states what the detectors must share.
     """
     _check_collinear(det1, det2, g)
     off = n_pol * det1.n_elements
-    beams, parts = [], []
+    beams, parts, stations = [], [], []
     for b, det in enumerate((det1, det2)):
         omegas, weights = _matched_beam(det, None)
         beams.append((np.repeat(omegas, n_pol), np.tile(np.arange(n_pol), len(omegas)), det.axis))
-        parts += [(slice(b * off + q, (b + 1) * off, n_pol), weights) for q in range(n_pol)]
+        own = [slice(b * off + q, (b + 1) * off, n_pol) for q in range(n_pol)]
+        parts += [(index, weights) for index in own]
+        if n_pol == 2:
+            stations.append((*own, weights))
     return Scenario(
         *_mode_arrays(beams),
         crystal=g,
@@ -230,6 +235,7 @@ def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: i
         detector_specs=(det1,) * n_pol + (det2,) * n_pol,
         parts=tuple(parts),
         coincidences=tuple(product(range(n_pol), range(n_pol, 2 * n_pol))),
+        stations=tuple(stations),
     )
 
 

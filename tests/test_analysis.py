@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from zpfsim.analysis import (
     chsh_scan,
     chsh_summary,
-    chsh_variants,
     classify_regime,
     min_rate_bound,
     tradeoff_report,
@@ -120,12 +119,13 @@ class TestChshScan:
             chsh_scan(small_chsh(), SETTINGS[:3], 100, seed=0)
 
     @pytest.mark.parametrize("kind", ["pdc", "vacuum-4"])
-    def test_requires_four_detectors_and_four_pairs(self, kind):
-        # PDC: two detectors, one pair; four vacuum detectors: six pairs
+    def test_requires_analyzer_stations(self, kind):
+        # PDC: two detectors, one pair; four vacuum detectors: six pairs. Only
+        # a CHSH scenario has stations.
         dets = [detector(n_cells=4, omega_center=w) for w in (1.25, 0.75, 1.5, 1.0)]
         scen = pdc_scenario(*dets[:2], 0.2) if kind == "pdc" else vacuum_scenario(dets)
-        with pytest.raises(ValueError, match="four-detector, four-pair"):
-            chsh_variants(scen, SETTINGS)
+        with pytest.raises(ValueError, match="analyzer settings need"):
+            chsh_scan(scen, SETTINGS, 100, seed=0)
 
     def test_forced_unit_response_gives_s_of_two(self):
         # constant responses (1+, 1-, 2+, 2-) = (1, 0, 1, 0) in every trial of

@@ -399,6 +399,15 @@ class TestRunner:
             assert 0.0 <= entry["p_analytic"] < 1.0
         assert {c["corr_used"] for c in point["coincidences"].values()} == {0.0}
 
+    def test_vacuum_pair_uses_zero_correlation_in_every_mode(self):
+        # the beams are independent: p_joint reads corr 0, not the sampled corr_mc
+        points = {mode: run(parse_config(with_value(vacuum_pair(), "run.mode", mode)),
+                            workers=1).points[0]["coincidences"]["a&b"]
+                  for mode in ("both", "analytic")}
+        assert points["both"]["corr_mc"] != 0.0
+        assert points["both"]["corr_used"] == points["analytic"]["corr_used"] == 0.0
+        assert points["both"]["p_analytic"] == points["analytic"]["p_analytic"]
+
     def test_mc_agrees_with_analytic_for_dark_counts(self):
         raw = base_config()
         raw["detectors"][0]["threshold_sigma"] = 1.0

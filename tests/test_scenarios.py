@@ -188,6 +188,15 @@ class TestChshScenario:
         idx2 = [i for index, _ in scen.parts[2:] for i in pos[index]]
         assert sorted(idx1) == list(range(8))
         assert sorted(idx2) == list(range(8, 16))
+        # station s pairs its own beam's H (pol 0) and V (pol 1) modes slot by
+        # slot, under its '+' detector's weights
+        assert len(scen.stations) == 2
+        for s, (h, v, w) in enumerate(scen.stations):
+            beam = pos[8 * s: 8 * (s + 1)]
+            assert pos[h].tolist() == beam[scen.pol[beam] == 0].tolist()
+            assert pos[v].tolist() == beam[scen.pol[beam] == 1].tolist()
+            assert np.array_equal(scen.omega[h], scen.omega[v])
+            assert np.array_equal(w, scen.parts[2 * s][1])
 
     def test_pdc_couples_cross_polarizations(self):
         d1 = detector(n_cells=4, omega_center=1.25)
@@ -231,6 +240,8 @@ def oracle_scenarios(window):
 
 def test_mode_arrays_are_read_only_and_on_the_light_cone():
     for kind, scen in oracle_scenarios(WINDOW_1K).items():
+        # only a CHSH scenario has analyzer stations
+        assert (scen.stations == ()) is (kind != "chsh"), kind
         k, omega, pol = scen.k, scen.omega, scen.pol
         assert k.shape == (scen.n_modes, 3) and omega.shape == pol.shape == (scen.n_modes,)
         assert np.all(np.abs(np.linalg.norm(k, axis=1) - omega) <= 1e-12 * omega), kind
