@@ -9,13 +9,12 @@ __version__ = "0.1.0"
 from .optics import rotator_transform
 from .detection import DetectorSpec, p_joint, p_single, q_model
 from .analysis import (
-    ChshResult,
     chsh_scan,
     classify_regime,
     min_rate_bound,
     tradeoff_report,
 )
-from .engine import DetectionResult, Estimate, mc_detect
+from .engine import mc_detect
 from .scenarios import (
     Scenario,
     chsh_scenario,
@@ -24,4 +23,4 @@ from .scenarios import (
     vacuum_scenario,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .runner import RunRecord, emit, run
+from .runner import emit, run

@@ -11,13 +11,12 @@ S, normalized by each setting's coincidences, is post-selected and may pass
 2 (Pearle 1970; Garg & Mermin 1987).
 
 The engine reads the four settings from the same sampled tiles as the
-plain run (``engine.run_variants``); ``chsh_summary`` turns the sums into S.
+plain run (``engine.run_variants``); ``chsh_summary`` gives the ``chsh`` block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .engine import run_variants
 from .scenarios import Scenario
 
 __all__ = [
-    "ChshResult",
     "classify_regime",
     "tradeoff_report",
     "min_rate_bound",
@@ -104,31 +102,21 @@ def min_rate_bound(eta: float, focal: float, crystal_radius: float, length: floa
 # CHSH harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChshResult:
-    """Four-setting CHSH estimate with per-setting correlations."""
-
-    settings: tuple                 # four (angle1, angle2) pairs
-    correlations: tuple             # four E estimates
-    correlation_stderr: tuple
-    s_value: float
-    s_stderr: float
-    coincidence_probs: tuple        # per setting: (p++, p+-, p-+, p--)
-
-    def __post_init__(self):
-        for e in self.correlations:
-            if abs(e) > 1 + 1e-9:
-                raise ValueError(f"correlation estimate {e} outside [-1, 1]")
-
-
-def chsh_summary(settings, sums) -> ChshResult:
-    """CHSH estimate from variants 1-4 of ``sums``, run with ``settings`` in order.
-
-    Each variant holds a CHSH scenario's coincidence pairs (++, +-, -+, --).
-    """
-    settings = tuple((float(a), float(b)) for a, b in settings)
+def _four_settings(settings) -> list:
+    """``settings`` as [angle1, angle2] float pairs; ValueError unless there are four."""
+    settings = [[float(a), float(b)] for a, b in settings]
     if len(settings) != 4:
         raise ValueError(f"exactly four analyzer settings required, got {len(settings)}")
+    return settings
+
+
+def chsh_summary(settings, sums) -> dict:
+    """The record's ``chsh`` block (settings, E and S with standard errors) from variants 1-4.
+
+    ``sums`` ran ``settings`` in order; each variant holds a CHSH scenario's
+    coincidence pairs (++, +-, -+, --).
+    """
+    settings = _four_settings(settings)
     n = sums.n
     block = slice(4, 20)
     p = sums.u_sum[block] / n                            # (16,) setting-major
@@ -137,18 +125,19 @@ def chsh_summary(settings, sums) -> ChshResult:
         cov *= n / (n - 1)
     cov /= n                                             # covariance of the mean
 
-    correlations, stderrs, probs = [], [], []
+    correlations, stderrs = [], []
     grad_s = np.zeros(16)
     sign = (1.0, 1.0, 1.0, -1.0)
     for v in range(4):
         pv = p[4 * v: 4 * v + 4]
-        probs.append(tuple(pv))
         a = pv[0] + pv[3]
         b = pv[1] + pv[2]
         tot = a + b
         g = np.zeros(16)
         if tot > 1e-300:
             e = (a - b) / tot
+            if abs(e) > 1 + 1e-9:
+                raise ValueError(f"correlation estimate {e} outside [-1, 1]")
             da = 2.0 * b / tot**2
             db = -2.0 * a / tot**2
             g[4 * v + 0] = g[4 * v + 3] = da
@@ -158,26 +147,25 @@ def chsh_summary(settings, sums) -> ChshResult:
         correlations.append(e)
         stderrs.append(math.sqrt(max(g @ cov @ g, 0.0)))
         grad_s += sign[v] * g
-    s_value = (correlations[0] + correlations[1] + correlations[2] - correlations[3])
-    s_stderr = math.sqrt(max(grad_s @ cov @ grad_s, 0.0))
-    return ChshResult(
-        settings=settings,
-        correlations=tuple(correlations),
-        correlation_stderr=tuple(stderrs),
-        s_value=s_value,
-        s_stderr=s_stderr,
-        coincidence_probs=tuple(probs),
-    )
+    return {
+        "settings": settings,
+        "correlations": correlations,
+        "correlation_stderr": stderrs,
+        "S": correlations[0] + correlations[1] + correlations[2] - correlations[3],
+        "S_stderr": math.sqrt(max(grad_s @ cov @ grad_s, 0.0)),
+    }
 
 
 def chsh_scan(scenario: Scenario, settings, trials: int, seed: int,
-              workers: int | None = None) -> ChshResult:
-    """Estimate S over four analyzer settings with shared hidden variables.
+              workers: int | None = None) -> dict:
+    """The ``chsh`` block (``chsh_summary``) of four settings on shared hidden variables.
 
     ``scenario`` must have two analyzer stations (``chsh_scenario``), whose
     coincidence pairs are ordered (++, +-, -+, --). Every setting reuses the
     same per-trial vacuum draws, exactly as a deterministic hidden-variables
-    model prescribes; the run is that of a ``runner`` CHSH point.
+    model prescribes; the run is that of a ``runner`` CHSH point. The
+    settings are checked before anything is sampled.
     """
+    settings = _four_settings(settings)
     return chsh_summary(settings, run_variants(scenario, settings, trials, seed, workers))
 

@@ -33,7 +33,8 @@ def run_cmd(args) -> None:
     record = run_batch(load_config(args.config), trials=args.trials, seed=args.seed)
     out_path = args.out or f"zpfsim-run.{args.format}"
     emit(record, args.format, out_path)
-    print(f"wrote {out_path} ({len(record.points)} point(s), digest {record.config_digest[:12]})")
+    print(f"wrote {out_path} ({len(record['points'])} point(s), "
+          f"digest {record['config_digest'][:12]})")
 
 
 def validate_cmd(args) -> None:

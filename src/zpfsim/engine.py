@@ -4,9 +4,9 @@ Trials are split into chunks of one sampling block (``field.TRIAL_BLOCK``
 trials). ``run_variants`` samples each chunk once, maps it by the
 scenario's crystal once, and accumulates sufficient statistics of every
 variant over the same mapped amplitudes; ``detection_summary`` reads
-variant 0 of them. Variant 0 is the plain run, and variant 1 + k reads the
-scenario's two analyzer stations (``Scenario.stations``) through setting k,
-an angle pair (theta1, theta2).
+variant 0 of them into the record's Monte Carlo fields. Variant 0 is the
+plain run, and variant 1 + k reads the scenario's two analyzer stations
+(``Scenario.stations``) through setting k, an angle pair (theta1, theta2).
 
 A detector reads only |alpha'|^2, so a scenario without stations (a vacuum
 or PDC point; a scenario's crystal pairs mode m with mode N-1-m) draws that
@@ -46,31 +46,11 @@ from .field import TRIAL_BLOCK, block_generators, sample_vacuum_batch, sample_va
 from .pdc import pair_power
 from .scenarios import Scenario, apply_ops
 
-__all__ = ["Estimate", "DetectionResult", "detection_summary", "mc_detect", "run_variants"]
+__all__ = ["detection_summary", "mc_detect", "run_variants"]
 
 # Complex amplitudes per row tile (16 bytes each): a 512 KiB tile (16 rows
 # at 2048 modes) and its mapped copies fit in a 2 MiB per-core L2 cache.
 TILE_AMPS = 1 << 15
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A Monte Carlo estimate with its standard error."""
-
-    value: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Singles/coincidence probabilities and intensity statistics of one run."""
-
-    trials: int
-    singles: dict
-    coincidences: dict
-    intensity_mean: dict
-    intensity_std: dict
-    intensity_corr: dict
 
 
 @dataclass(frozen=True)
@@ -209,41 +189,43 @@ def run_variants(scenario: Scenario, settings, trials: int, seed: int,
     return _fold(chunks)
 
 
-def _mean_se(total: float, total_sq: float, n: int) -> Estimate:
+def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     if n > 1:
         var *= n / (n - 1)
-    return Estimate(mean, math.sqrt(var / n))
+    return mean, math.sqrt(var / n)
 
 
-def detection_summary(scenario: Scenario, sums: _ChunkSums) -> DetectionResult:
-    """Singles, coincidences and intensity statistics of variant 0 of ``sums``."""
+def detection_summary(scenario: Scenario, sums: _ChunkSums) -> tuple[dict, dict]:
+    """Variant 0 of ``sums`` as the record's Monte Carlo fields (detectors, coincidences).
+
+    detectors[name]: p_mc, p_mc_stderr, intensity_mean_mc, intensity_mean_stderr and
+    intensity_std_mc; coincidences[(name_a, name_b)]: p_mc, p_mc_stderr and corr_mc.
+    """
     n = sums.n
     names = scenario.detector_names
-    singles, imean, istd = {}, {}, {}
+    detectors = {}
     for d, nm in enumerate(names):
-        singles[nm] = _mean_se(sums.q_sum[0, d], sums.q2_sum[0, d], n)
-        est = _mean_se(sums.i_sum[0, d], sums.i2_sum[0, d], n)
-        imean[nm] = est
-        istd[nm] = est.stderr * math.sqrt(n)
-    coinc, icorr = {}, {}
+        prob, prob_se = _mean_se(sums.q_sum[0, d], sums.q2_sum[0, d], n)
+        mean, mean_se = _mean_se(sums.i_sum[0, d], sums.i2_sum[0, d], n)
+        detectors[nm] = {"p_mc": prob, "p_mc_stderr": prob_se, "intensity_mean_mc": mean,
+                         "intensity_mean_stderr": mean_se,
+                         "intensity_std_mc": mean_se * math.sqrt(n)}
+    coincidences = {}
     for p, (a, c) in enumerate(scenario.coincidences):
-        key = (names[a], names[c])
         # variant 0: u_sum[p] sums Q_a Q_c and uu_sum[p, p] its square
-        coinc[key] = _mean_se(sums.u_sum[p], sums.uu_sum[p, p], n)
+        prob, prob_se = _mean_se(sums.u_sum[p], sums.uu_sum[p, p], n)
         cov = sums.ii_sum[0, p] / n - (sums.i_sum[0, a] / n) * (sums.i_sum[0, c] / n)
         sa = math.sqrt(max(sums.i2_sum[0, a] / n - (sums.i_sum[0, a] / n) ** 2, 0.0))
         sc = math.sqrt(max(sums.i2_sum[0, c] / n - (sums.i_sum[0, c] / n) ** 2, 0.0))
-        icorr[key] = cov / (sa * sc) if sa > 0 and sc > 0 else 0.0
-    return DetectionResult(
-        trials=n, singles=singles, coincidences=coinc,
-        intensity_mean=imean, intensity_std=istd, intensity_corr=icorr,
-    )
+        coincidences[(names[a], names[c])] = {
+            "p_mc": prob, "p_mc_stderr": prob_se,
+            "corr_mc": cov / (sa * sc) if sa > 0 and sc > 0 else 0.0}
+    return detectors, coincidences
 
 
 def mc_detect(scenario: Scenario, trials: int, seed: int,
-              workers: int | None = None) -> DetectionResult:
-    """Direct Monte Carlo of singles and coincidences over the vacuum ensemble."""
-    sums = run_variants(scenario, (), trials, seed, workers)
-    return detection_summary(scenario, sums)
+              workers: int | None = None) -> tuple[dict, dict]:
+    """Direct Monte Carlo over the vacuum ensemble: ``detection_summary``'s record fields."""
+    return detection_summary(scenario, run_variants(scenario, (), trials, seed, workers))

@@ -2,11 +2,12 @@
 
 ``run`` walks the config's resolved sweep points (``ExperimentConfig.points``,
 each checked and built once by ``config``), executes the analytic and/or
-Monte Carlo paths per point and assembles a RunRecord whose JSON payload is
+Monte Carlo paths per point and returns the record dict, whose JSON is
 byte-identical for identical (config, seed) regardless of worker count.
-A CHSH point runs the plain run and its four analyzer settings in one
-``engine.run_variants`` pass: variant 0 gives the detector statistics and
-variants 1-4 the CHSH block (``analysis.chsh_summary``).
+A point's entries merge the analytic fields with the Monte Carlo fields
+that ``engine.mc_detect`` returns. A CHSH point runs the plain run and its
+four analyzer settings in one ``engine.run_variants`` pass: variant 0 gives
+the detector fields and variants 1-4 the ``chsh`` block (``chsh_summary``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-from dataclasses import dataclass
 
 from . import __version__
 from .analysis import chsh_summary, classify_regime, tradeoff_report
@@ -24,26 +24,9 @@ from .engine import default_workers, detection_summary, mc_detect, run_variants
 from .field import RNG_STREAM
 from .scenarios import Scenario
 
-__all__ = ["RunRecord", "run", "emit"]
+__all__ = ["run", "emit"]
 
 SCHEMA_VERSION = 2
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Machine-readable outcome of one batch run."""
-
-    config_digest: str
-    points: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "rng": RNG_STREAM,
-            "config_digest": self.config_digest,
-            "points": list(self.points),
-        }
 
 
 def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
@@ -51,13 +34,13 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
     kind = data["scenario"]["kind"]
     want_analytic = mode in ("analytic", "both")
 
-    mc = chsh = None
+    mc_detectors, mc_pairs, chsh = {}, {}, None
     if mode != "analytic" and kind == "chsh":
         settings = data["chsh"]["settings"]
         sums = run_variants(scen, settings, trials, seed, workers)
-        mc, chsh = detection_summary(scen, sums), chsh_summary(settings, sums)
+        (mc_detectors, mc_pairs), chsh = detection_summary(scen, sums), chsh_summary(settings, sums)
     elif mode != "analytic":
-        mc = mc_detect(scen, trials, seed, workers)
+        mc_detectors, mc_pairs = mc_detect(scen, trials, seed, workers)
 
     detectors = {}
     for name, det, signal_mean in zip(scen.detector_names, scen.detector_specs,
@@ -78,51 +61,34 @@ def _point_result(data: dict, scen: Scenario, workers: int | None) -> dict:
         }
         if want_analytic:
             entry["p_analytic"] = p_single(det, det.I0 + signal_mean)
-        if mc is not None:
-            entry["p_mc"] = mc.singles[name].value
-            entry["p_mc_stderr"] = mc.singles[name].stderr
-            entry["intensity_mean_mc"] = mc.intensity_mean[name].value
-            entry["intensity_mean_stderr"] = mc.intensity_mean[name].stderr
-            entry["intensity_std_mc"] = mc.intensity_std[name]
+        entry.update(mc_detectors.get(name, {}))
         detectors[name] = entry
 
     coincidences = {}
     for a, b in scen.coincidences:
         na, nb = scen.detector_names[a], scen.detector_names[b]
-        key = f"{na}&{nb}"
-        entry = {}
+        entry = mc_pairs.get((na, nb), {})
         # a vacuum pair's beams are independent: its correlation is 0 in every mode
         corr = 0.0 if kind == "vacuum" else data["analytic"]["corr"]
-        if mc is not None:
-            est = mc.coincidences[(na, nb)]
-            entry["p_mc"] = est.value
-            entry["p_mc_stderr"] = est.stderr
-            entry["corr_mc"] = mc.intensity_corr[(na, nb)]
-            if corr is None:
-                corr = mc.intensity_corr[(na, nb)]
+        if corr is None:
+            corr = entry.get("corr_mc")
         if want_analytic:
             da, db = scen.detector_specs[a], scen.detector_specs[b]
             corr = max(-1.0, min(1.0, corr))
             entry["p_analytic"] = p_joint(da, db, da.I0 + scen.signal_means[a],
                                           db.I0 + scen.signal_means[b], corr)
             entry["corr_used"] = corr
-        coincidences[key] = entry
+        coincidences[f"{na}&{nb}"] = entry
 
     point = {"detectors": detectors, "coincidences": coincidences}
     if chsh is not None:
-        point["chsh"] = {
-            "settings": [list(s) for s in chsh.settings],
-            "correlations": list(chsh.correlations),
-            "correlation_stderr": list(chsh.correlation_stderr),
-            "S": chsh.s_value,
-            "S_stderr": chsh.s_stderr,
-        }
+        point["chsh"] = chsh
     return point
 
 
 def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = None,
-        workers: int | None = None) -> RunRecord:
-    """Execute every sweep point; deterministic for fixed (config, seed).
+        workers: int | None = None) -> dict:
+    """The record of every sweep point; deterministic for fixed (config, seed).
 
     A ``trials`` or ``seed`` override makes a new config, whose points are
     resolved afresh. Every point is resolved (``ExperimentConfig.points``)
@@ -148,7 +114,8 @@ def run(config: ExperimentConfig, trials: int | None = None, seed: int | None = 
             raise RuntimeError(f"sweep point {overrides or '(base)'} failed: {exc}") from exc
         result["overrides"] = overrides
         points.append(result)
-    return RunRecord(config_digest=config.digest, points=tuple(points))
+    return {"schema_version": SCHEMA_VERSION, "tool_version": __version__, "rng": RNG_STREAM,
+            "config_digest": config.digest, "points": points}
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +141,21 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit(record: RunRecord, fmt: str, path) -> None:
-    """Write the record as schema-versioned JSON or flat CSV (17 digits).
+def emit(record: dict, fmt: str, path) -> None:
+    """Write ``run``'s record as schema-versioned JSON or flat CSV (17 digits).
 
     A CSV row is one point plus the record's digest, rng, schema and tool
     version; a field that its point lacks is an empty cell, a null is ``None``."""
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(record.to_dict(), fh, sort_keys=True, indent=2)
+            json.dump(record, fh, sort_keys=True, indent=2)
             fh.write("\n")
         return
     if fmt != "csv":
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    meta = {key: value for key, value in record.to_dict().items() if key != "points"}
+    meta = {key: value for key, value in record.items() if key != "points"}
     rows = []
-    for point in record.points:
+    for point in record["points"]:
         flat = dict(meta)
         _flatten(point, "", flat)
         rows.append(flat)

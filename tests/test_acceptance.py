@@ -83,9 +83,9 @@ def test_criterion_2_linear_response():
     assert det.zeta * signal == pytest.approx(1e-2, rel=1e-10)
     p_quad = p_single(det, det.I0 + signal)
     rel_err = abs(p_quad / (det.zeta * signal) - 1.0)
-    res = mc_detect(scen, 100_000, seed=202)
-    est = res.singles["signal"]
-    mc_z = abs(est.value - p_quad) / est.stderr
+    detectors, _ = mc_detect(scen, 100_000, seed=202)
+    est = detectors["signal"]
+    mc_z = abs(est["p_mc"] - p_quad) / est["p_mc_stderr"]
     ok = rel_err <= 0.05 and mc_z < 3.0
     record_criterion("2 linear response", ok,
                      f"|p/zeta*Is - 1| = {rel_err:.3%}, MC-quadrature {mc_z:.2f} SE")
@@ -161,8 +161,8 @@ def test_criterion_7_chsh_bound():
             settings = tuple((float(a), float(b))
                              for a, b in rng.uniform(0.0, 2.0 * math.pi, size=(4, 2)))
         res = chsh_scan(scen, settings, trials=4000, seed=1000 + trial)
-        slack = abs(res.s_value) - (2.0 + 3.0 * res.s_stderr)
-        worst = max(worst, abs(res.s_value))
+        slack = abs(res["S"]) - (2.0 + 3.0 * res["S_stderr"])
+        worst = max(worst, abs(res["S"]))
         if slack > 1e-9:
             ok = False
     record_criterion("7 CHSH bound", ok,

@@ -12,6 +12,7 @@ from zpfsim.analysis import (
     min_rate_bound,
     tradeoff_report,
 )
+from zpfsim import engine
 from zpfsim.engine import _ChunkSums, run_variants
 from zpfsim.scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
@@ -114,9 +115,14 @@ def small_chsh(g=0.2, n_cells=4, threshold_sigma=1.0, zeta_sigma=0.5):
 
 
 class TestChshScan:
-    def test_requires_four_settings(self):
+    def test_requires_four_settings(self, monkeypatch):
+        # the settings are rejected before any block is sampled
+        sampled, block_generators = [], engine.block_generators
+        monkeypatch.setattr(engine, "block_generators",
+                            lambda *args: sampled.append(args) or block_generators(*args))
         with pytest.raises(ValueError, match="four analyzer settings"):
             chsh_scan(small_chsh(), SETTINGS[:3], 100, seed=0)
+        assert sampled == []
 
     @pytest.mark.parametrize("kind", ["pdc", "vacuum-4"])
     def test_requires_analyzer_stations(self, kind):
@@ -138,20 +144,21 @@ class TestChshScan:
                           i2_sum=np.zeros((5, 4)), ii_sum=np.zeros((5, 4)),
                           u_sum=n * u, uu_sum=n * np.outer(u, u))
         res = chsh_summary(SETTINGS, sums)
-        assert res.correlations == (1.0, 1.0, 1.0, 1.0)
-        assert res.s_value == 2.0
-        assert res.s_stderr == 0.0
+        assert res["correlations"] == [1.0, 1.0, 1.0, 1.0]
+        assert res["S"] == 2.0
+        assert res["S_stderr"] == 0.0
 
     def test_estimates_within_bounds_and_reproducible(self):
         scen = small_chsh()
-        res = chsh_scan(scen, SETTINGS, 4096, seed=7)
-        for e, se in zip(res.correlations, res.correlation_stderr):
+        sums = run_variants(scen, SETTINGS, 4096, seed=7)
+        res = chsh_summary(SETTINGS, sums)
+        for e, se in zip(res["correlations"], res["correlation_stderr"]):
             assert -1.0 <= e <= 1.0
             assert se >= 0.0
-        for probs in res.coincidence_probs:
-            assert all(0.0 <= p <= 1.0 for p in probs)
+        # per setting: (p++, p+-, p-+, p--)
+        assert all(0.0 <= p <= 1.0 for p in sums.u_sum[4:] / sums.n)
         res2 = chsh_scan(scen, SETTINGS, 4096, seed=7)
-        assert res.s_value == res2.s_value
+        assert res["S"] == res2["S"]
 
     def test_rotation_by_pi_is_a_symmetry(self):
         # shifting both analyzers by pi flips both arms, leaving E unchanged
@@ -159,7 +166,7 @@ class TestChshScan:
         base = chsh_scan(scen, SETTINGS, 2048, seed=3)
         shifted = chsh_scan(scen, [(a + math.pi, b + math.pi) for a, b in SETTINGS],
                             2048, seed=3)
-        assert np.allclose(base.correlations, shifted.correlations, atol=1e-10)
+        assert np.allclose(base["correlations"], shifted["correlations"], atol=1e-10)
 
 
 class TestClauserHorne:

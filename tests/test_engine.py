@@ -164,11 +164,13 @@ class TestSharedCrystal:
         assert np.array_equal(point.u_sum[:n_pair], plain.u_sum)
         # a BLAS product; its blocking may depend on the number of variants
         assert np.allclose(point.uu_sum[:n_pair, :n_pair], plain.uu_sum, rtol=1e-12, atol=0)
-        ours, theirs = detection_summary(scen, point), mc_detect(scen, trials, seed=8, workers=1)
-        for f in ("singles", "intensity_mean", "intensity_std", "intensity_corr"):
-            assert getattr(ours, f) == getattr(theirs, f), f
-        for key, est in ours.coincidences.items():
-            assert est.value == theirs.coincidences[key].value, key
+        ours, our_pairs = detection_summary(scen, point)
+        theirs, their_pairs = mc_detect(scen, trials, seed=8, workers=1)
+        assert ours == theirs
+        # a pair's p_mc_stderr reads the diagonal of uu_sum, the BLAS product above
+        for key, fields in our_pairs.items():
+            assert fields["p_mc"] == their_pairs[key]["p_mc"], key
+            assert fields["corr_mc"] == their_pairs[key]["corr_mc"], key
 
 
 class TestMcDetect:
@@ -176,23 +178,24 @@ class TestMcDetect:
     def test_matches_direct_recomputation(self, kind):
         scen = two_detector_scenario(n_cells=8, kind=kind)
         trials = 500
-        res = mc_detect(scen, trials, seed=3)
+        detectors, pairs = mc_detect(scen, trials, seed=3)
         intensities = direct_intensities(scen, kind, trials, seed=3)
         for d, name in enumerate(scen.detector_names):
             i = intensities[:, d]
             q = q_model(i, scen.detector_specs[d])
-            assert res.singles[name].value == pytest.approx(np.mean(q), rel=1e-12)
-            assert res.singles[name].stderr == pytest.approx(
+            fields = detectors[name]
+            assert fields["p_mc"] == pytest.approx(np.mean(q), rel=1e-12)
+            assert fields["p_mc_stderr"] == pytest.approx(
                 np.std(q, ddof=1) / np.sqrt(trials), rel=1e-10)
-            assert res.intensity_mean[name].value == pytest.approx(np.mean(i), rel=1e-12)
-            assert res.intensity_std[name] == pytest.approx(np.std(i, ddof=1), rel=1e-10)
+            assert fields["intensity_mean_mc"] == pytest.approx(np.mean(i), rel=1e-12)
+            assert fields["intensity_std_mc"] == pytest.approx(np.std(i, ddof=1), rel=1e-10)
         ia, ib = intensities.T
         qa = q_model(ia, scen.detector_specs[0])
         qb = q_model(ib, scen.detector_specs[1])
-        assert res.coincidences[("a", "b")].value == pytest.approx(np.mean(qa * qb), rel=1e-12)
+        assert pairs[("a", "b")]["p_mc"] == pytest.approx(np.mean(qa * qb), rel=1e-12)
         # population (ddof=0) correlation of the intensities
         expected_corr = np.corrcoef(ia, ib)[0, 1]
-        assert res.intensity_corr[("a", "b")] == pytest.approx(expected_corr, rel=1e-10)
+        assert pairs[("a", "b")]["corr_mc"] == pytest.approx(expected_corr, rel=1e-10)
 
     def test_pdc_intensity_correlation_matches_the_pair_law(self):
         # each pair adds w_sj w_ij m^2 to the intensity covariance and each
@@ -208,7 +211,7 @@ class TestMcDetect:
         ws, wi = weight[0, :half], weight[1, :half - 1:-1]     # mode m pairs with N-1-m
         n, m = 0.5 + g * g + g**4 / 8, g * (1 + g * g / 2)
         expected = np.sum(ws * wi) * m * m / (n * n * np.sqrt(np.sum(ws**2) * np.sum(wi**2)))
-        corr = mc_detect(scen, trials, seed).intensity_corr[("a", "b")]
+        corr = mc_detect(scen, trials, seed)[1][("a", "b")]["corr_mc"]
         samples = mc_intensity_samples(scen, trials, seed)
         batches = [np.corrcoef(a, b)[0, 1] for a, b in zip(np.split(samples["a"], 20),
                                                             np.split(samples["b"], 20))]
@@ -217,11 +220,11 @@ class TestMcDetect:
 
     def test_deterministic_given_seed(self):
         scen = two_detector_scenario(n_cells=8)
-        r1 = mc_detect(scen, 300, seed=10)
-        r2 = mc_detect(scen, 300, seed=10)
-        assert r1.singles["a"].value == r2.singles["a"].value
-        r3 = mc_detect(scen, 300, seed=11)
-        assert r1.singles["a"].value != r3.singles["a"].value
+        r1, _ = mc_detect(scen, 300, seed=10)
+        r2, _ = mc_detect(scen, 300, seed=10)
+        assert r1["a"]["p_mc"] == r2["a"]["p_mc"]
+        r3, _ = mc_detect(scen, 300, seed=11)
+        assert r1["a"]["p_mc"] != r3["a"]["p_mc"]
 
 
 class TestMcIntensitySamples:
