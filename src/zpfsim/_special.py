@@ -31,7 +31,7 @@ def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [0, 1].
 
     Built on first use, so that only a process that integrates pays the
-    ~5 ms import of ``numpy.polynomial``.
+    ~3 ms import of ``numpy.polynomial``.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return 0.5 * (nodes + 1.0), 0.5 * weights

@@ -6,6 +6,7 @@ Each distinct warning is printed once on stderr as ``warning: <message>``.
 """
 
 import argparse
+import gc
 import sys
 import warnings
 
@@ -57,6 +58,10 @@ def rate_bound_cmd(args) -> None:
 
 def main(argv: list[str] | None = None) -> None:
     """Zeropoint-field PDC simulator."""
+    if argv is None:
+        # a process of its own: freeze the import-time heap so that no later
+        # collection walks it, interpreter exit's included (~17 ms a run)
+        gc.freeze()
     parser = _Parser(prog="zpfsim", description=main.__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
     handlers = {"run": run_cmd, "validate": validate_cmd, "rate-bound": rate_bound_cmd}

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
@@ -416,6 +419,23 @@ class TestRunner:
 
 
 class TestCli:
+    @pytest.mark.parametrize("call, frozen", [("main()", True), ("main(sys.argv[1:])", False)],
+                             ids=["own-command-line", "argv"])
+    def test_only_the_own_command_line_freezes_the_heap(self, tmp_path, call, frozen):
+        # in a fresh interpreter: main() freezes the import-time heap when it
+        # reads the process's command line, and leaves a caller's heap as it
+        # is when given argv
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(base_config()))
+        src = str(Path(config.__file__).resolve().parents[1])
+        code = (f"import gc, sys; sys.argv = ['zpfsim', 'validate', '--config', {str(path)!r}]; "
+                f"from zpfsim.cli import main; {call}; print(gc.get_freeze_count())")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        count = int(out.stdout.splitlines()[-1])
+        assert count > 0 if frozen else count == 0, count
+
     def test_validate_reports_defaults(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(base_config()))

@@ -61,7 +61,7 @@ def test_cli_import_leaves_out_scipy_integrate_and_stats():
     # scipy (and numpy.f2py, which scipy's array-API layer pulls in) cost
     # about half of every process's start-up and the package needs neither;
     # nor does it need click, as the CLI is built on argparse. The quadrature
-    # rules are built on first use, so numpy.polynomial (~5 ms) loads only in
+    # rules are built on first use, so numpy.polynomial (~3 ms) loads only in
     # a process that evaluates an analytic law
     prefixes = ("scipy", "numpy.f2py", "click", "numpy.polynomial")
     assert _modules_after_cli_import(prefixes) == "[]"
