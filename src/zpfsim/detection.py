@@ -26,8 +26,9 @@ its own modes only, with their scale^2 as weights (``intensity_batch``).
 ``response_matrix`` evaluates the general geometry and serves as its test
 oracle: the filtered fields of an amplitude vector are
 ``response_matrix(k, omega, scales, detector) @ amps`` for modes with
-wavevectors k (n, 3) and frequencies omega (n,). No run calls it, and it
-alone needs scipy (for J1), which is a test dependency.
+wavevectors k (n, 3) and frequencies omega (n,). A scenario stores neither,
+as no run reads them. No run calls it, and it alone needs scipy (for J1),
+which is a test dependency.
 
 The analytic detection probabilities ``p_single`` and ``p_joint`` integrate
 the gaussian law N(mean, sigma0) of each detector's intensity against Q in
@@ -124,11 +125,6 @@ class DetectorSpec:
         n = self.n_elements
         return self.omega_center + 2.0 * math.pi / self.window * (np.arange(n) - (n - 1) / 2.0)
 
-    @property
-    def element_kvecs(self) -> np.ndarray:
-        """Element wavevectors omega_l times the unit axis, shape (n_elements, 3)."""
-        return self.element_omegas[:, None] * np.asarray(self.axis, dtype=float)[None, :]
-
 
 def vacuum_moments(omega_center: float, bandwidth: float, length: float,
                    tau: float, window: float) -> tuple[float, float]:
@@ -166,8 +162,10 @@ def response_matrix(k, omega, scales, detector: DetectorSpec) -> np.ndarray:
     """
     dw = np.asarray(omega, dtype=float)[None, :] - detector.element_omegas[:, None]
     time_factor = np.exp(0.5j * dw * detector.window) * _sinc(0.5 * dw * detector.window)
-    dk = np.asarray(k, dtype=float)[None] - detector.element_kvecs[:, None]  # (n_el, n_modes, 3)
-    dpar = dk @ np.asarray(detector.axis, dtype=float)
+    axis = np.asarray(detector.axis, dtype=float)
+    # element l's wavevector is omega_l along the axis; dk is (n_el, n_modes, 3)
+    dk = np.asarray(k, dtype=float)[None] - detector.element_omegas[:, None, None] * axis
+    dpar = dk @ axis
     dperp_sq = np.maximum(np.einsum("ijk,ijk->ij", dk, dk) - dpar**2, 0.0)
     vol_factor = (_sinc(0.5 * dpar * detector.length)
                   * _airy_disc(np.sqrt(dperp_sq) * detector.radius))

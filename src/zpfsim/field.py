@@ -1,7 +1,7 @@
 """Vacuum sampling of the plane-wave mode amplitudes and of their power.
 
 The hidden variables of the whole simulator live here: each plane-wave mode
-(its wavevector, frequency and polarization are arrays on the ``Scenario``)
+(one polarization at one element of a detector's grid, see ``scenarios``)
 carries a complex amplitude alpha whose vacuum distribution is the circular
 gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
 independent normals with mean 0 and variance 1/4. A batch of realizations

@@ -1,11 +1,10 @@
 """Declarative experiment scenarios.
 
-A ``Scenario`` bundles the modes (read-only arrays ``k``, ``omega`` with
-|k| = omega, and ``pol``; no two modes share both k and pol), its crystal
-(None, or the coupling g of a crystal that pairs mode m with mode N-1-m of
-its N modes, see ``pdc``) and, per detector, the index of its own modes
-with their read-only weights. Everything is plain data so scenarios can be
-shipped to worker processes.
+A ``Scenario`` holds what a run reads: the mode count, its crystal (None,
+or the coupling g of a crystal that pairs mode m with mode N-1-m of its N
+modes, see ``pdc``) and, per detector, the index of its own modes with their
+read-only weights. Everything is plain data so scenarios can be shipped to
+worker processes.
 
 PDC and CHSH share one crystal builder (``_crystal_scenario``). A CHSH
 scenario's ``stations`` hold each station's (H, V) pairs, the own modes of
@@ -16,7 +15,8 @@ Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
 Ibar_d = sum_m scale_m^2 |alpha_m|^2 over its own modes m only. Detector d's
 entry ``parts[d]`` = (index, scale^2) holds those modes as a slice and
-their scale^2 in index order.
+their scale^2 in index order. Two detectors on one axis share no mode: their
+bands lie at least four band widths apart (``_bands_separated``).
 The mode scales are calibrated so that each detector's vacuum-ensemble mean of
 the effective intensity equals its analytic value I0; this amounts to
 fixing the quantization box length per beam.
@@ -46,11 +46,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """Modes, the crystal and each detector's own modes with their weights."""
+    """The mode count, the crystal and each detector's own modes with their weights."""
 
-    k: np.ndarray                          # (n_modes, 3) wavevectors
-    omega: np.ndarray                      # (n_modes,) frequencies
-    pol: np.ndarray                        # (n_modes,) int8 polarization, 0 = H, 1 = V
+    n_modes: int
     crystal: float | None                  # coupling g of mode m with N-1-m, or None
     detector_names: tuple[str, ...]
     detector_specs: tuple[DetectorSpec, ...]
@@ -59,14 +57,10 @@ class Scenario:
     stations: tuple[tuple, ...] = ()       # per station: (H index, V index, scale^2)
 
     def __post_init__(self):
-        for arr in (self.k, self.omega, self.pol, *(w for _, w in self.parts)):
-            arr.setflags(write=False)
+        for _, w in self.parts:
+            w.setflags(write=False)
         if self.crystal is not None and self.n_modes % 2:
             raise ValueError(f"a crystal needs an even number of modes, got {self.n_modes}")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.omega)
 
     @property
     def signal_means(self) -> tuple[float, ...]:
@@ -125,8 +119,8 @@ def make_matched_detector(
     )
 
 
-def _matched_beam(det: DetectorSpec, n_modes: int | None):
-    """Frequencies of the modes on the detector's element grid, and their scale^2.
+def _matched_beam(det: DetectorSpec, n_modes: int | None) -> np.ndarray:
+    """scale^2 of the modes on the detector's element grid, in frequency order.
 
     When ``n_modes`` is smaller than the element count the central slice of
     the grid is used; the calibration always sets sum(scale^2)/2 = I0.
@@ -138,27 +132,15 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None):
         raise ValueError(f"n_modes must lie in [1, {n_el}], got {n_modes}")
     start = (n_el - n_modes) // 2
     omegas = det.element_omegas[start:start + n_modes]
+    if omegas[0] <= 0:
+        raise ValueError(f"mode frequency must be positive, got {omegas[0]}")
     # scale^2 proportional to omega, normalized to the vacuum mean
-    return omegas, 2.0 * det.I0 * omegas / np.sum(omegas)
+    return 2.0 * det.I0 * omegas / np.sum(omegas)
 
 
-def _mode_arrays(beams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k = omega * axis, omega and pol of the beams (omegas, pol, axis).
-
-    Raises ValueError on a frequency <= 0 or a mode repeating an earlier (round(k, 12), pol).
-    """
-    omega = np.concatenate([w for w, _, _ in beams])
-    if omega.min() <= 0:
-        raise ValueError(f"mode frequency must be positive, got {omega.min()}")
-    pol = np.concatenate([np.broadcast_to(np.int8(p), w.shape) for w, p, _ in beams])
-    k = np.concatenate([w[:, None] * np.asarray(axis, dtype=float) for w, _, axis in beams])
-    _, first, inverse = np.unique(np.column_stack((np.round(k, 12), pol)), axis=0,
-                                  return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(omega)))
-    if repeats.size:
-        m = repeats[0]
-        raise ValueError(f"duplicate mode (k={tuple(k[m].tolist())}, pol={pol[m]})")
-    return k, omega, pol
+def _bands_separated(det1: DetectorSpec, det2: DetectorSpec) -> bool:
+    """Whether the two detectors' bands lie at least four band widths apart."""
+    return abs(det1.omega_center - det2.omega_center) >= 4.0 * max(det1.bandwidth, det2.bandwidth)
 
 
 def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = None,
@@ -166,15 +148,19 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
     """One independent matched beam per detector, no source and no optics."""
     if names is None:
         names = [f"d{i}" for i in range(len(detectors))]
-    beams, parts, start = [], [], 0
+    parts, start = [], 0
     for det in detectors:
-        omegas, s = _matched_beam(det, n_modes)
-        beams.append((omegas, 0, det.axis))
-        parts.append((slice(start, start + len(omegas)), s))
-        start += len(omegas)
+        s = _matched_beam(det, n_modes)
+        parts.append((slice(start, start + len(s)), s))
+        start += len(s)
     coinc = tuple((i, j) for i in range(len(detectors)) for j in range(i + 1, len(detectors)))
+    for i, j in coinc:
+        a, b = detectors[i], detectors[j]
+        if a.axis == b.axis and not _bands_separated(a, b):
+            raise ValueError(f"duplicate mode: detectors {names[i]!r} and {names[j]!r} share "
+                             "an axis and their bands lie closer than four band widths")
     return Scenario(
-        *_mode_arrays(beams),
+        n_modes=start,
         crystal=None,
         detector_names=tuple(names),
         detector_specs=tuple(detectors),
@@ -196,7 +182,7 @@ def _check_collinear(det1: DetectorSpec, det2: DetectorSpec, g: float) -> None:
         raise ValueError("collinear scenario requires a common detector axis")
     if det1.n_elements != det2.n_elements:
         raise ValueError("the two detectors must have equal element counts")
-    if abs(det1.omega_center - det2.omega_center) < 4.0 * max(det1.bandwidth, det2.bandwidth):
+    if not _bands_separated(det1, det2):
         raise ValueError("the two detector bands must be well separated")
     if g < 0:
         raise ValueError(f"coupling g must be non-negative, got {g}")
@@ -220,16 +206,15 @@ def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: i
     """
     _check_collinear(det1, det2, g)
     off = n_pol * det1.n_elements
-    beams, parts, stations = [], [], []
+    parts, stations = [], []
     for b, det in enumerate((det1, det2)):
-        omegas, weights = _matched_beam(det, None)
-        beams.append((np.repeat(omegas, n_pol), np.tile(np.arange(n_pol), len(omegas)), det.axis))
+        weights = _matched_beam(det, None)
         own = [slice(b * off + q, (b + 1) * off, n_pol) for q in range(n_pol)]
         parts += [(index, weights) for index in own]
         if n_pol == 2:
             stations.append((*own, weights))
     return Scenario(
-        *_mode_arrays(beams),
+        n_modes=2 * off,
         crystal=g,
         detector_names=tuple(names),
         detector_specs=(det1,) * n_pol + (det2,) * n_pol,

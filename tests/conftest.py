@@ -96,6 +96,36 @@ def dense_weights(scenario):
     return weights
 
 
+def mode_geometry(scenario):
+    """(k, omega, pol) of every mode, read off the scenario's parts and stations.
+
+    A scenario stores no mode geometry, since no run reads it. Detector d's
+    own modes, ``parts[d]`` = (index, w), lie in index order on consecutive
+    elements of its grid, with w proportional to omega: on a grid of spacing
+    dw, w[0] / w[-1] = omega_0 / (omega_0 + (n - 1) dw) places the first of
+    them. A mode has polarization 1 (V) if a station's V index holds it, else
+    0 (H), and wavevector k = omega along its detector's axis. Each mode must
+    belong to exactly one detector.
+    """
+    k = np.zeros((scenario.n_modes, 3))
+    omega = np.zeros(scenario.n_modes)
+    pol = np.zeros(scenario.n_modes, dtype=np.int8)
+    owners = np.zeros(scenario.n_modes, dtype=int)
+    for (index, w), det in zip(scenario.parts, scenario.detector_specs):
+        grid, n = det.element_omegas, len(w)
+        first = 0
+        if n < len(grid):
+            dw, r = 2.0 * math.pi / det.window, w[0] / w[-1]
+            first = round((r * (n - 1) * dw / (1.0 - r) - grid[0]) / dw)
+        omega[index] = grid[first:first + n]
+        k[index] = omega[index][:, None] * np.asarray(det.axis)
+        owners[index] += 1
+    assert np.all(owners == 1), "the detectors' own modes must partition the modes"
+    for _, v, _ in scenario.stations:
+        pol[v] = 1
+    return k, omega, pol
+
+
 def signed_zero_amps(rows, n_modes, seed):
     """Gaussian amplitudes with +0.0 or -0.0 in about a third of the parts."""
     rng = np.random.default_rng(seed)

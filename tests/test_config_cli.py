@@ -688,6 +688,18 @@ class TestCli:
         assert result.exit_code == 2
         assert "duplicate mode" in result.output
 
+    @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
+    def test_validate_accepts_long_window(self, tmp_path, kind):
+        # at T = 2 pi 10^12 the element spacing 2 pi / T is 10^-12: distinct
+        # modes, however close, are no duplicates
+        raw = base_config() if kind == "vacuum" else pdc_config()
+        for det in raw["detectors"]:
+            det.update(window=2 * math.pi * 1e12, n_cells=4)
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        result = invoke(["validate", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+
     def test_run_rejects_negative_seed_override(self, tmp_path):
         cfg_path = tmp_path / "exp.yaml"
         cfg_path.write_text(yaml.safe_dump(base_config()))

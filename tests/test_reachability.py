@@ -32,7 +32,6 @@ PENDING = {
     "detection.response_matrix": _PINNED,
     "detection._sinc": "reached only through detection.response_matrix",
     "detection._airy_disc": "reached only through detection.response_matrix",
-    "detection.DetectorSpec.element_kvecs": "reached only through detection.response_matrix",
     "optics.rotator_transform": _PINNED,
     "analysis.chsh_scan": _PINNED,
 }

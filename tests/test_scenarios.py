@@ -19,7 +19,8 @@ from zpfsim.scenarios import (
     vacuum_scenario,
 )
 
-from conftest import WINDOW_1K, dense_weights, detector, draw_rows, signed_zero_amps
+from conftest import (WINDOW_1K, dense_weights, detector, draw_rows, mode_geometry,
+                      signed_zero_amps)
 
 
 class TestCrystal:
@@ -86,10 +87,11 @@ class TestCrystal:
                   for w in (centers[::-1] if swap else centers))
         scen = (pdc_scenario if n_pol == 1 else chsh_scenario)(d1, d2, 0.1)
         omega0 = sum(centers)
-        assert np.all(np.abs(scen.omega + scen.omega[::-1] - omega0) <= 1e-9 * omega0)
-        k_sum = scen.k + scen.k[::-1] - omega0 * np.asarray(d1.axis)
+        k, omega, pol = mode_geometry(scen)
+        assert np.all(np.abs(omega + omega[::-1] - omega0) <= 1e-9 * omega0)
+        k_sum = k + k[::-1] - omega0 * np.asarray(d1.axis)
         assert np.all(np.linalg.norm(k_sum, axis=1) <= 1e-9 * omega0)
-        assert np.all(scen.pol + scen.pol[::-1] == n_pol - 1)   # CHSH pairs H with V
+        assert np.all(pol + pol[::-1] == n_pol - 1)   # CHSH pairs H with V
 
 
 class TestMakeMatchedDetector:
@@ -130,13 +132,42 @@ class TestVacuumScenario:
         det = detector(n_cells=16)
         scen = vacuum_scenario([det], n_modes=6)
         assert scen.n_modes == 6
-        assert np.all(np.abs(scen.omega - det.omega_center) <= 4 * 2 * math.pi / det.window)
+        _, omega, _ = mode_geometry(scen)
+        assert np.all(np.abs(omega - det.omega_center) <= 4 * 2 * math.pi / det.window)
 
     def test_identical_detectors_rejected(self):
         # two beams on the same element grid would be one set of modes counted twice
         det = detector(n_cells=8)
         with pytest.raises(ValueError, match="duplicate mode"):
             vacuum_scenario([det, detector(n_cells=8)])
+
+    def test_duplicate_mode_rejected(self):
+        # the error names the two detectors whose bands overlap, not the one between
+        det = detector(n_cells=8)
+        with pytest.raises(ValueError, match="duplicate mode: detectors 'a' and 'b' share"):
+            vacuum_scenario([det, detector(n_cells=8, omega_center=2.0), det], ["a", "c", "b"])
+
+    def test_half_spacing_offset_grids_rejected(self):
+        # grids offset by half their spacing share no mode, yet each detector's
+        # elements pick up most of the other beam: its modes fall between their sinc zeros
+        window = 200 * math.pi
+        a, b = (detector(n_cells=8, window=window, omega_center=w)
+                for w in (1.0, 1.0 + math.pi / window))
+        k_b, omega_b, _ = mode_geometry(vacuum_scenario([b]))
+        resp = response_matrix(k_b, omega_b, np.ones(8), a)
+        assert np.max(np.abs(resp)) > 0.5
+        with pytest.raises(ValueError, match="duplicate mode"):
+            vacuum_scenario([a, b])
+
+    def test_dispersion_enforced(self):
+        # k = omega * axis with the axis normalized, so |k| = omega for any axis length
+        k, omega, _ = mode_geometry(vacuum_scenario([detector(n_cells=8, axis=(0.0, 3.0, 4.0))]))
+        assert np.allclose(np.linalg.norm(k, axis=1), omega, rtol=1e-12, atol=0)
+
+    def test_negative_frequency_rejected(self):
+        # a band 2 pi / tau wider than 2 omega_center reaches below omega = 0
+        with pytest.raises(ValueError, match="positive"):
+            vacuum_scenario([detector(n_cells=8, omega_center=1.0, window=10.0)])
 
 
 class TestPdcScenario:
@@ -149,9 +180,10 @@ class TestPdcScenario:
         scen = pdc_scenario(ds, di, 0.1)
         omega0 = ds.omega_center + di.omega_center
         assert scen.crystal == 0.1 and scen.n_modes == 32
+        _, omega, _ = mode_geometry(scen)
         # mode m pairs with mode 31 - m
         for a in range(16):
-            assert scen.omega[a] + scen.omega[31 - a] == pytest.approx(omega0)
+            assert omega[a] + omega[31 - a] == pytest.approx(omega0)
 
     def test_signal_means_formula(self):
         ds, di = self._dets()
@@ -170,6 +202,13 @@ class TestPdcScenario:
         ds = detector(n_cells=16, omega_center=1.0)
         di = detector(n_cells=16, omega_center=1.0001)
         with pytest.raises(ValueError, match="separated"):
+            pdc_scenario(ds, di, 0.1)
+
+    def test_negative_frequency_rejected(self):
+        # the idler band 2 pi / tau is wider than twice its center
+        ds = detector(n_cells=8, omega_center=30.0, window=10.0)
+        di = detector(n_cells=8, omega_center=1.0, window=10.0)
+        with pytest.raises(ValueError, match="mode frequency must be positive"):
             pdc_scenario(ds, di, 0.1)
 
 
@@ -191,21 +230,23 @@ class TestChshScenario:
         # station s pairs its own beam's H (pol 0) and V (pol 1) modes slot by
         # slot, under its '+' detector's weights
         assert len(scen.stations) == 2
+        _, omega, pol = mode_geometry(scen)
         for s, (h, v, w) in enumerate(scen.stations):
             beam = pos[8 * s: 8 * (s + 1)]
-            assert pos[h].tolist() == beam[scen.pol[beam] == 0].tolist()
-            assert pos[v].tolist() == beam[scen.pol[beam] == 1].tolist()
-            assert np.array_equal(scen.omega[h], scen.omega[v])
+            assert pos[h].tolist() == beam[pol[beam] == 0].tolist()
+            assert pos[v].tolist() == beam[pol[beam] == 1].tolist()
+            assert np.array_equal(omega[h], omega[v])
             assert np.array_equal(w, scen.parts[2 * s][1])
 
     def test_pdc_couples_cross_polarizations(self):
         d1 = detector(n_cells=4, omega_center=1.25)
         d2 = detector(n_cells=4, omega_center=0.75)
         scen = chsh_scenario(d1, d2, 0.1)
+        _, omega, pol = mode_geometry(scen)
         # mode m pairs with mode 15 - m
         for a in range(8):
-            assert scen.pol[a] != scen.pol[15 - a]
-            assert scen.omega[a] + scen.omega[15 - a] == pytest.approx(2.0)
+            assert pol[a] != pol[15 - a]
+            assert omega[a] + omega[15 - a] == pytest.approx(2.0)
 
     def test_detector_masks_partition_station_modes(self):
         d1 = detector(n_cells=4, omega_center=1.25)
@@ -242,19 +283,21 @@ def test_mode_arrays_are_read_only_and_on_the_light_cone():
     for kind, scen in oracle_scenarios(WINDOW_1K).items():
         # only a CHSH scenario has analyzer stations
         assert (scen.stations == ()) is (kind != "chsh"), kind
-        k, omega, pol = scen.k, scen.omega, scen.pol
+        k, omega, pol = mode_geometry(scen)
         assert k.shape == (scen.n_modes, 3) and omega.shape == pol.shape == (scen.n_modes,)
         assert np.all(np.abs(np.linalg.norm(k, axis=1) - omega) <= 1e-12 * omega), kind
         assert np.all(omega > 0) and pol.dtype == np.int8 and set(pol.tolist()) <= {0, 1}
-        for arr in (k, omega, pol, *(w for _, w in scen.parts)):
-            assert not arr.flags.writeable, kind
+        # each detector's (k, pol) are distinct, and no two detectors share one
+        keys = {(*kv, p) for kv, p in zip(k.tolist(), pol.tolist())}
+        assert len(keys) == scen.n_modes, kind
+        for _, w in scen.parts:
+            assert not w.flags.writeable, kind
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1
-    # a CHSH slot's H and V modes share k: only polarization tells them apart,
-    # so it is part of the key under which modes must be distinct
-    chsh = oracle_scenarios(WINDOW_1K)["chsh"]
-    assert np.array_equal(chsh.k[0::2], chsh.k[1::2])
-    assert np.all(chsh.pol[0::2] == 0) and np.all(chsh.pol[1::2] == 1)
+                w[0] = 1
+    # a CHSH slot's H and V modes share k: only polarization tells them apart
+    k, _, pol = mode_geometry(oracle_scenarios(WINDOW_1K)["chsh"])
+    assert np.array_equal(k[0::2], k[1::2])
+    assert np.all(pol[0::2] == 0) and np.all(pol[1::2] == 1)
 
 
 class TestDiagonalWeightsOracle:
@@ -263,14 +306,15 @@ class TestDiagonalWeightsOracle:
     @pytest.mark.parametrize("window", [WINDOW_1K, WINDOW_1E5])
     def test_response_matrix_reduces_to_weights(self, window):
         for kind, scen in oracle_scenarios(window).items():
+            k, omega, _ = mode_geometry(scen)
             weights = dense_weights(scen)
             scale_max = math.sqrt(weights.max())
             for d, det in enumerate(scen.detector_specs):
                 own = np.nonzero(weights[:, d])[0]
                 scales = np.sqrt(weights[own, d])
-                resp = response_matrix(scen.k[own], scen.omega[own], scales, det)  # (n_el, n_own)
+                resp = response_matrix(k[own], omega[own], scales, det)  # (n_el, n_own)
                 # each own mode sits on exactly one element of the detector's grid
-                hit = np.abs(det.element_omegas[:, None] - scen.omega[None, own]) < 1e-3 / window
+                hit = np.abs(det.element_omegas[:, None] - omega[None, own]) < 1e-3 / window
                 assert np.all(hit.sum(axis=0) == 1), kind
                 expected = np.zeros((det.n_elements, len(own)))
                 expected[hit] = np.broadcast_to(scales, hit.shape)[hit]
@@ -279,12 +323,13 @@ class TestDiagonalWeightsOracle:
     def test_intensity_batch_matches_effective_intensity(self):
         for kind, scen in oracle_scenarios(WINDOW_1K).items():
             amps = apply_ops(draw_rows(sample_vacuum_batch, scen.n_modes, 8, 5), scen)
+            k, omega, _ = mode_geometry(scen)
             batch = intensity_batch(np.abs(amps) ** 2, scen.parts)
             weights = dense_weights(scen)
             assert batch.shape == (5, len(scen.detector_specs))
             for d, det in enumerate(scen.detector_specs):
                 own = np.nonzero(weights[:, d])[0]
-                resp = response_matrix(scen.k[own], scen.omega[own], np.sqrt(weights[own, d]), det)
+                resp = response_matrix(k[own], omega[own], np.sqrt(weights[own, d]), det)
                 for r in range(5):
                     # Ibar = sum_l |Ebar_l|^2 in the general geometry
                     intensity = np.sum(np.abs(resp @ amps[r, own]) ** 2)
