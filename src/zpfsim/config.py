@@ -96,7 +96,9 @@ _READERS = {
     # the analytic law assumes that a detector sees all of its n_cells modes
     "scenario.n_modes": ("kind 'vacuum' with run.mode 'mc'",
                          lambda kind, mode, section: kind == "vacuum" and mode == "mc"),
-    "scenario.g": ("kinds 'pdc' and 'chsh'", lambda kind, mode, section: kind != "vacuum"),
+    # g sets the crystal; an axis is read only to check that a crystal's detectors share it
+    **dict.fromkeys(("scenario.g", "detectors.axis"), (
+        "kinds 'pdc' and 'chsh'", lambda kind, mode, section: kind != "vacuum")),
     "chsh.settings": ("kind 'chsh' with run.mode 'mc' or 'both'",
                       lambda kind, mode, section: kind == "chsh" and mode != "analytic"),
     # a vacuum pair's beams are independent, so its correlation is 0

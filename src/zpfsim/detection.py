@@ -1,6 +1,6 @@
 """Threshold photodetection built on filtered fields and effective intensity.
 
-A detector is a cylinder (radius R, length L) carrying N = round(T / tau)
+A detector is a cylinder (radius R, length L) carrying N = n_cells = T / tau
 narrow-band elements (omega_l, k_l), spaced 2 pi / T around omega_center
 with k_l along the detector axis. Each element sees the filtered field
 
@@ -73,17 +73,17 @@ class DetectorSpec:
     radius: float
     length: float
     window: float                 # time window T
-    tau: float                    # beam coherence time
+    n_cells: int                  # coherence cells in the window, one element each
     omega_center: float
     threshold: float
     zeta: float
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if min(self.radius, self.length, self.window, self.tau, self.omega_center) <= 0:
+        if min(self.radius, self.length, self.window, self.omega_center) <= 0:
             raise ValueError("detector geometry, timing and frequency must be positive")
-        if self.tau > self.window:
-            raise ValueError("coherence time tau must not exceed the window T")
+        if not isinstance(self.n_cells, int) or self.n_cells < 1:
+            raise ValueError(f"n_cells must be a positive integer, got {self.n_cells!r}")
         if self.zeta <= 0:
             raise ValueError(f"gain zeta must be positive, got {self.zeta:g}")
         ax = np.asarray(self.axis, dtype=float)
@@ -97,6 +97,11 @@ class DetectorSpec:
             )
 
     # derived quantities -----------------------------------------------------
+    @property
+    def tau(self) -> float:
+        """Beam coherence time T / n_cells."""
+        return self.window / self.n_cells
+
     @property
     def bandwidth(self) -> float:
         """Band width 2 pi / tau."""
@@ -115,14 +120,9 @@ class DetectorSpec:
                               self.tau, self.window)[1]
 
     @property
-    def n_elements(self) -> int:
-        """round(T / tau), the number of coherence cells in the window."""
-        return round(self.window / self.tau)
-
-    @property
     def element_omegas(self) -> np.ndarray:
         """Element frequencies spaced 2 pi / T around omega_center."""
-        n = self.n_elements
+        n = self.n_cells
         return self.omega_center + 2.0 * math.pi / self.window * (np.arange(n) - (n - 1) / 2.0)
 
 
@@ -153,7 +153,7 @@ def _airy_disc(x: np.ndarray) -> np.ndarray:
 
 
 def response_matrix(k, omega, scales, detector: DetectorSpec) -> np.ndarray:
-    """Dense (n_elements x n_modes) map from amplitudes to filtered fields.
+    """Dense (n_cells x n_modes) map from amplitudes to filtered fields.
 
     The modes have wavevectors ``k`` (n_modes, 3) and frequencies ``omega``.
     The cylinder is centered at the origin with its axis along

@@ -15,8 +15,9 @@ Every builder puts each detector's modes on that detector's own element
 grid, where the filtered-field response is diagonal: detector d sees
 Ibar_d = sum_m scale_m^2 |alpha_m|^2 over its own modes m only. Detector d's
 entry ``parts[d]`` = (index, scale^2) holds those modes as a slice and
-their scale^2 in index order. Two detectors on one axis share no mode: their
-bands lie at least four band widths apart (``_bands_separated``).
+their scale^2 in index order. No two detectors share a mode: their bands
+lie at least four band widths apart (``_bands_separated``), whatever their
+axes, since a detector picks up much of a same-band beam on another axis.
 The mode scales are calibrated so that each detector's vacuum-ensemble mean of
 the effective intensity equals its analytic value I0; this amounts to
 fixing the quantization box length per beam.
@@ -111,7 +112,7 @@ def make_matched_detector(
         radius=radius,
         length=length,
         window=window,
-        tau=tau,
+        n_cells=n_cells,
         omega_center=omega_center,
         threshold=i0 + threshold_sigma * sigma0 if threshold is None else threshold,
         zeta=zeta,
@@ -125,12 +126,12 @@ def _matched_beam(det: DetectorSpec, n_modes: int | None) -> np.ndarray:
     When ``n_modes`` is smaller than the element count the central slice of
     the grid is used; the calibration always sets sum(scale^2)/2 = I0.
     """
-    n_el = det.n_elements
+    n_cells = det.n_cells
     if n_modes is None:
-        n_modes = n_el
-    if not 1 <= n_modes <= n_el:
-        raise ValueError(f"n_modes must lie in [1, {n_el}], got {n_modes}")
-    start = (n_el - n_modes) // 2
+        n_modes = n_cells
+    if not 1 <= n_modes <= n_cells:
+        raise ValueError(f"n_modes must lie in [1, {n_cells}], got {n_modes}")
+    start = (n_cells - n_modes) // 2
     omegas = det.element_omegas[start:start + n_modes]
     if omegas[0] <= 0:
         raise ValueError(f"mode frequency must be positive, got {omegas[0]}")
@@ -156,9 +157,9 @@ def vacuum_scenario(detectors: list[DetectorSpec], names: list[str] | None = Non
     coinc = tuple((i, j) for i in range(len(detectors)) for j in range(i + 1, len(detectors)))
     for i, j in coinc:
         a, b = detectors[i], detectors[j]
-        if a.axis == b.axis and not _bands_separated(a, b):
+        if not _bands_separated(a, b):
             raise ValueError(f"duplicate mode: detectors {names[i]!r} and {names[j]!r} share "
-                             "an axis and their bands lie closer than four band widths")
+                             "a band: their centers lie closer than four band widths")
     return Scenario(
         n_modes=start,
         crystal=None,
@@ -180,7 +181,7 @@ def _check_collinear(det1: DetectorSpec, det2: DetectorSpec, g: float) -> None:
         raise ValueError("the two detectors must share the window T")
     if det1.axis != det2.axis:
         raise ValueError("collinear scenario requires a common detector axis")
-    if det1.n_elements != det2.n_elements:
+    if det1.n_cells != det2.n_cells:
         raise ValueError("the two detectors must have equal element counts")
     if not _bands_separated(det1, det2):
         raise ValueError("the two detector bands must be well separated")
@@ -205,7 +206,7 @@ def _crystal_scenario(det1: DetectorSpec, det2: DetectorSpec, g: float, n_pol: i
     ``_check_collinear`` states what the detectors must share.
     """
     _check_collinear(det1, det2, g)
-    off = n_pol * det1.n_elements
+    off = n_pol * det1.n_cells
     parts, stations = [], []
     for b, det in enumerate((det1, det2)):
         weights = _matched_beam(det, None)

@@ -5,9 +5,10 @@ import pytest
 
 from zpfsim.engine import chunk_intensities
 from zpfsim.field import TRIAL_BLOCK, block_generators
-from zpfsim.scenarios import make_matched_detector
+from zpfsim.scenarios import chsh_scenario, make_matched_detector, pdc_scenario, vacuum_scenario
 
 WINDOW_1K = 2.0 * math.pi * 1000.0
+WINDOW_1E5 = 2.0 * math.pi * 1e5
 
 # One (name, passed, detail) entry per acceptance criterion, printed in the
 # terminal summary so the pass/fail lines survive output capturing.
@@ -124,6 +125,22 @@ def mode_geometry(scenario):
     for _, v, _ in scenario.stations:
         pol[v] = 1
     return k, omega, pol
+
+
+def oracle_scenarios(window):
+    """Vacuum (full beams; central slices for two and three detectors), PDC and CHSH."""
+    vac = [detector(n_cells=16, window=window),
+           detector(n_cells=16, window=window, omega_center=2.0)]
+    pdc = (detector(n_cells=16, window=window, omega_center=1.25),
+           detector(n_cells=16, window=window, omega_center=0.75))
+    return {
+        "vacuum": vacuum_scenario(vac),
+        "vacuum-slice": vacuum_scenario(vac, n_modes=6),
+        "vacuum-3-slice": vacuum_scenario(
+            vac + [detector(n_cells=16, window=window, omega_center=3.0)], n_modes=6),
+        "pdc": pdc_scenario(*pdc, 0.1),
+        "chsh": chsh_scenario(*pdc, 0.1),
+    }
 
 
 def signed_zero_amps(rows, n_modes, seed):

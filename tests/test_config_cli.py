@@ -95,6 +95,9 @@ READER_CASES = {
     "scenario.n_modes": (lambda: base_config(run=MC), 7, [base_config, pdc_config,
                                                            lambda: chsh_config(run=MC)]),
     "scenario.g": (pdc_config, 0.2, [base_config, vacuum_pair]),
+    # a crystal's two detectors must share their axis
+    "detectors.axis": (lambda: with_value(pdc_config(), "detectors.1.axis", [1, 0, 0]),
+                       [1, 0, 0], [base_config, vacuum_pair]),
     "chsh.settings": (chsh_config, SETTINGS, [
         pdc_config, lambda: chsh_config(run=ANALYTIC, analytic={"corr": 0.0})]),
     "analytic.corr": (pdc_config, 0.5, [lambda: pdc_config(run=MC), base_config, vacuum_pair]),
@@ -826,8 +829,7 @@ class TestValidateMatchesRun:
 def known_ignored(path: str, data: dict) -> bool:
     kind, mode = data["scenario"]["kind"], data["run"]["mode"]
     return (path in ("run.trials", "run.seed") and mode == "analytic"
-            or path.endswith(".name") and kind == "chsh"
-            or path.endswith(".axis"))
+            or path.endswith(".name") and kind == "chsh")
 
 
 def leaf_paths(data: dict) -> list:

@@ -18,9 +18,10 @@ from zpfsim.detection import (
     response_matrix,
 )
 from zpfsim.field import sample_vacuum_batch
-from zpfsim.scenarios import make_matched_detector
+from zpfsim.scenarios import apply_ops, make_matched_detector, vacuum_scenario
 
-from conftest import detector, draw_rows, q_standard
+from conftest import (WINDOW_1E5, WINDOW_1K, dense_weights, detector, draw_rows, mode_geometry,
+                      oracle_scenarios, q_standard)
 
 # shared across hypothesis examples (construction is deterministic)
 _BOUNDEDNESS_DETECTOR = detector(zeta_sigma=10.0)
@@ -29,13 +30,13 @@ _BOUNDEDNESS_DETECTOR = detector(zeta_sigma=10.0)
 def single_element_detector(omega_el=0.9, radius=2.0, length=3.0, window=5.0):
     """One element (tau = T) at omega_el; threshold far above I0 to satisfy validation."""
     return DetectorSpec(
-        radius=radius, length=length, window=window, tau=window,
+        radius=radius, length=length, window=window, n_cells=1,
         omega_center=omega_el, threshold=1e6, zeta=1.0,
     )
 
 
 def grid_kvecs(det):
-    """Element wavevectors: omega_l along the detector axis, shape (n_elements, 3)."""
+    """Element wavevectors: omega_l along the detector axis, shape (n_cells, 3)."""
     return det.element_omegas[:, None] * np.asarray(det.axis)
 
 
@@ -45,8 +46,16 @@ class TestDetectorSpec:
             detector(threshold_sigma=-1.0)
 
     def test_tau_exceeding_window_rejected(self):
-        with pytest.raises(ValueError, match="tau"):
-            DetectorSpec(radius=1.0, length=1.0, window=1.0, tau=2.0,
+        # tau = T / n_cells = 2 T: less than one cell in the window
+        with pytest.raises(ValueError, match="n_cells must be a positive integer, got 0.5"):
+            DetectorSpec(radius=1.0, length=1.0, window=1.0, n_cells=0.5,
+                         omega_center=1.0, threshold=1.0, zeta=1.0)
+
+    @pytest.mark.parametrize("n_cells", [0, 3.0, 10 / 3])
+    def test_cell_count_must_be_a_positive_integer(self, n_cells):
+        # the element grid holds n_cells elements, and tau = T / n_cells sets I0 and sigma0
+        with pytest.raises(ValueError, match="n_cells must be a positive integer"):
+            DetectorSpec(radius=1.0, length=1.0, window=1.0, n_cells=n_cells,
                          omega_center=1.0, threshold=1.0, zeta=1.0)
 
     def test_eta_out_of_range_rejected(self):
@@ -67,7 +76,7 @@ class TestDetectorSpec:
 
     def test_matched_grid_spacing(self):
         det = detector(n_cells=8, window=16.0 * math.pi)
-        assert det.n_elements == 8 == round(det.window / det.tau)
+        assert det.n_cells == 8 and det.tau == det.window / 8
         assert det.bandwidth == pytest.approx(2 * math.pi / det.tau, rel=1e-15)
         dw = np.diff(det.element_omegas)
         assert np.allclose(dw, 2 * math.pi / det.window)
@@ -161,7 +170,7 @@ class TestResponseModels:
     def test_standard_response_unbounded(self, small_detector):
         det = small_detector
         big = DetectorSpec(
-            radius=1.0, length=det.length, window=det.window, tau=det.tau,
+            radius=1.0, length=det.length, window=det.window, n_cells=det.n_cells,
             omega_center=det.omega_center, threshold=det.threshold, zeta=3.0 / det.sigma0)
         assert q_standard(det.I0 - det.sigma0, big) < 0.0
         assert q_standard(det.I0 + det.sigma0, big) > 1.0
@@ -367,3 +376,61 @@ class TestClosedFormAccuracy:
         oracle = float(mp_p_joint(d1, d2, d1.I0, d2.I0, 0.6))
         assert 0.0 < oracle < 1e-80
         assert p_joint(d1, d2, d1.I0, d2.I0, 0.6) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+class TestDiagonalWeightsOracle:
+    """The diagonal weights against the general filtered-field geometry."""
+
+    @pytest.mark.parametrize("window", [WINDOW_1K, WINDOW_1E5])
+    def test_response_matrix_reduces_to_weights(self, window):
+        for kind, scen in oracle_scenarios(window).items():
+            k, omega, _ = mode_geometry(scen)
+            weights = dense_weights(scen)
+            scale_max = math.sqrt(weights.max())
+            for d, det in enumerate(scen.detector_specs):
+                own = np.nonzero(weights[:, d])[0]
+                scales = np.sqrt(weights[own, d])
+                resp = response_matrix(k[own], omega[own], scales, det)  # (n_el, n_own)
+                # each own mode sits on exactly one element of the detector's grid
+                hit = np.abs(det.element_omegas[:, None] - omega[None, own]) < 1e-3 / window
+                assert np.all(hit.sum(axis=0) == 1), kind
+                expected = np.zeros((det.n_cells, len(own)))
+                expected[hit] = np.broadcast_to(scales, hit.shape)[hit]
+                assert np.max(np.abs(resp - expected)) <= 1e-9 * scale_max, (kind, d)
+
+    def test_intensity_batch_matches_effective_intensity(self):
+        for kind, scen in oracle_scenarios(WINDOW_1K).items():
+            amps = apply_ops(draw_rows(sample_vacuum_batch, scen.n_modes, 8, 5), scen)
+            k, omega, _ = mode_geometry(scen)
+            batch = intensity_batch(np.abs(amps) ** 2, scen.parts)
+            weights = dense_weights(scen)
+            assert batch.shape == (5, len(scen.detector_specs))
+            for d, det in enumerate(scen.detector_specs):
+                own = np.nonzero(weights[:, d])[0]
+                resp = response_matrix(k[own], omega[own], np.sqrt(weights[own, d]), det)
+                for r in range(5):
+                    # Ibar = sum_l |Ebar_l|^2 in the general geometry
+                    intensity = np.sum(np.abs(resp @ amps[r, own]) ** 2)
+                    assert batch[r, d] == pytest.approx(intensity, rel=1e-12), (kind, d, r)
+
+    def test_half_spacing_offset_grids_rejected(self):
+        # grids offset by half their spacing share no mode, yet each detector's
+        # elements pick up most of the other beam: its modes fall between their sinc zeros
+        window = 200 * math.pi
+        a, b = (detector(n_cells=8, window=window, omega_center=w)
+                for w in (1.0, 1.0 + math.pi / window))
+        k_b, omega_b, _ = mode_geometry(vacuum_scenario([b]))
+        resp = response_matrix(k_b, omega_b, np.ones(8), a)
+        assert np.max(np.abs(resp)) > 0.5
+        with pytest.raises(ValueError, match="duplicate mode"):
+            vacuum_scenario([a, b])
+
+    def test_same_band_on_another_axis_couples(self):
+        # why vacuum_scenario applies the band rule to detectors on any two axes
+        window = 200 * math.pi
+        a, b = (detector(n_cells=8, window=window, axis=axis) for axis in ((0, 0, 1), (1, 0, 0)))
+        k_b, omega_b, _ = mode_geometry(vacuum_scenario([b]))
+        resp = response_matrix(k_b, omega_b, np.ones(8), a)
+        assert np.max(np.abs(resp)) > 0.8
+        with pytest.raises(ValueError, match="duplicate mode"):
+            vacuum_scenario([a, b])

@@ -62,8 +62,10 @@ def test_cli_import_leaves_out_scipy_integrate_and_stats():
     # about half of every process's start-up and the package needs neither;
     # nor does it need click, as the CLI is built on argparse. The quadrature
     # rules are built on first use, so numpy.polynomial (~3 ms) loads only in
-    # a process that evaluates an analytic law
-    prefixes = ("scipy", "numpy.f2py", "click", "numpy.polynomial")
+    # a process that evaluates an analytic law. The other test dependencies,
+    # mpmath, hypothesis and pytest, stay out too
+    prefixes = ("scipy", "numpy.f2py", "click", "numpy.polynomial",
+                "mpmath", "hypothesis", "pytest", "_pytest")
     assert _modules_after_cli_import(prefixes) == "[]"
 
 
@@ -96,11 +98,13 @@ run: {trials: 300, seed: 1}
 
 @pytest.mark.parametrize("config", [_PDC_BOTH, _CHSH], ids=["pdc-both", "chsh"])
 def test_run_succeeds_with_scipy_blocked(tmp_path, config):
-    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    # a None entry in sys.modules makes every `import scipy...` raise
+    # ImportError; a run needs none of the test dependencies
     src = str(Path(zpfsim.__file__).resolve().parents[1])
     cfg_path, out_path = tmp_path / "exp.yaml", tmp_path / "res.json"
     cfg_path.write_text(config)
-    code = ("import sys; sys.modules['scipy'] = None; "
+    blocked = ("scipy", "mpmath", "hypothesis", "pytest", "_pytest")
+    code = (f"import sys; sys.modules.update(dict.fromkeys({blocked!r})); "
             "from zpfsim.cli import main; "
             f"main(['run', '--config', {str(cfg_path)!r}, '--out', {str(out_path)!r}])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
