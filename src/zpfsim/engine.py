@@ -12,9 +12,13 @@ A detector reads only |alpha'|^2, so a scenario without stations (a vacuum
 or PDC point; a scenario's crystal pairs mode m with mode N-1-m) draws that
 power: an exponential per vacuum mode (``field.sample_vacuum_power``), or
 one exponential and one amplitude per crystal pair (``pdc.pair_power``),
-even at g = 0. A scenario with stations (a CHSH point) draws the amplitudes
-(``field.sample_vacuum_batch``) and maps them by the crystal, so that its
-plain run equals variant 0 of its settings run bit for bit.
+even at g = 0. It draws into buffers allocated once per chunk and reduces
+each detector straight from them (``_power_intensities``), with the same
+products and row sums as ``detection.intensity_batch`` over a mode-ordered
+power array, which it never builds. A scenario with stations (a CHSH
+point) draws the amplitudes (``field.sample_vacuum_batch``) and maps them
+by the crystal, so that its plain run equals variant 0 of its settings run
+bit for bit.
 
 An analyzer at angle theta rotates a station's (H, V) pairs, which its '+'
 and '-' detectors own with one weight vector w. From A = sum w|h|^2 and
@@ -42,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import intensity_batch, q_model
-from .field import TRIAL_BLOCK, block_generators, sample_vacuum_batch, sample_vacuum_power
+from .field import (TRIAL_BLOCK, block_generators, sample_vacuum_batch, sample_vacuum_normals,
+                    sample_vacuum_power)
 from .pdc import pair_power
 from .scenarios import Scenario, apply_ops
 
@@ -81,31 +86,62 @@ def _analyze(i: np.ndarray, cross: np.ndarray, settings) -> None:
             i[k, 2 * st + 1] = s * s * a + c * c * b - x
 
 
+def _power_intensities(i: np.ndarray, scenario: Scenario, rng, pair_rng, step: int) -> None:
+    """Fill ``i`` (D, rows) from power drawn tile by tile into buffers allocated once.
+
+    A vacuum detector sums E_m (w_m / 2) over its own modes of the exponential
+    tile E = 2|alpha|^2; a PDC detector sums its pair-ordered power times w.
+    The products go into one scratch buffer as C-contiguous rows, so each
+    row sum is ``intensity_batch``'s, bit for bit.
+    """
+    rows = i.shape[1]
+    step = min(step, rows)
+    crystal = scenario.crystal
+    if crystal is None:
+        power = np.empty((step, scenario.n_modes))
+        weights = [w * 0.5 for _, w in scenario.parts]      # E (w/2) = (E/2) w exactly
+    else:
+        h = scenario.n_modes // 2
+        power, normals = np.empty((step, h)), np.empty((step, h), dtype=complex)
+        weights = [w for _, w in scenario.parts]
+    scratch = np.empty(step * max(map(len, weights)))
+    for t in range(0, rows, step):
+        n = min(step, rows - t)
+        if crystal is None:
+            e = sample_vacuum_power(rng, power[:n])
+            sources = [e[:, idx] for idx, _ in scenario.parts]
+        else:
+            signal, idler = pair_power(sample_vacuum_power(rng, power[:n]),
+                                       sample_vacuum_normals(pair_rng, normals[:n]), crystal)
+            # the signal detector owns modes [0, h); the idler one [h, 2h), mirrored
+            sources = (signal, idler[:, ::-1])
+        for d, (x, w) in enumerate(zip(sources, weights, strict=True)):
+            prod = np.multiply(x, w, out=scratch[:x.size].reshape(x.shape))
+            prod.sum(axis=1, out=i[d, t:t + n])
+
+
 def chunk_intensities(scenario: Scenario, settings, seed: int,
                       block: int, rows: int) -> np.ndarray:
     """Effective intensities (1 + len(settings), D, rows) of the first ``rows`` trials of ``block``.
 
     The trials are sampled, mapped by the scenario's crystal and reduced one
     row tile at a time to variant 0's intensities and each station's C; a
-    scenario without stations samples its modes' power instead. The
-    settings follow over the whole chunk. ``rows`` is at most TRIAL_BLOCK.
+    scenario without stations samples its modes' power instead
+    (``_power_intensities``). The settings follow over the whole chunk.
+    ``rows`` is at most TRIAL_BLOCK.
     """
     n_modes = scenario.n_modes
     step = min(max(TILE_AMPS // n_modes, 1), TRIAL_BLOCK)
     stations = scenario.stations
     rng, pair_rng = block_generators(seed, block)
     i = np.empty((1 + len(settings), len(scenario.detector_specs), rows))
+    if not stations:
+        _power_intensities(i[0], scenario, rng, pair_rng, step)
+        return i
     cross = np.empty((len(stations), rows))
     for t in range(0, rows, step):
         n = min(step, rows - t)
         cols = slice(t, t + n)
-        if not stations:
-            power = (pair_power(sample_vacuum_power(n_modes // 2, rng, n),
-                                sample_vacuum_batch(n_modes // 2, pair_rng, n),
-                                scenario.crystal)
-                     if scenario.crystal is not None else sample_vacuum_power(n_modes, rng, n))
-            i[:, :, cols] = intensity_batch(power, scenario.parts).T
-            continue
         amps = apply_ops(sample_vacuum_batch(n_modes, rng, n), scenario)
         i[0, :, cols] = intensity_batch(amps.real**2 + amps.imag**2, scenario.parts).T
         cross[:, cols] = _cross_sums(amps, stations)

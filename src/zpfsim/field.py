@@ -7,12 +7,14 @@ gaussian (2/pi) exp(-2|alpha|^2), i.e. Re(alpha) and Im(alpha) are
 independent normals with mean 0 and variance 1/4. A batch of realizations
 is one (trials x modes) array; there is no per-realization type.
 
-Two draws are offered, each from a generator that the caller passes.
-``sample_vacuum_batch`` draws the amplitudes, two normals per mode.
-``sample_vacuum_power`` draws the power |alpha|^2 alone, which under this
-law is exactly exponential with mean 1/2, for a run that reads no amplitude
-(see ``engine``); with one amplitude per crystal pair it gives a PDC run's
-powers (``pdc.pair_power``).
+Three draws are offered, each from a generator that the caller passes.
+``sample_vacuum_batch`` returns the amplitudes, two normals per mode.
+``sample_vacuum_normals`` and ``sample_vacuum_power`` fill the caller's
+buffer with 2 alpha (standard normal Re and Im) and 2|alpha|^2 (exactly a
+standard exponential under this law), and the caller folds the exact
+factor 1/2 into its own constants. A run that reads no amplitude (see
+``engine``) draws the power alone; with one amplitude per crystal pair it
+gives a PDC run's powers (``pdc.pair_power``).
 
 Sampling is block-keyed: block b of seed s holds trials [b * TRIAL_BLOCK,
 (b + 1) * TRIAL_BLOCK), and ``block_generators(s, b)`` returns its two
@@ -34,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["TRIAL_BLOCK", "RNG_STREAM", "block_generators", "sample_vacuum_batch",
-           "sample_vacuum_power"]
+           "sample_vacuum_normals", "sample_vacuum_power"]
 
 TRIAL_BLOCK = 2048
 # Identifier of the sampling streams, recorded with every run: normal
@@ -55,21 +57,29 @@ def sample_vacuum_batch(n_modes: int, rng: np.random.Generator, rows: int) -> np
     Re and Im are independent N(0, 1/4), hence E[|alpha|^2] = 1/2 and
     E[alpha^2] = 0.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    out = rng.standard_normal((rows, 2 * n_modes)).view(complex)  # Re, Im
+    out = sample_vacuum_normals(rng, np.empty((rows, n_modes), dtype=complex))
     out *= 0.5
     return out
 
 
-def sample_vacuum_power(n_modes: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Vacuum power |alpha|^2 per mode of the next ``rows`` trials of ``rng``.
+def sample_vacuum_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the complex C-contiguous ``out`` (rows, n_modes) with 2 alpha of ``rng``'s next rows.
 
-    Returns shape (rows, n_modes) of independent exponentials with mean 1/2,
-    the law of |alpha|^2 under the vacuum.
+    Re and Im of each entry are independent standard normals, drawn Re
+    first, entry by entry and row by row. Returns ``out``.
     """
-    if n_modes < 1:
+    if out.shape[-1] < 1:
         raise ValueError("n_modes must be >= 1")
-    out = rng.standard_exponential((rows, n_modes))
-    out *= 0.5
+    rng.standard_normal(out=out.view(np.float64))
     return out
+
+
+def sample_vacuum_power(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous ``out`` (rows, n_modes) with 2|alpha|^2 of ``rng``'s next rows.
+
+    Each entry is an independent standard exponential: twice the vacuum
+    power |alpha|^2, whose law is exponential with mean 1/2. Returns ``out``.
+    """
+    if out.shape[-1] < 1:
+        raise ValueError("n_modes must be >= 1")
+    return rng.standard_exponential(out=out)

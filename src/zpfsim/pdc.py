@@ -22,6 +22,8 @@ p' = (a + g) p, q' = (a - g) q. Turned by p's phase, which keeps moduli,
 Under the vacuum p and q are independent vacuum amplitudes (the basis change
 is unitary), so P is exponential with mean 1/2 and the turned q a vacuum
 amplitude independent of P: ``pair_power`` needs three random numbers, not four.
+It reads them as the field draws them, 2P and 2q, in place, and returns the
+powers pair by pair, not in mode order.
 """
 
 from __future__ import annotations
@@ -38,16 +40,11 @@ __all__ = [
 PERTURBATIVE_G_LIMIT = 0.3
 
 
-def _halves(n_modes: int) -> tuple[slice, slice]:
-    """The signal half and, read backwards, the idler half of ``n_modes`` mirrored modes."""
-    h = n_modes // 2
-    return slice(None, h), slice(None, h - 1, -1)
-
-
 def pdc_transform(amps: np.ndarray, g: float) -> np.ndarray:
     """Apply the crystal map to an amplitude array of shape (..., n_modes), n_modes even."""
     amps = np.asarray(amps, dtype=complex)
-    s_idx, i_idx = _halves(amps.shape[-1])
+    h = amps.shape[-1] // 2
+    s_idx, i_idx = slice(None, h), slice(None, h - 1, -1)     # signals; idlers read backwards
     a = 1.0 + 0.5 * g * g
     # Both mapped halves are computed straight from the input before the
     # output is allocated (a full copy made first faulted in fresh pages for
@@ -63,17 +60,22 @@ def pdc_transform(amps: np.ndarray, g: float) -> np.ndarray:
     return out
 
 
-def pair_power(pump_power: np.ndarray, q: np.ndarray, g: float) -> np.ndarray:
-    """|alpha'|^2 (..., 2 n_pairs) from each pair's P and turned q (..., n_pairs).
+def pair_power(pump: np.ndarray, q: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and idler |alpha'|^2 (..., n_pairs) of each pair, from 2P and the turned 2q.
 
-    Pair j's signal lands on mode j and its idler on mode 2 n_pairs - 1 - j.
-    Overwrites both inputs.
+    ``pump`` holds each pair's 2P, a standard exponential
+    (``field.sample_vacuum_power``), and the complex ``q`` its 2q, whose Re
+    and Im are standard normals (``field.sample_vacuum_normals``). Works in
+    place on both and returns views of them, pair-ordered: pair j's signal
+    power (mode j) is ``pump[..., j]`` and its idler power (mode
+    2 n_pairs - 1 - j) is ``q.real[..., j]``.
     """
     a = 1.0 + 0.5 * g * g
-    # in place: P ends as the signal's power, Re q as the idler's, Im q as Im^2
-    r = np.sqrt(pump_power, out=pump_power)
+    # P ends as the signal's power, Re q as the idler's, Im q as Im^2
+    pump *= 0.5
+    r = np.sqrt(pump, out=pump)
     r *= (a + g) * 0.5**0.5
-    q *= (a - g) * 0.5**0.5
+    q *= (a - g) * 0.5**0.5 * 0.5      # 2q to q: multiplying by 1/2 is exact
     re, im = q.real, q.imag
     np.square(im, out=im)
     np.subtract(r, re, out=re)
@@ -82,10 +84,7 @@ def pair_power(pump_power: np.ndarray, q: np.ndarray, g: float) -> np.ndarray:
     for x in (r, re):
         x *= x
         x += im
-    out = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
-    s_idx, i_idx = _halves(out.shape[-1])
-    out[..., s_idx], out[..., i_idx] = r, re
-    return out
+    return r, re
 
 
 def excess_photon_fraction(g: float) -> float:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from zpfsim.detection import intensity_batch
 from zpfsim.engine import chunk_intensities
-from zpfsim.field import TRIAL_BLOCK, block_generators
+from zpfsim.field import TRIAL_BLOCK, block_generators, sample_vacuum_normals, sample_vacuum_power
 from zpfsim.scenarios import chsh_scenario, make_matched_detector, pdc_scenario, vacuum_scenario
 
 WINDOW_1K = 2.0 * math.pi * 1000.0
@@ -87,6 +88,61 @@ def draw_rows(sample, n_modes, seed, trials, stream=0):
     """
     return np.concatenate([sample(n_modes, block_generators(seed, block)[stream], rows)
                            for block, rows in blocks(trials)])
+
+
+def drawn_power(n_modes, rng, rows):
+    """2|alpha|^2 (rows, n_modes) of the next ``rows`` trials: ``field.sample_vacuum_power``."""
+    return sample_vacuum_power(rng, np.empty((rows, n_modes)))
+
+
+def drawn_normals(n_modes, rng, rows):
+    """2 alpha (rows, n_modes) of the next ``rows`` trials: ``field.sample_vacuum_normals``."""
+    return sample_vacuum_normals(rng, np.empty((rows, n_modes), dtype=complex))
+
+
+def mode_ordered_pair_power(pump_power, q, g):
+    """|alpha'|^2 (..., 2 n_pairs) of every mode from each pair's P and turned q (..., n_pairs).
+
+    The pair law as the engine once formed it, operation for operation: P
+    and q in the vacuum's own units, pair j's signal written to mode j and
+    its idler to mode 2 n_pairs - 1 - j. Overwrites both inputs.
+    """
+    a = 1.0 + 0.5 * g * g
+    r = np.sqrt(pump_power, out=pump_power)
+    r *= (a + g) * 0.5**0.5
+    q *= (a - g) * 0.5**0.5
+    re, im = q.real, q.imag
+    np.square(im, out=im)
+    np.subtract(r, re, out=re)
+    r *= 2.0
+    r -= re
+    for x in (r, re):
+        x *= x
+        x += im
+    h = r.shape[-1]
+    out = np.empty(r.shape[:-1] + (2 * h,))
+    out[..., :h], out[..., :h - 1:-1] = r, re
+    return out
+
+
+def power_path_oracle(scenario, seed, block, rows):
+    """Variant 0's intensities (D, rows) of a scenario without stations, composed the old way.
+
+    Draws half a standard exponential per mode (vacuum), or per pair with
+    half a standard complex normal per pair from the block's second
+    generator (PDC), interleaves the pair law into mode order
+    (``mode_ordered_pair_power``) and reduces with ``intensity_batch``, all
+    ``rows`` trials at once.
+    """
+    rng, pair_rng = block_generators(seed, block)
+    if scenario.crystal is None:
+        power = 0.5 * rng.standard_exponential((rows, scenario.n_modes))
+    else:
+        h = scenario.n_modes // 2
+        power = mode_ordered_pair_power(0.5 * rng.standard_exponential((rows, h)),
+                                        0.5 * pair_rng.standard_normal((rows, 2 * h)).view(complex),
+                                        scenario.crystal)
+    return intensity_batch(power, scenario.parts).T
 
 
 def dense_weights(scenario):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from zpfsim import engine
 from zpfsim.detection import intensity_batch, q_model
 from zpfsim.engine import detection_summary, mc_detect, run_variants
-from zpfsim.field import TRIAL_BLOCK, sample_vacuum_batch, sample_vacuum_power
+from zpfsim.field import TRIAL_BLOCK, sample_vacuum_batch
 from zpfsim.optics import rotator_transform
 from zpfsim.scenarios import chsh_scenario, pdc_scenario, vacuum_scenario
 
-from conftest import detector, draw_rows, mc_intensity_samples, signed_zero_amps
+from conftest import (WINDOW_1E5, detector, draw_rows, drawn_power, mc_intensity_samples,
+                      power_path_oracle, signed_zero_amps)
 
 
 def two_detector_scenario(n_cells=16, kind="vacuum"):
@@ -36,10 +38,10 @@ def direct_intensities(scen, kind, trials, seed):
     ((1 + g + g^2/2) sqrt(P) +- (1 - g + g^2/2) q) / sqrt(2).
     """
     if kind == "vacuum":
-        power = draw_rows(sample_vacuum_power, scen.n_modes, seed, trials)
+        power = 0.5 * draw_rows(drawn_power, scen.n_modes, seed, trials)
     else:
         g, n_pairs = scen.crystal, scen.n_modes // 2
-        p = (1 + g + g * g / 2) * np.sqrt(draw_rows(sample_vacuum_power, n_pairs, seed, trials))
+        p = (1 + g + g * g / 2) * np.sqrt(0.5 * draw_rows(drawn_power, n_pairs, seed, trials))
         q = (1 - g + g * g / 2) * draw_rows(sample_vacuum_batch, n_pairs, seed, trials, stream=1)
         # pair j's signal is mode j and its idler mode n_modes - 1 - j
         power = np.hstack([np.abs(p + q) ** 2 / 2, np.abs(p - q)[:, ::-1] ** 2 / 2])
@@ -98,17 +100,21 @@ class TestPowerPath:
                 chsh_scenario(*dets, 0.2) if case == "chsh" else
                 pdc_scenario(*dets, 0.0 if case == "pdc-g0" else 0.2))
         n = scen.n_modes
-        drawn = {"sample_vacuum_power": [], "sample_vacuum_batch": []}
+        # (modes, rows) of each draw: power and the pair amplitudes fill the
+        # engine's buffers, the amplitudes of a run with stations are returned
+        modes_rows = {"sample_vacuum_power": lambda rng, out: out.shape[::-1],
+                      "sample_vacuum_normals": lambda rng, out: out.shape[::-1],
+                      "sample_vacuum_batch": lambda n_modes, rng, rows: (n_modes, rows)}
+        drawn = {name: [] for name in modes_rows}
         with pytest.MonkeyPatch.context() as mp:
-            for name, log in drawn.items():
-                sample = getattr(engine, name)
-                mp.setattr(engine, name, lambda n_modes, rng, rows, sample=sample, log=log:
-                           log.append((n_modes, rows)) or sample(n_modes, rng, rows))
+            for name, key in modes_rows.items():
+                mp.setattr(engine, name, lambda *args, sample=getattr(engine, name), key=key,
+                           log=drawn[name]: log.append(key(*args)) or sample(*args))
             run_variants(scen, (), 5, seed=2, workers=1)
         assert bool(drawn["sample_vacuum_power"]) is expected
-        assert (drawn["sample_vacuum_power"], drawn["sample_vacuum_batch"]) == {
-            "vacuum": ([(n, 5)], []), "pdc": ([(n // 2, 5)], [(n // 2, 5)]),
-            "pdc-g0": ([(n // 2, 5)], [(n // 2, 5)]), "chsh": ([], [(n, 5)])}[case]
+        assert tuple(drawn.values()) == {
+            "vacuum": ([(n, 5)], [], []), "pdc": ([(n // 2, 5)], [(n // 2, 5)], []),
+            "pdc-g0": ([(n // 2, 5)], [(n // 2, 5)], []), "chsh": ([], [], [(n, 5)])}[case]
 
     @pytest.mark.parametrize("kind", ["vacuum", "pdc"])
     def test_settings_need_v_modes(self, kind, monkeypatch):
@@ -120,6 +126,44 @@ class TestPowerPath:
         monkeypatch.setattr(engine, "block_generators", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match="analyzer settings need"):
             run_variants(scen, [(0.0, 0.3)], 5, seed=2, workers=1)
+
+
+class TestPowerPathOracle:
+    """The power path equals the old composition (``conftest.power_path_oracle``) bit for bit."""
+
+    DETS = [detector(n_cells=16, omega_center=w) for w in (1.25, 0.75)]
+    CASES = {"vacuum-1": lambda d: vacuum_scenario(d[:1]),
+             "vacuum-2": lambda d: vacuum_scenario(d),
+             "vacuum-cut": lambda d: vacuum_scenario(d, n_modes=7),
+             "pdc-g0": lambda d: pdc_scenario(*d, 0.0),
+             "pdc-g0.2": lambda d: pdc_scenario(*d, 0.2),
+             "pdc-g0.39": lambda d: pdc_scenario(*d, 0.39)}
+
+    def scenario(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")       # g = 0.39 is past the perturbative limit
+            return self.CASES[case](self.DETS)
+
+    @pytest.mark.parametrize("tile_rows", [None, 1, 7, 2048])
+    @pytest.mark.parametrize("rows", [1, 17, TRIAL_BLOCK])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_chunk_equals_oracle(self, case, rows, tile_rows, monkeypatch):
+        scen = self.scenario(case)
+        if tile_rows is not None:
+            monkeypatch.setattr(engine, "TILE_AMPS", tile_rows * scen.n_modes)
+        i = engine.chunk_intensities(scen, (), 11, 1, rows)
+        assert i.shape == (1, len(scen.parts), rows)
+        assert np.array_equal(i[0], power_path_oracle(scen, 11, 1, rows))
+
+    @pytest.mark.parametrize("tile_rows", [None, 1])
+    @pytest.mark.parametrize("rows", [1, 17])
+    def test_wide_chunk_equals_oracle(self, rows, tile_rows, monkeypatch):
+        # 9000 modes: three-row tiles by default, one-row tiles patched
+        scen = vacuum_scenario([detector(n_cells=9000, window=WINDOW_1E5)])
+        if tile_rows is not None:
+            monkeypatch.setattr(engine, "TILE_AMPS", tile_rows * scen.n_modes)
+        i = engine.chunk_intensities(scen, (), 11, 1, rows)
+        assert np.array_equal(i[0], power_path_oracle(scen, 11, 1, rows))
 
 
 class TestAnalyzerSums:

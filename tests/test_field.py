@@ -7,10 +7,11 @@ from zpfsim.field import (
     TRIAL_BLOCK,
     block_generators,
     sample_vacuum_batch,
+    sample_vacuum_normals,
     sample_vacuum_power,
 )
 
-from conftest import draw_rows
+from conftest import draw_rows, drawn_normals, drawn_power
 
 N_TRIALS = 1_000_000
 
@@ -34,9 +35,11 @@ def quadrature_moment(power):
 class TestSampleVacuum:
     def test_empty_mode_list_rejected(self):
         rng, _ = block_generators(1, 0)
-        for sample in (sample_vacuum_batch, sample_vacuum_power):
+        with pytest.raises(ValueError, match="n_modes"):
+            sample_vacuum_batch(0, rng, 1)
+        for sample, dtype in ((sample_vacuum_power, float), (sample_vacuum_normals, complex)):
             with pytest.raises(ValueError, match="n_modes"):
-                sample(0, rng, 1)
+                sample(rng, np.empty((1, 0), dtype=dtype))
 
     def test_determinism_bit_identical(self):
         s1, s2, s3 = (sample_vacuum_batch(1, block_generators(7, block)[0], 4)
@@ -84,16 +87,18 @@ class TestBlockKeyedSampling:
     @pytest.mark.parametrize("rows", [1, 7, TRIAL_BLOCK])
     def test_alternating_tiles_equal_whole_block_draws(self, rows):
         # a crystal point draws each tile's power from the block's first
-        # generator and its pair amplitudes from the second, in alternation
+        # generator and its pair amplitudes from the second, in alternation,
+        # into the head of one buffer each
         n_pairs, seed, block = 4, 17, 1
-        whole_power = sample_vacuum_power(n_pairs, block_generators(seed, block)[0], TRIAL_BLOCK)
-        whole_q = sample_vacuum_batch(n_pairs, block_generators(seed, block)[1], TRIAL_BLOCK)
+        whole_power = drawn_power(n_pairs, block_generators(seed, block)[0], TRIAL_BLOCK)
+        whole_q = drawn_normals(n_pairs, block_generators(seed, block)[1], TRIAL_BLOCK)
         rng, pair_rng = block_generators(seed, block)
+        power_buf, q_buf = np.empty((rows, n_pairs)), np.empty((rows, n_pairs), dtype=complex)
         power, q = [], []
         for start in range(0, TRIAL_BLOCK, rows):
             n = min(rows, TRIAL_BLOCK - start)
-            power.append(sample_vacuum_power(n_pairs, rng, n))
-            q.append(sample_vacuum_batch(n_pairs, pair_rng, n))
+            power.append(sample_vacuum_power(rng, power_buf[:n]).copy())
+            q.append(sample_vacuum_normals(pair_rng, q_buf[:n]).copy())
         assert np.array_equal(np.concatenate(power), whole_power)
         assert np.array_equal(np.concatenate(q), whole_q)
 
@@ -123,8 +128,8 @@ class TestBlockKeyedSampling:
         n_modes, seed, head = 4, 31, 300
         for block in (0, 1):
             rng, _ = block_generators(seed, block)
-            tiles = [sample_vacuum_power(n_modes, rng, rows)
-                     for rows in (head, TRIAL_BLOCK - head)]
+            # |alpha|^2 is half the buffer's 2|alpha|^2
+            tiles = [0.5 * drawn_power(n_modes, rng, rows) for rows in (head, TRIAL_BLOCK - head)]
             direct = direct_draws((seed, block), "standard_exponential", (TRIAL_BLOCK, n_modes))
             assert np.array_equal(np.concatenate(tiles), direct), block
 
@@ -137,11 +142,11 @@ class TestBlockKeyedSampling:
             rng, pair_rng = block_generators(seed, block)
             power, tiles = [], []
             for rows in (head, TRIAL_BLOCK - head):
-                power.append(sample_vacuum_power(n_pairs, rng, rows))
-                tiles.append(sample_vacuum_batch(n_pairs, pair_rng, rows))
+                power.append(drawn_power(n_pairs, rng, rows))
+                tiles.append(0.5 * drawn_normals(n_pairs, pair_rng, rows))
             direct = direct_draws((seed, block, 1), "standard_normal", (TRIAL_BLOCK, 2 * n_pairs))
             assert np.array_equal(np.concatenate(tiles), direct.view(complex)), block
-            whole = sample_vacuum_power(n_pairs, block_generators(seed, block)[0], TRIAL_BLOCK)
+            whole = drawn_power(n_pairs, block_generators(seed, block)[0], TRIAL_BLOCK)
             assert np.array_equal(np.concatenate(power), whole), block
 
     def test_same_row_of_two_blocks_uncorrelated(self):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from zpfsim.field import sample_vacuum_batch, sample_vacuum_power
+from zpfsim.field import sample_vacuum_batch
 from zpfsim.pdc import excess_photon_fraction, pair_power, pdc_transform
 
-from conftest import draw_rows, pair_correlation
+from conftest import draw_rows, drawn_normals, drawn_power, pair_correlation
 
 
 class TestPdcTransform:
@@ -69,7 +69,10 @@ class TestPairPower:
         amps = draw_rows(sample_vacuum_batch, 2 * n_pairs, 14, 64)
         x, y = amps[:, :n_pairs], np.conj(amps[:, :n_pairs - 1:-1])
         p, q = (x + y) / np.sqrt(2.0), (x - y) / np.sqrt(2.0)
-        power = pair_power(np.abs(p) ** 2, q * np.conj(p) / np.abs(p), g)
+        # pair_power reads 2P and 2q and returns pair j's signal and idler
+        # powers in column j; modes j and 2 n_pairs - 1 - j hold them
+        signal, idler = pair_power(2 * np.abs(p) ** 2, 2 * q * np.conj(p) / np.abs(p), g)
+        power = np.hstack([signal, idler[:, ::-1]])
         expected = np.abs(pdc_transform(amps, g)) ** 2
         assert power.shape == expected.shape
         assert np.allclose(power, expected, rtol=1e-12, atol=0)
@@ -79,9 +82,8 @@ class TestPairPower:
         # each power has mean n = 1/2 + g^2 + g^4/8 and variance n^2, and the
         # two have covariance m^2 with m = g (1 + g^2/2), all within 4 SE
         trials = 1_000_000
-        power = pair_power(draw_rows(sample_vacuum_power, 1, 41, trials),
-                           draw_rows(sample_vacuum_batch, 1, 41, trials, stream=1),
-                           g)
+        power = np.hstack(pair_power(draw_rows(drawn_power, 1, 41, trials),
+                                     draw_rows(drawn_normals, 1, 41, trials, stream=1), g))
         n = 0.5 + excess_photon_fraction(g)
         dev = power - power.mean(axis=0)
         for k in (0, 1):
